@@ -19,9 +19,6 @@ from .conditions import (
     eq7_boundary_residuals,
     eq8_residuals,
     nc_residuals,
-    residual_eq7_boundary,
-    residual_eq8,
-    residual_nc,
     singular_factor,
 )
 from .geometry import (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -37,21 +37,27 @@ class BCSpec:
     alpha2: complex
     phi1: Callable
     phi2: Callable
-    endpoint_magnitudes: Optional[dict] = None
 
     def __post_init__(self):
         if self.alpha1 == 0 or self.alpha2 == 0:
             raise ConfigurationError("boundary constants alpha_k must be nonzero")
 
+    def sample(self, x) -> tuple:
+        """(phi_1, phi_2) at the nodes x: each phi_k is called once, on the array."""
+        x = np.asarray(x, dtype=float)
+        phi1 = np.broadcast_to(np.asarray(self.phi1(x), dtype=complex), x.shape)
+        phi2 = np.broadcast_to(np.asarray(self.phi2(x), dtype=complex), x.shape)
+        if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
+            raise NumericError("boundary data non-finite at a quadrature node")
+        return phi1, phi2
+
     def report_endpoints(self, a1: float, b1: float) -> dict:
         """|phi_k| at the interval ends; the regularity theory wants these
         to vanish, so they are reported rather than enforced."""
-        rep = {
+        return {
             "phi1": (abs(complex(self.phi1(a1))), abs(complex(self.phi1(b1)))),
             "phi2": (abs(complex(self.phi2(a1))), abs(complex(self.phi2(b1)))),
         }
-        self.endpoint_magnitudes = rep
-        return rep
 
 
 def du_from_bc(u_trace, alpha: complex, phi_at_nodes) -> np.ndarray:
@@ -84,11 +90,7 @@ class FredholmSystem:
 def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmSystem:
     ops = build_operators(domain, rule)  # raises AssemblyError on touching curves
     n = rule.n
-    phi1 = np.asarray([complex(bc.phi1(v)) for v in ops.x])
-    phi2 = np.asarray([complex(bc.phi2(v)) for v in ops.x])
-    if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
-        raise NumericError("boundary data non-finite at a quadrature node")
-    bc.report_endpoints(domain.a1, domain.b1)
+    phi1, phi2 = bc.sample(ops.x)
 
     a1c, a2c = complex(bc.alpha1), complex(bc.alpha2)
     warnings = []
@@ -119,12 +121,11 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
             + 2.0 * B11 + (2.0 * a1c / a2c) * C12 - 2.0 * np.diag(dc21))
     b_u2 = (eye - 2.0 * a2c * i_pi * PK21
             - (2.0 * a2c / a1c) * C21 - 2.0 * B22 + 2.0 * np.diag(dc12))
-    g_phi = 2.0 * (KU11 @ phi1) - 2.0 * (KU21 @ phi2) - 2.0 * dku21 * phi1
     reg_phi = ((2.0 / a1c) * (C21 @ phi2 + dc21 * phi1) - (2.0 / a1c) * (B11 @ phi1)
                + (2.0 / a2c) * (B22 @ phi2) - (2.0 / a2c) * (C12 @ phi1 + dc12 * phi2))
     rhs_b = (phi1 / a1c + phi2 / a2c
              - i_pi * (P @ (phi1 / a1c - phi2 / a2c))
-             + i_pi * (P @ g_phi) - reg_phi)
+             + i_pi * (P @ rhs_a) - reg_phi)
 
     matrix = np.block([[a_u1, a_u2], [b_u1, b_u2]])
     rhs = np.concatenate([rhs_a, rhs_b])

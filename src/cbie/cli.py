@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .assembly import BCSpec, assemble, compactness_probe, dump_system
+from .assembly import BCSpec, compactness_probe, dump_system
 from .conditions import condition_report
-from .errors import CbieError, ConfigurationError, NumericError
+from .errors import CbieError, ConfigurationError, GeometryError, NumericError
 from .geometry import domain_from_config, validate_domain
 from .kernel import (
     KernelPoint,
@@ -37,7 +36,7 @@ from .kernel import (
     is_singular_config,
 )
 from .lcg import Lcg
-from .manufactured import make_bc, make_trace, solution_from_config
+from .manufactured import complex_from_config, make_bc, make_trace, solution_from_config
 from .quadrature import build_rule, pv_integrate
 from .solver import convergence_sweep, solve_problem
 
@@ -55,14 +54,6 @@ DEFAULT_TOLERANCES = {
     "min_ratio": 2.0,
     "ratio_floor": 1e-10,
 }
-
-
-def worker_count() -> int:
-    """Worker cap from CBIE_THREADS (informational; heavy work is vectorized)."""
-    try:
-        return max(1, int(os.environ.get("CBIE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _fmt(value) -> str:
@@ -86,12 +77,12 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _complex_from(cfg_val) -> complex:
-    if isinstance(cfg_val, (list, tuple)):
-        if len(cfg_val) != 2:
-            raise ConfigurationError(f"complex value must be [re, im], got {cfg_val}")
-        return complex(float(cfg_val[0]), float(cfg_val[1]))
-    return complex(cfg_val)
+def _number(value, convert, key: str):
+    """convert(value), or a ConfigurationError naming the config key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -123,42 +114,59 @@ def _tolerances(cfg: dict) -> dict:
     for key, val in cfg.get("tolerances", {}).items():
         if key not in tol:
             raise ConfigurationError(f"unknown tolerance key {key!r}")
+        if not (key == "window_delta" and val is None):  # None: the default window
+            val = _number(val, float, f"tolerances.{key}")
         tol[key] = val
     return tol
 
 
 def _domain(cfg: dict):
-    domain = domain_from_config(_require(cfg, "domain"))
+    try:
+        domain = domain_from_config(_require(cfg, "domain"))
+    except GeometryError as exc:
+        raise ConfigurationError(str(exc)) from exc
     report = validate_domain(domain, probes=201)
     if report.convexity_violations:
         raise ConfigurationError(
             f"domain violates convexity at x1={report.convexity_violations[:3]}")
+    # The boundary identities hold on closed contours only: the curves must
+    # meet at a1 and b1 up to round-off relative to the curves' size.
+    gap_tol = 1e-10 * max(1.0, report.max_abs_gamma)
+    if not all(abs(gap) <= gap_tol for gap in report.endpoint_gaps):
+        raise ConfigurationError(
+            f"domain is not a closed contour: gamma_2 - gamma_1 = "
+            f"{report.endpoint_gaps} at (a1, b1), tolerance {gap_tol:.3g}")
     return domain
 
 
 def _phi_from_tabulated(path: str):
     from scipy.interpolate import PchipInterpolator
 
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    for key in ("x", "phi1", "phi2"):
-        if key not in data:
-            raise ConfigurationError(f"tabulated data file missing key {key!r}")
-    xs = np.asarray(data["x"], dtype=float)
+    if not isinstance(path, str):  # open() would take an integer as a file descriptor
+        raise ConfigurationError(f"bc.phi.tabulated must be a file path, got {path!r}")
 
-    def build(rows):
+    def build(xs, rows):
         arr = np.asarray(rows, dtype=float)
         re = PchipInterpolator(xs, arr[:, 0])
         im = PchipInterpolator(xs, arr[:, 1])
         return lambda x: re(x) + 1j * im(x)
 
-    return build(data["phi1"]), build(data["phi2"])
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        xs = np.asarray(data["x"], dtype=float)
+        return build(xs, data["phi1"]), build(xs, data["phi2"])
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"bc.phi.tabulated: data file missing key {exc.args[0]!r}") from exc
+    except (OSError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bc.phi.tabulated: bad data file {path!r}: {exc}") from exc
 
 
 def _bc(cfg: dict, domain):
     block = _require(cfg, "bc")
-    alpha1 = _complex_from(_require(block, "alpha1"))
-    alpha2 = _complex_from(_require(block, "alpha2"))
+    alpha1 = complex_from_config(_require(block, "alpha1"), "bc.alpha1")
+    alpha2 = complex_from_config(_require(block, "alpha2"), "bc.alpha2")
     phi_block = _require(block, "phi")
     if "solution" in phi_block:
         spec = solution_from_config(phi_block["solution"])
@@ -176,10 +184,9 @@ def _bc(cfg: dict, domain):
 def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     rng = Lcg(seed)
-    n_points = int(cfg.get("points", 100))
+    n_points = _number(cfg.get("points", 100), int, "points")
     rows = []
     worst = {"fund": 0.0, "du2": 0.0, "du1": 0.0, "annih": 0.0}
-    k = 0
     while len(rows) < n_points:
         d1 = rng.uniform(-2.0, 2.0)
         x2 = rng.uniform(-2.0, 2.0)
@@ -191,7 +198,6 @@ def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
         p = KernelPoint(d1, x2, xi2)
         if is_singular_config(p):
             continue
-        k += 1
         val = fund_solution(p)
         ora = fund_solution_oracle(p)
         fund_rel = abs(val - ora) / max(abs(ora), 1e-300)
@@ -289,23 +295,14 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
     family = cfg.get("rule", {}).get("family", "gauss-legendre")
     delta = tol["window_delta"]
 
-    def level_sups(n):
-        rule = build_rule(family, int(n), domain.a1, domain.b1)
+    sups = {c: [] for c in conditions}
+    for n in levels:
+        rule = build_rule(family, _number(n, int, "rule.levels"), domain.a1, domain.b1)
         trace = make_trace(spec, domain, rule)
-        return [condition_report(trace, domain, c, delta).sup_window
-                for c in conditions]
-
-    workers = min(worker_count(), len(levels))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_level = list(pool.map(level_sups, levels))
-    else:
-        per_level = [level_sups(n) for n in levels]
+        for c in conditions:
+            sups[c].append(condition_report(trace, domain, c, delta).sup_window)
 
     records = []
-    sups = {c: [row[k] for row in per_level] for k, c in enumerate(conditions)}
     for c in conditions:
         for k, n in enumerate(levels):
             ratio = None
@@ -341,13 +338,13 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
     rule_cfg = _require(cfg, "rule")
-    n = int(_require(rule_cfg, "n"))
+    n = _number(_require(rule_cfg, "n"), int, "rule.n")
     if n < 8:
         raise ConfigurationError(f"solve needs n >= 8, got {n}")
     family = rule_cfg.get("family", "gauss-legendre")
     rule = build_rule(family, n, domain.a1, domain.b1)
     report = solve_problem(domain, bc, rule, cond_threshold=tol["cond_threshold"])
-    system = assemble(domain, bc, rule)
+    system = report.system
     probe = compactness_probe(system)
     if cfg.get("dump_system"):
         dump_system(system, outdir / "system.bin")
@@ -381,7 +378,8 @@ def run_convergence(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
-    levels = [int(v) for v in cfg.get("rule", {}).get("levels", [64, 128, 256])]
+    levels = [_number(v, int, "rule.levels")
+              for v in cfg.get("rule", {}).get("levels", [64, 128, 256])]
     family = cfg.get("rule", {}).get("family", "gauss-legendre")
     table = convergence_sweep(domain, bc, levels, family=family, truth=spec,
                               cond_threshold=tol["cond_threshold"],
@@ -450,7 +448,7 @@ def main(argv=None) -> int:
                 except ValueError as exc:
                     raise ConfigurationError(f"bad --levels value {args.levels!r}") from exc
                 cfg.setdefault("rule", {})["levels"] = levels
-        seed = args.seed if args.seed is not None else int(cfg.get("seed", 42))
+        seed = args.seed if args.seed is not None else _number(cfg.get("seed", 42), int, "seed")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         status = TASKS[args.task](cfg, outdir, seed)

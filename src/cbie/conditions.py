@@ -72,20 +72,16 @@ class BoundaryTrace:
 
     def __post_init__(self):
         n = self.rule.n
-        for name in ("u_lower", "u_upper", "du_lower", "du_upper"):
+        for name in ("u_lower", "u_upper", "du_lower", "du_upper", "ux1_lower", "ux1_upper"):
+            tangential = name.startswith("ux1")
+            if tangential and getattr(self, name) is None:
+                continue
             arr = np.asarray(getattr(self, name), dtype=complex)
             if arr.shape != (n,):
                 raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
-            if not np.all(np.isfinite(arr)):
+            if not tangential and not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
-        for name in ("ux1_lower", "ux1_upper"):
-            arr = getattr(self, name)
-            if arr is not None:
-                arr = np.asarray(arr, dtype=complex)
-                if arr.shape != (n,):
-                    raise ShapeError(f"{name} has shape {arr.shape}, expected ({n},)")
-                setattr(self, name, arr)
 
     def u_fn(self, side: str) -> Callable:
         values = self.u_lower if side == "lower" else self.u_upper
@@ -108,6 +104,13 @@ def _diffq(gamma_vals: np.ndarray, slope_vals: np.ndarray, x: np.ndarray) -> np.
     m = dg / dx
     np.fill_diagonal(m, slope_vals)
     return m
+
+
+def log_lifted(w):
+    """log w with the angle lifted to [0, 2pi): the branch continuous
+    across the negative real axis, for arguments in the left half-plane."""
+    ang = np.angle(w)
+    return np.log(np.abs(w)) + 1j * np.where(ang < 0, ang + 2 * np.pi, ang)
 
 
 @dataclass(frozen=True)
@@ -230,10 +233,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     m2 = _diffq(g2, g2p, x) + 1j
     sm2 = (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI
     kv22_up = (w[None, :] * sm2 + wlog / TWO_PI - 0.5j * partial) * f2col[None, :]
-    w12 = (g1[None, :] - g2[:, None]) + 1j * dx
-    ang12 = np.angle(w12)
-    ang12 = np.where(ang12 < 0, ang12 + 2 * np.pi, ang12)
-    kv12_up = (w[None, :] * ((np.log(np.abs(w12)) + 1j * ang12) / TWO_PI)
+    kv12_up = (w[None, :] * (log_lifted(den12) / TWO_PI)
                - 1j * partial) * f1col[None, :]
 
     # Exact zeroth moments of the cross kernels (contour antiderivatives).
@@ -249,12 +249,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     d_hi = complex(domain.upper.value(b1)) + 1j * b1
 
     l21 = (np.log(d_hi - zeta1) - np.log(d_lo - zeta1)) / (2j * np.pi)
-
-    def _log_upper(wv):
-        ang = np.angle(wv)
-        return np.log(np.abs(wv)) + 1j * np.where(ang < 0, ang + 2 * np.pi, ang)
-
-    l12 = (_log_upper(c_hi - zeta2) - _log_upper(c_lo - zeta2)) / (2j * np.pi)
+    l12 = (log_lifted(c_hi - zeta2) - log_lifted(c_lo - zeta2)) / (2j * np.pi)
 
     def _anti(wv):
         return wv * (np.log(wv) - 1.0)
@@ -388,39 +383,8 @@ def eq7_boundary_residuals(trace: BoundaryTrace, domain: PlaneDomain,
 
 
 # ---------------------------------------------------------------------------
-# Spec-surface single-node operations and reports
+# Reports
 # ---------------------------------------------------------------------------
-
-def _sweep_cached(trace: BoundaryTrace, domain: PlaneDomain, key: str,
-                  fn: Callable) -> np.ndarray:
-    cache = getattr(trace, "_sweeps", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(trace, "_sweeps", cache)
-    full_key = (key, domain)
-    if full_key not in cache:
-        cache[full_key] = fn()
-    return cache[full_key]
-
-
-def residual_eq8(trace: BoundaryTrace, domain: PlaneDomain, xi_index: int) -> complex:
-    vals = _sweep_cached(trace, domain, "eq8", lambda: eq8_residuals(trace, domain))
-    return complex(vals[xi_index])
-
-
-def residual_nc(trace: BoundaryTrace, domain: PlaneDomain, which: str,
-                xi_index: int) -> complex:
-    vals = _sweep_cached(trace, domain, which,
-                         lambda: nc_residuals(trace, domain, which))
-    return complex(vals[xi_index])
-
-
-def residual_eq7_boundary(trace: BoundaryTrace, domain: PlaneDomain,
-                          xi_index: int, side: str) -> complex:
-    vals = _sweep_cached(trace, domain, f"eq7-{side}",
-                         lambda: eq7_boundary_residuals(trace, domain, side))
-    return complex(vals[xi_index])
-
 
 def window_mask(rule: QuadratureRule, delta: float) -> np.ndarray:
     return (rule.nodes >= rule.a + delta) & (rule.nodes <= rule.b - delta)

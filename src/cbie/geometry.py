@@ -152,13 +152,14 @@ class ValidationReport:
     max_slope_at: float
     endpoint_gaps: tuple = (0.0, 0.0)  # gamma_2 - gamma_1 at a1 and b1; the
     # boundary identities assume the curves meet there (closed contour)
+    max_abs_gamma: float = 0.0  # largest |gamma_k| probed; nan if one is non-finite
 
 
 def validate_domain(domain: PlaneDomain, probes: int) -> ValidationReport:
     """Probe the standing hypotheses on a uniform grid (report-only, never raises).
 
     Flags interior points where gamma_1 >= gamma_2, non-finite values or
-    slopes, and records the largest finite |gamma'| seen.
+    slopes, and records the largest finite |gamma'| and the largest |gamma_k|.
     """
     if probes < 2:
         raise GeometryError("probes must be >= 2")
@@ -201,6 +202,7 @@ def validate_domain(domain: PlaneDomain, probes: int) -> ValidationReport:
         max_abs_slope=max_abs,
         max_slope_at=max_at,
         endpoint_gaps=gaps,
+        max_abs_gamma=float(np.max(np.abs([lo, hi]))),
     )
 
 
@@ -215,13 +217,22 @@ def lens_domain(half_height: float = 1.0, a1: float = -1.0, b1: float = 1.0) -> 
 
 
 def domain_from_config(block: dict) -> PlaneDomain:
-    """Build a PlaneDomain from the CLI's JSON domain block."""
-    try:
-        return PlaneDomain(
-            a1=float(block["a1"]),
-            b1=float(block["b1"]),
-            lower=CurveDescriptor(block["lower"]["kind"], tuple(block["lower"]["params"])),
-            upper=CurveDescriptor(block["upper"]["kind"], tuple(block["upper"]["params"])),
-        )
-    except KeyError as exc:
-        raise GeometryError(f"domain block missing key {exc.args[0]!r}") from exc
+    """Build a PlaneDomain from the CLI's JSON domain block; a missing key or
+    a bad value raises GeometryError naming where it sits."""
+
+    def entry(where: str, build):
+        try:
+            return build()
+        except KeyError as exc:
+            raise GeometryError(f"{where}: missing key {exc.args[0]!r}") from exc
+        except (GeometryError, TypeError, ValueError) as exc:
+            raise GeometryError(f"{where}: {exc}") from exc
+
+    def curve(side: str) -> CurveDescriptor:
+        return entry(f"domain.{side}", lambda: CurveDescriptor(
+            block[side]["kind"], tuple(block[side]["params"])))
+
+    a1 = entry("domain.a1", lambda: float(block["a1"]))
+    b1 = entry("domain.b1", lambda: float(block["b1"]))
+    lower, upper = curve("lower"), curve("upper")
+    return entry("domain", lambda: PlaneDomain(a1, b1, lower, upper))

@@ -79,16 +79,11 @@ def fund_solution_oracle(p: KernelPoint, tol: float = 1e-13) -> complex:
     if is_singular_config(p):
         raise KernelSingularityError(f"singular kernel configuration {p}", point=p)
 
-    def integrand_re(t):
-        den = complex(t - p.xi2, p.d1)
-        return (1.0 / den).real
+    def integrand(t, part):
+        return getattr(1.0 / complex(t - p.xi2, p.d1), part)
 
-    def integrand_im(t):
-        den = complex(t - p.xi2, p.d1)
-        return (1.0 / den).imag
-
-    re = quad(integrand_re, 0.0, p.x2, epsabs=tol, epsrel=tol, limit=400)[0]
-    im = quad(integrand_im, 0.0, p.x2, epsabs=tol, epsrel=tol, limit=400)[0]
+    re, im = (quad(integrand, 0.0, p.x2, args=(part,), epsabs=tol, epsrel=tol,
+                   limit=400)[0] for part in ("real", "imag"))
     return complex(re, im) / TWO_PI
 
 

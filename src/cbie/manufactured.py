@@ -25,6 +25,17 @@ from .geometry import PlaneDomain
 from .quadrature import QuadratureRule
 
 
+def _poly(coeffs, z, derivative: bool = False):
+    """sum_k c_k z^k for ascending coefficients c, or its derivative in z;
+    zero when no coefficient is left."""
+    c = np.asarray(coeffs, dtype=complex)
+    if derivative:
+        c = c[1:] * np.arange(1, len(c))
+    if not len(c):
+        return np.zeros_like(np.asarray(z, dtype=complex))
+    return np.polyval(c[::-1], z)
+
+
 @dataclass(frozen=True)
 class SolutionSpec:
     """F is either a polynomial (f_coeffs, ascending) or exp(f_exp_scale * z);
@@ -38,30 +49,12 @@ class SolutionSpec:
     def _f(self, z):
         if self.f_exp_scale is not None:
             return np.exp(self.f_exp_scale * z)
-        if not self.f_coeffs:
-            return np.zeros_like(z)
-        return np.polyval(np.asarray(self.f_coeffs, dtype=complex)[::-1], z)
+        return _poly(self.f_coeffs, z)
 
     def _fp(self, z):
         if self.f_exp_scale is not None:
             return self.f_exp_scale * np.exp(self.f_exp_scale * z)
-        c = np.asarray(self.f_coeffs, dtype=complex)
-        if len(c) < 2:
-            return np.zeros_like(z)
-        d = c[1:] * np.arange(1, len(c))
-        return np.polyval(d[::-1], z)
-
-    def _g(self, x1):
-        if not self.g_coeffs:
-            return np.zeros_like(np.asarray(x1, dtype=complex))
-        return np.polyval(np.asarray(self.g_coeffs, dtype=complex)[::-1], x1)
-
-    def _gp(self, x1):
-        c = np.asarray(self.g_coeffs, dtype=complex)
-        if len(c) < 2:
-            return np.zeros_like(np.asarray(x1, dtype=complex))
-        d = c[1:] * np.arange(1, len(c))
-        return np.polyval(d[::-1], x1)
+        return _poly(self.f_coeffs, z, derivative=True)
 
 
 def eval_solution(spec: SolutionSpec, x1, x2):
@@ -70,8 +63,8 @@ def eval_solution(spec: SolutionSpec, x1, x2):
     x2 = np.asarray(x2, dtype=float)
     z = x2 + 1j * x1
     fp = spec._fp(z)
-    u = spec._f(z) + spec._g(x1)
-    return u, fp, 1j * fp + spec._gp(x1)
+    u = spec._f(z) + _poly(spec.g_coeffs, x1)
+    return u, fp, 1j * fp + _poly(spec.g_coeffs, x1, derivative=True)
 
 
 def canonical_solutions() -> dict:
@@ -89,6 +82,18 @@ def canonical_solutions() -> dict:
     }
 
 
+def complex_from_config(value, key: str) -> complex:
+    """A config number given as a scalar or as [re, im]; a bad value raises
+    ConfigurationError naming the key."""
+    try:
+        if isinstance(value, (list, tuple)):
+            re, im = value
+            return complex(float(re), float(im))
+        return complex(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}") from exc
+
+
 def solution_from_config(block: dict) -> SolutionSpec:
     if "name" in block and len(block) == 1:
         table = canonical_solutions()
@@ -97,13 +102,18 @@ def solution_from_config(block: dict) -> SolutionSpec:
             raise ConfigurationError(
                 f"unknown solution name {name!r}; known: {sorted(table)}")
         return table[name]
+
+    def coeffs(key):
+        return tuple(complex_from_config(c, f"bc.phi.solution.{key}")
+                     for c in block.get(key, ()))
+
+    scale = block.get("f_exp_scale")
     return SolutionSpec(
         name=block.get("name", "custom"),
-        f_coeffs=tuple(complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                       for c in block.get("f_coeffs", ())),
-        f_exp_scale=(complex(block["f_exp_scale"]) if "f_exp_scale" in block else None),
-        g_coeffs=tuple(complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-                       for c in block.get("g_coeffs", ())),
+        f_coeffs=coeffs("f_coeffs"),
+        f_exp_scale=(None if scale is None
+                     else complex_from_config(scale, "bc.phi.solution.f_exp_scale")),
+        g_coeffs=coeffs("g_coeffs"),
     )
 
 
@@ -122,8 +132,7 @@ def make_bc(spec: SolutionSpec, domain: PlaneDomain, alpha1: complex,
             alpha2: complex, rule: QuadratureRule):
     """Boundary data compatible with the solution:
     phi_k(x1) = du/dx2 + alpha_k u on curve k, exposed as evaluables with
-    samples recoverable at any rule's nodes.  Also records |phi_k| at the
-    interval ends (the regularity hypothesis wants them to vanish)."""
+    samples recoverable at any rule's nodes."""
     from .assembly import BCSpec
 
     def phi_on(side, alpha):
@@ -135,9 +144,7 @@ def make_bc(spec: SolutionSpec, domain: PlaneDomain, alpha1: complex,
 
         return phi
 
-    bc = BCSpec(alpha1, alpha2, phi_on("lower", alpha1), phi_on("upper", alpha2))
-    bc.report_endpoints(domain.a1, domain.b1)
-    return bc
+    return BCSpec(alpha1, alpha2, phi_on("lower", alpha1), phi_on("upper", alpha2))
 
 
 def pde_residual_check(spec: SolutionSpec, points: Sequence, h: float) -> float:

@@ -131,8 +131,7 @@ def diff_matrix(rule: QuadratureRule) -> np.ndarray:
     n = rule.n
     if rule.family == "gauss-legendre":
         t = rule.reference_nodes()
-        wref = rule.weights / rule.scale
-        beta = (-1.0) ** np.arange(n) * np.sqrt((1.0 - t * t) * wref)
+        beta = barycentric_weights(rule)
         dt = t[:, None] - t[None, :]
         np.fill_diagonal(dt, 1.0)
         d = (beta[None, :] / beta[:, None]) / dt
@@ -140,10 +139,7 @@ def diff_matrix(rule: QuadratureRule) -> np.ndarray:
         np.fill_diagonal(d, -np.sum(d, axis=1))
         return d / rule.scale
     h = rule.weights[0]
-    d = np.zeros((n, n))
-    for i in range(1, n - 1):
-        d[i, i - 1] = -0.5 / h
-        d[i, i + 1] = 0.5 / h
+    d = (np.eye(n, k=1) - np.eye(n, k=-1)) * (0.5 / h)
     d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return d
@@ -195,19 +191,14 @@ def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
     """
     n = rule.n
     t = rule.reference_nodes()
-    wref = rule.weights / rule.scale
-    kmax = n  # moments need Q up to n
-    pk = np.polynomial.legendre.legvander(t, n - 1).T  # (n, n): pk[k, j] = P_k(t_j)
-    qk = _legendre_q_on_cut(t, kmax)  # (n+1, n): qk[k, i] = Q_k(t_i)
+    qk = _legendre_q_on_cut(t, n)  # (n+1, n): qk[k, i] = Q_k(t_i); moments need Q up to n
 
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
     for k in range(1, n):
         moments[k] = 2.0 * (qk[k + 1] - qk[k - 1]) / (2 * k + 1)
 
-    # transform: c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j
-    coef = ((2 * np.arange(n) + 1) / 2.0)[:, None] * pk * wref[None, :]  # (k, j)
-    wref_log = moments.T @ coef  # (i, j)
+    wref_log = moments.T @ _legendre_transform_matrix(rule)  # (i, j)
     s = rule.scale
     return s * wref_log + np.log(s) * rule.weights[None, :]
 
@@ -262,7 +253,8 @@ def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
 
 
 def _legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Map node samples to Legendre coefficients (exact for degree < n)."""
+    """Map node samples to Legendre coefficients (exact for degree < n):
+    c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j."""
     n = rule.n
     t = rule.reference_nodes()
     wref = rule.weights / rule.scale
@@ -355,17 +347,12 @@ def sample_interpolator(rule: QuadratureRule, values) -> Callable:
 
     def f(x):
         t = (np.asarray(x, dtype=float) - c) / s
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
-        out = np.empty(t.shape, dtype=complex)
-        for k, tv in enumerate(t):
-            diff = tv - t_nodes
-            hit = np.abs(diff) < 1e-15
-            if np.any(hit):
-                out[k] = values[int(np.argmax(hit))]
-            else:
-                q = beta / diff
-                out[k] = np.sum(q * values) / np.sum(q)
-        return complex(out[0]) if scalar else out
+        diff = np.atleast_1d(t)[:, None] - t_nodes[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = beta / diff
+            out = np.sum(q * values, axis=1) / np.sum(q, axis=1)
+        rows, cols = np.nonzero(np.abs(diff) < 1e-15)  # x on a node: its sample
+        out[rows] = values[cols]
+        return complex(out[0]) if t.ndim == 0 else out
 
     return f

@@ -8,11 +8,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc
-from .conditions import BoundaryTrace, window_mask
+from .conditions import BoundaryTrace, build_operators, log_lifted, window_mask
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
-from .manufactured import SolutionSpec, eval_solution
+from .manufactured import SolutionSpec, eval_solution, make_trace
 from .quadrature import QuadratureRule, build_rule, partial_integral_functional
 
 
@@ -25,6 +25,7 @@ class SolveReport:
     method: str  # "direct" or "least-squares-fallback"
     interior_samples: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
+    system: Optional[FredholmSystem] = field(default=None, repr=False)
 
 
 def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveReport:
@@ -35,22 +36,20 @@ def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveRe
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
         raise NumericError("system contains non-finite entries")
     cond = float(np.linalg.cond(m))
-    try:
-        if np.isfinite(cond) and cond <= cond_threshold:
-            sol = np.linalg.solve(m, b)
-            method = "direct"
-        else:
-            sol = np.linalg.lstsq(m, b, rcond=None)[0]
-            method = "least-squares-fallback"
-    except np.linalg.LinAlgError:
+    sol = None
+    if np.isfinite(cond) and cond <= cond_threshold:
         try:
-            sol = np.linalg.lstsq(m, b, rcond=None)[0]
-            method = "least-squares-fallback"
+            sol, method = np.linalg.solve(m, b), "direct"
+        except np.linalg.LinAlgError:
+            pass
+    if sol is None:
+        try:
+            sol, method = np.linalg.lstsq(m, b, rcond=None)[0], "least-squares-fallback"
         except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
             raise SolverError(f"both solve strategies failed: {exc}") from exc
     resid = float(np.max(np.abs(m @ sol - b)))
     u1, u2 = system.split(sol)
-    return SolveReport(u1, u2, resid, cond, method, [], list(system.warnings))
+    return SolveReport(u1, u2, resid, cond, method, [], list(system.warnings), system)
 
 
 def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi) -> complex:
@@ -68,24 +67,18 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi) -> compl
     xi1, xi2 = float(xi[0]), float(xi[1])
     if not domain.contains(xi1, xi2):
         raise DomainError(f"point ({xi1}, {xi2}) is not strictly inside the domain")
-    rule = trace.rule
-    x, w = rule.nodes, rule.weights
-    g1 = np.asarray(domain.lower.value(x), dtype=float)
-    g2 = np.asarray(domain.upper.value(x), dtype=float)
-    g1p = np.asarray(domain.lower.slope(x), dtype=float)
-    g2p = np.asarray(domain.upper.slope(x), dtype=float)
-    f1 = trace.du_lower * (1.0 - 1j * g1p)
-    f2 = trace.du_upper * (1.0 - 1j * g2p)
+    ops = build_operators(domain, trace.rule)
+    x, w = ops.x, ops.w
+    f1 = trace.du_lower * (1.0 - 1j * ops.g1p)
+    f2 = trace.du_upper * (1.0 - 1j * ops.g2p)
 
-    w2 = (g2 - xi2) + 1j * (x - xi1)
+    w2 = (ops.g2 - xi2) + 1j * (x - xi1)
     i2 = np.sum(w * f2 * np.log(w2)) / TWO_PI
 
-    w1 = (g1 - xi2) + 1j * (x - xi1)
-    ang = np.angle(w1)
-    ang = np.where(ang < 0, ang + 2 * np.pi, ang)
-    i1 = np.sum(w * f1 * (np.log(np.abs(w1)) + 1j * ang)) / TWO_PI
+    w1 = (ops.g1 - xi2) + 1j * (x - xi1)
+    i1 = np.sum(w * f1 * log_lifted(w1)) / TWO_PI
 
-    corr = -1j * partial_integral_functional(rule, f1)(xi1)
+    corr = -1j * partial_integral_functional(trace.rule, f1)(xi1)
     u1_at = trace.u_fn("lower")(xi1)
     return complex(u1_at - i2 + i1 + corr)
 
@@ -113,9 +106,7 @@ def trace_from_solution(system_rule: QuadratureRule, domain: PlaneDomain,
                         bc: BCSpec, report: SolveReport) -> BoundaryTrace:
     """Boundary trace of a solved system: solved u plus du eliminated
     through the boundary data."""
-    x = system_rule.nodes
-    phi1 = np.asarray([complex(bc.phi1(v)) for v in x])
-    phi2 = np.asarray([complex(bc.phi2(v)) for v in x])
+    phi1, phi2 = bc.sample(system_rule.nodes)
     du1 = du_from_bc(report.u_lower, bc.alpha1, phi1)
     du2 = du_from_bc(report.u_upper, bc.alpha2, phi2)
     return BoundaryTrace(system_rule, report.u_lower, report.u_upper, du1, du2)
@@ -165,13 +156,11 @@ def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
             "method": report.method,
         }
         if truth is not None:
-            x = rule.nodes
             mask = window_mask(rule, delta)
-            u1e, _, _ = eval_solution(truth, x, np.asarray(domain.lower.value(x), dtype=float))
-            u2e, _, _ = eval_solution(truth, x, np.asarray(domain.upper.value(x), dtype=float))
+            exact = make_trace(truth, domain, rule)
             err = max(
-                float(np.max(np.abs((report.u_lower - u1e)[mask]))),
-                float(np.max(np.abs((report.u_upper - u2e)[mask]))),
+                float(np.max(np.abs((report.u_lower - exact.u_lower)[mask]))),
+                float(np.max(np.abs((report.u_upper - exact.u_upper)[mask]))),
             )
             row["trace_error"] = err
             ierr = 0.0

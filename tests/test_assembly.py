@@ -9,7 +9,7 @@ from cbie.assembly import (
     dump_system,
     load_system,
 )
-from cbie.errors import AssemblyError, ConfigurationError, ShapeError
+from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain
 from cbie.manufactured import canonical_solutions, make_bc, make_trace
 from cbie.quadrature import build_rule
@@ -151,6 +151,16 @@ def test_assemble_rejects_degenerate_domain():
     rule = build_rule("gauss-legendre", 16, -1, 1)
     with pytest.raises(AssemblyError):
         assemble(dom, _const_bc(1.0), rule)
+
+
+def test_assemble_rejects_nan_phi_at_one_node(lens):
+    rule = build_rule("gauss-legendre", 16, -1, 1)
+    bad = rule.nodes[5]
+    phi1 = lambda x: np.where(np.asarray(x) == bad, np.nan, 1.0)
+    bc = BCSpec(1.0, 2.0, phi1, lambda x: 2.0 + 0 * np.asarray(x))
+    assert np.isnan(bc.phi1(rule.nodes)).sum() == 1
+    with pytest.raises(NumericError):
+        assemble(lens, bc, rule)
 
 
 def test_assemble_warns_on_degenerate_alpha_combination(lens):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -11,6 +12,29 @@ LENS_DOMAIN = {
     "lower": {"kind": "lens", "params": [-1.0]},
     "upper": {"kind": "lens", "params": [1.0]},
 }
+
+
+# closes at x1 = -1 and 1: gamma_2 - gamma_1 = 2 (1 - x^2)(1 + 0.2 x)
+CUBIC_DOMAIN = {
+    "a1": -1.0, "b1": 1.0,
+    "lower": {"kind": "polynomial", "params": [-0.9, -0.1, 0.9, 0.1]},
+    "upper": {"kind": "polynomial", "params": [1.1, 0.3, -1.1, -0.3]},
+}
+OPEN_DOMAIN = {
+    "a1": -1.0, "b1": 1.0,
+    "lower": {"kind": "polynomial", "params": [-1.0]},
+    "upper": {"kind": "polynomial", "params": [1.0]},
+}
+
+
+def _solve_cfg(domain=LENS_DOMAIN, solution=None, **rule):
+    return {
+        "schema_version": "1",
+        "domain": copy.deepcopy(domain),
+        "bc": {"alpha1": 1.0, "alpha2": 2.0,
+               "phi": {"solution": solution or {"name": "z2"}}},
+        "rule": {"n": 32, **rule},
+    }
 
 
 def _write(path, payload):
@@ -87,6 +111,75 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
         "rule": {"n": 4},
     })
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 2
+
+
+@pytest.mark.parametrize("key,spoil", [
+    pytest.param("domain.lower", lambda cfg, tmp: cfg["domain"]["lower"].update(kind="spline"),
+                 id="unknown-curve-kind"),
+    pytest.param("bc.phi.tabulated", lambda cfg, tmp: cfg["bc"].update(
+        phi={"tabulated": str(tmp / "no_such_phi.json")}), id="missing-tabulated-file"),
+    pytest.param("bc.phi.tabulated", lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": 0}),
+                 id="tabulated-not-a-path"),
+    pytest.param("bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="x"), id="alpha1-text"),
+    pytest.param("rule.n", lambda cfg, tmp: cfg["rule"].update(n="abc"), id="n-text"),
+    pytest.param("domain.a1", lambda cfg, tmp: cfg["domain"].update(a1="abc"), id="a1-text"),
+    pytest.param("tolerances.cond_threshold",
+                 lambda cfg, tmp: cfg.update(tolerances={"cond_threshold": "abc"}),
+                 id="tolerance-text"),
+])
+def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, key, spoil):
+    cfg = _solve_cfg()
+    spoil(cfg, tmp_path)
+    path = _write(tmp_path / "c.json", cfg)
+    assert main(["solve", "--config", path, "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert key in err
+
+
+@pytest.mark.parametrize("task", ["solve", "convergence"])
+def test_open_contour_exits_2(tmp_path, outdir, capsys, task):
+    cfg = _write(tmp_path / "c.json", _solve_cfg(OPEN_DOMAIN, levels=[16, 32]))
+    assert main([task, "--config", cfg, "--out", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert "domain is not a closed contour" in err
+    assert not list(outdir.iterdir())
+
+
+@pytest.mark.parametrize("domain", [LENS_DOMAIN, CUBIC_DOMAIN])
+def test_closed_contours_accepted(tmp_path, outdir, domain):
+    cfg = _write(tmp_path / "c.json", _solve_cfg(domain))
+    assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_boundary_data_exits_3(tmp_path, outdir, capsys):
+    # exp(800 z) overflows where the upper lens rises above x2 = 709/800
+    cfg = _write(tmp_path / "c.json",
+                 _solve_cfg(solution={"name": "steep", "f_exp_scale": 800.0}))
+    assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 3
+    assert "boundary data non-finite" in capsys.readouterr().err
+
+
+def test_solve_assembles_once(tmp_path, outdir, monkeypatch):
+    import cbie.assembly
+    import cbie.cli
+    import cbie.solver
+
+    original = cbie.assembly.assemble
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (cbie.assembly, cbie.solver, cbie.cli):
+        if getattr(module, "assemble", None) is original:
+            monkeypatch.setattr(module, "assemble", counting)
+    cfg = _write(tmp_path / "c.json", dict(_solve_cfg(), dump_system=True))
+    assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

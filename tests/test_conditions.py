@@ -9,9 +9,6 @@ from cbie.conditions import (
     eq8_residuals,
     nc_residuals,
     representation_boundary,
-    residual_eq7_boundary,
-    residual_eq8,
-    residual_nc,
     singular_factor,
     window_mask,
 )
@@ -51,6 +48,8 @@ def test_trace_tangential_required_for_eq9(lens):
         nc_residuals(tr, lens, "eq11")
     # eq10/eq12 fine without tangential data
     assert np.allclose(nc_residuals(tr, lens, "eq10"), 0)
+    with pytest.raises(DataError):
+        nc_residuals(tr, lens, "eq13")
 
 
 # ---------------------------------------------------------------------------
@@ -275,23 +274,6 @@ def test_pure_x1_trace_boundary_representation(lens):
     res = eq7_boundary_residuals(tr, lens, "lower")
     mask = window_mask(rule, 0.2)
     assert np.max(np.abs(res[mask])) <= 1e-3
-
-
-# ---------------------------------------------------------------------------
-# single-node spec operations
-# ---------------------------------------------------------------------------
-
-def test_single_node_accessors(lens, solutions):
-    rule = build_rule("gauss-legendre", 64, -1, 1)
-    tr = make_trace(solutions["z2"], lens, rule)
-    full8 = eq8_residuals(tr, lens)
-    full10 = nc_residuals(tr, lens, "eq10")
-    full7 = eq7_boundary_residuals(tr, lens, "lower")
-    assert residual_eq8(tr, lens, 10) == complex(full8[10])
-    assert residual_nc(tr, lens, "eq10", 11) == complex(full10[11])
-    assert residual_eq7_boundary(tr, lens, 12, "lower") == complex(full7[12])
-    with pytest.raises(DataError):
-        residual_nc(tr, lens, "eq13", 0)
 
 
 def test_condition_report_window(lens, solutions):

@@ -117,7 +117,9 @@ def test_make_bc_matches_independent_evaluation(lens):
 def test_make_bc_reports_endpoint_magnitudes(lens):
     spec = canonical_solutions()["z"]
     bc = make_bc(spec, lens, 1.0, 2.0, None)
-    rep = bc.endpoint_magnitudes
+    before = dict(vars(bc))
+    rep = bc.report_endpoints(lens.a1, lens.b1)
+    assert vars(bc) == before  # reporting leaves the spec unchanged
     assert set(rep) == {"phi1", "phi2"}
     # traces at the ends: z = +-i, du = 1: |phi1| = |1 + 1*(+-i)| = sqrt(2)
     assert rep["phi1"][0] == pytest.approx(np.sqrt(2.0))

@@ -280,3 +280,27 @@ def test_sample_interpolator_complex():
     f = sample_interpolator(rule, np.exp(1j * rule.nodes))
     for x in (-0.77, 0.0, 0.1234, 0.95):
         assert abs(f(x) - np.exp(1j * x)) <= 1e-12
+
+
+def test_sample_interpolator_matches_pointwise_barycentric_formula():
+    # reference: the second barycentric form evaluated one point at a time,
+    # with the node sample returned when the point is a node
+    from cbie.quadrature import barycentric_weights
+
+    rule = build_rule("gauss-legendre", 24, -1, 1)
+    values = np.cos(3 * rule.nodes) + 1j * rule.nodes ** 2
+    beta = barycentric_weights(rule)
+    t_nodes = rule.reference_nodes()
+    xs = np.array([-0.93, -0.2, rule.nodes[7], 0.0, 0.61])
+    expected = []
+    for x in xs:
+        diff = (x - rule.center) / rule.scale - t_nodes
+        hit = np.abs(diff) < 1e-15
+        if np.any(hit):
+            expected.append(values[int(np.argmax(hit))])
+        else:
+            q = beta / diff
+            expected.append(np.sum(q * values) / np.sum(q))
+    f = sample_interpolator(rule, values)
+    assert np.array_equal(f(xs), np.array(expected))
+    assert [f(x) for x in xs] == [complex(v) for v in expected]
