@@ -16,10 +16,13 @@ ordering: columns [0, N) are u on the lower curve at the rule nodes,
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+from scipy.sparse.linalg import LinearOperator, svds
 
 from .conditions import build_operators
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
@@ -75,6 +78,8 @@ class FredholmSystem:
     rhs: np.ndarray
     rule: QuadratureRule
     warnings: list = field(default_factory=list)
+    # 1-norm condition estimate, recorded by the solve that factorized matrix
+    condition_estimate: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -138,39 +143,64 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     return FredholmSystem(matrix, rhs, rule, warnings)
 
 
+def lu_condition(matrix: np.ndarray) -> tuple:
+    """LU factors of the matrix and LAPACK's estimate of its 1-norm condition
+    number (gecon on those factors, Hager-Higham); an exactly zero pivot
+    gives inf."""
+    with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
+        warnings.simplefilter("ignore", LinAlgWarning)
+        factors = lu_factor(matrix, check_finite=False)
+    gecon = get_lapack_funcs("gecon", (factors[0],))
+    rcond, _ = gecon(factors[0], np.linalg.norm(matrix, 1), norm="1")
+    return factors, (1.0 / rcond if rcond > 0 else np.inf)
+
+
 @dataclass
 class DecayReport:
-    singular_values: np.ndarray
+    singular_values: np.ndarray  # the PROBE_K largest of K, descending
     ratios: dict
     condition_estimate: float
 
 
+PROBE_K = 20
+
+
 def compactness_probe(system: FredholmSystem) -> DecayReport:
-    """Singular-value decay of K = matrix - identity plus the full matrix's
-    condition number; the numerical signature of the second-kind structure."""
-    k = system.matrix - np.eye(len(system.rhs))
-    sv = np.linalg.svd(k, compute_uv=False)
-    ratios = {m: (float(sv[m - 1] / sv[0]) if len(sv) >= m and sv[0] > 0 else 0.0)
-              for m in (5, 10, 20)}
-    cond = float(np.linalg.cond(system.matrix))
-    return DecayReport(sv, ratios, cond)
+    """Singular-value decay of K = matrix - identity plus the matrix's
+    condition estimate; the numerical signature of the second-kind structure.
+
+    The PROBE_K largest singular values come from Lanczos bidiagonalization
+    (PROPACK) with K applied as an operator.  Below 3 PROBE_K unknowns the
+    Krylov space has no room beyond k and PROPACK can fail to converge, so
+    those small systems take the dense spectrum.  The condition estimate is
+    the one the solve recorded, or a fresh LU estimate."""
+    m = system.matrix
+    dim = m.shape[0]
+    if dim > 3 * PROBE_K:
+        op = LinearOperator(m.shape, dtype=m.dtype,
+                            matvec=lambda v: m @ v - v,
+                            rmatvec=lambda v: (m.T @ v.conj()).conj() - v)
+        sv = svds(op, k=PROBE_K, solver="propack", rng=0,
+                  return_singular_vectors=False)[::-1]
+    else:
+        sv = np.linalg.svd(m - np.eye(dim), compute_uv=False)[:PROBE_K]
+    ratios = {j: (float(sv[j - 1] / sv[0]) if len(sv) >= j and sv[0] > 0 else 0.0)
+              for j in (5, 10, 20)}
+    cond = system.condition_estimate
+    if cond is None:
+        cond = lu_condition(m)[1]
+    return DecayReport(sv, ratios, float(cond))
 
 
 def dump_system(system: FredholmSystem, path) -> None:
     """Binary dump: magic "CBIE1", u64 N, then the 2N x 2N matrix row-major
     with interleaved re/im little-endian doubles, then the length-2N rhs."""
-    m2 = len(system.rhs)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", system.n))
-        inter = np.empty((m2, 2 * m2))
-        inter[:, 0::2] = system.matrix.real
-        inter[:, 1::2] = system.matrix.imag
-        fh.write(inter.astype("<f8").tobytes())
-        rvec = np.empty(2 * m2)
-        rvec[0::2] = system.rhs.real
-        rvec[1::2] = system.rhs.imag
-        fh.write(rvec.astype("<f8").tobytes())
+        # a little-endian complex128 is the (re, im) pair of "<f8" doubles
+        fh.write(np.ascontiguousarray(system.matrix, dtype="<c16").data)
+        fh.write(np.ascontiguousarray(system.rhs, dtype="<c16").data)
 
 
 def load_system(path) -> tuple:
@@ -181,8 +211,6 @@ def load_system(path) -> tuple:
             raise ConfigurationError(f"bad magic {magic!r} in {path}")
         (n,) = struct.unpack("<Q", fh.read(8))
         m2 = 2 * n
-        raw = np.frombuffer(fh.read(16 * m2 * m2), dtype="<f8").reshape(m2, 2 * m2)
-        matrix = raw[:, 0::2] + 1j * raw[:, 1::2]
-        raw = np.frombuffer(fh.read(16 * m2), dtype="<f8")
-        rhs = raw[0::2] + 1j * raw[1::2]
-    return matrix, rhs
+        matrix = np.frombuffer(fh.read(16 * m2 * m2), dtype="<c16").reshape(m2, m2)
+        rhs = np.frombuffer(fh.read(16 * m2), dtype="<c16")
+    return matrix.astype(complex), rhs.astype(complex)

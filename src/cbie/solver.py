@@ -6,8 +6,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import lu_solve
 
-from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc
+from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
 from .conditions import BoundaryTrace, build_operators, log_lifted, window_mask
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
@@ -31,18 +32,20 @@ class SolveReport:
 def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveReport:
     """Direct dense solve below the condition threshold, otherwise a
     minimum-norm least-squares fallback (the problem is Fredholm but not
-    guaranteed uniquely solvable at every boundary-constant pair)."""
+    guaranteed uniquely solvable at every boundary-constant pair).
+
+    One LU factorization gives both the 1-norm condition estimate, recorded
+    on the system for the compactness probe, and the direct solution.  An
+    exactly singular pivot estimates cond = inf and takes the fallback."""
     m, b = system.matrix, system.rhs
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
         raise NumericError("system contains non-finite entries")
-    cond = float(np.linalg.cond(m))
-    sol = None
+    factors, cond = lu_condition(m)
+    system.condition_estimate = cond
     if np.isfinite(cond) and cond <= cond_threshold:
-        try:
-            sol, method = np.linalg.solve(m, b), "direct"
-        except np.linalg.LinAlgError:
-            pass
-    if sol is None:
+        sol, method = lu_solve(factors, b, check_finite=False), "direct"
+    else:
+        del factors  # free the LU before lstsq copies the matrix
         try:
             sol, method = np.linalg.lstsq(m, b, rcond=None)[0], "least-squares-fallback"
         except np.linalg.LinAlgError as exc:  # pragma: no cover - pathological
@@ -52,8 +55,8 @@ def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveRe
     return SolveReport(u1, u2, resid, cond, method, [], list(system.warnings), system)
 
 
-def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi) -> complex:
-    """Evaluate the representation formula at an interior point.
+def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
+    """Evaluate the representation formula at interior points.
 
     u(xi) = u_1(xi1) - int f_2 (1/2pi) Log(g2(x) - xi2 + i(x - xi1)) dx
                      + int f_1 (1/2pi) Log_c(g1(x) - xi2 + i(x - xi1)) dx
@@ -62,25 +65,31 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi) -> compl
     continuous across the lower curve's cut on the lower one, and the
     running integral carrying the branch correction.  All terms evaluate
     from the trace samples (polynomial interpolation supplies the point
-    values between nodes).
+    values between nodes).  xi is one point (x1, x2), which gives a complex,
+    or an (m, 2) array of points, which gives m values; the running integral
+    and the interpolant are built once for all of them.
     """
-    xi1, xi2 = float(xi[0]), float(xi[1])
-    if not domain.contains(xi1, xi2):
-        raise DomainError(f"point ({xi1}, {xi2}) is not strictly inside the domain")
+    single = np.shape(xi) == (2,)
+    pts = np.asarray(xi, dtype=float).reshape(-1, 2)
+    for xi1, xi2 in pts:
+        if not domain.contains(float(xi1), float(xi2)):
+            raise DomainError(f"point ({xi1}, {xi2}) is not strictly inside the domain")
     ops = build_operators(domain, trace.rule)
     x, w = ops.x, ops.w
     f1 = trace.du_lower * (1.0 - 1j * ops.g1p)
     f2 = trace.du_upper * (1.0 - 1j * ops.g2p)
+    xi1, xi2 = pts[:, :1], pts[:, 1:]
 
     w2 = (ops.g2 - xi2) + 1j * (x - xi1)
-    i2 = np.sum(w * f2 * np.log(w2)) / TWO_PI
+    i2 = np.sum(w * f2 * np.log(w2), axis=1) / TWO_PI
 
     w1 = (ops.g1 - xi2) + 1j * (x - xi1)
-    i1 = np.sum(w * f1 * log_lifted(w1)) / TWO_PI
+    i1 = np.sum(w * f1 * log_lifted(w1), axis=1) / TWO_PI
 
-    corr = -1j * partial_integral_functional(trace.rule, f1)(xi1)
-    u1_at = trace.u_fn("lower")(xi1)
-    return complex(u1_at - i2 + i1 + corr)
+    corr = -1j * partial_integral_functional(trace.rule, f1)(pts[:, 0])
+    u1_at = trace.u_fn("lower")(pts[:, 0])
+    vals = u1_at - i2 + i1 + corr
+    return complex(vals[0]) if single else vals
 
 
 def default_interior_grid(domain: PlaneDomain, nx: int = 5, ny: int = 4,
@@ -120,9 +129,8 @@ def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
     report = solve_system(system, cond_threshold)
     trace = trace_from_solution(rule, domain, bc, report)
     pts = default_interior_grid(domain) if interior_points is None else interior_points
-    report.interior_samples = [
-        ((x1, x2), reconstruct_interior(domain, trace, (x1, x2))) for (x1, x2) in pts
-    ]
+    vals = reconstruct_interior(domain, trace, pts)
+    report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
     return report
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbie.assembly import (
+    PROBE_K,
     BCSpec,
     assemble,
     compactness_probe,
@@ -182,6 +183,41 @@ def test_probe_identity_system(lens):
     assert probe.ratios[5] == 0.0
     assert probe.ratios[20] == 0.0
     assert probe.condition_estimate == pytest.approx(1.0)
+
+
+def test_probe_identity_system_lanczos_path(lens):
+    # 2N = 128 > 3 PROBE_K: the PROPACK probe, not the dense spectrum
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    system = assemble(lens, _const_bc(1.0), rule)
+    system.matrix = np.eye(2 * rule.n, dtype=complex)
+    probe = compactness_probe(system)
+    assert probe.ratios == {5: 0.0, 10: 0.0, 20: 0.0}
+    assert np.all(probe.singular_values == 0.0)
+
+
+@pytest.mark.parametrize("n", [8, 10, 16, 31, 64])
+def test_probe_matches_dense_svd(lens, solutions, n):
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    system = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule)
+    sv = np.linalg.svd(system.matrix - np.eye(2 * n), compute_uv=False)
+    probe = compactness_probe(system)
+    k = min(PROBE_K, 2 * n)
+    assert np.allclose(probe.singular_values, sv[:k], rtol=1e-12, atol=0)
+    for m, ratio in probe.ratios.items():
+        dense = sv[m - 1] / sv[0] if 2 * n >= m else 0.0
+        assert ratio == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+def test_condition_estimate_within_norm_equivalence(lens, solutions):
+    # LAPACK's 1-norm estimate against the 2-norm cond: for a d x d matrix the
+    # two condition numbers differ by at most a factor d = 2N
+    n = 64
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    for alphas in ((1.0, 2.0), (1.0, 1.0)):
+        system = assemble(lens, make_bc(solutions["z2"], lens, *alphas, rule), rule)
+        estimate = compactness_probe(system).condition_estimate
+        cond2 = np.linalg.cond(system.matrix)
+        assert 1.0 / (2 * n) <= estimate / cond2 <= 2 * n
 
 
 def test_probe_singular_value_decay_stable(lens, solutions):

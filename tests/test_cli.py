@@ -182,6 +182,32 @@ def test_solve_assembles_once(tmp_path, outdir, monkeypatch):
     assert len(calls) == 1
 
 
+def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatch):
+    import scipy.linalg
+
+    import cbie.assembly
+    import cbie.solver
+
+    calls = {"svd": 0, "cond": 0, "lu_factor": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
+    original = scipy.linalg.lu_factor
+    lu = counting("lu_factor", original)
+    for module in (scipy.linalg, cbie.assembly, cbie.solver):
+        if getattr(module, "lu_factor", None) is original:
+            monkeypatch.setattr(module, "lu_factor", lu)
+    cfg = _write(tmp_path / "c.json", _solve_cfg())
+    assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
+    assert calls == {"svd": 0, "cond": 0, "lu_factor": 1}
+
+
 # ---------------------------------------------------------------------------
 # tasks end to end
 # ---------------------------------------------------------------------------

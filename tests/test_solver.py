@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cbie.assembly import BCSpec, FredholmSystem, assemble
+from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
 from cbie.conditions import BoundaryTrace
 from cbie.errors import DomainError, NumericError, SolverError
 from cbie.manufactured import canonical_solutions, eval_solution, make_bc, make_trace
@@ -39,6 +39,15 @@ def test_identity_system_solved_exactly():
     assert report.method == "direct"
 
 
+def test_exactly_singular_system_falls_back():
+    rule = build_rule("gauss-legendre", 4, -1, 1)
+    m = np.eye(8, dtype=complex)
+    m[3] = 0.0
+    report = solve_system(FredholmSystem(m, np.ones(8, dtype=complex), rule))
+    assert report.method == "least-squares-fallback"
+    assert report.condition_estimate == np.inf
+
+
 def test_nonfinite_system_rejected():
     rule = build_rule("gauss-legendre", 4, -1, 1)
     m = np.eye(8, dtype=complex)
@@ -57,6 +66,16 @@ def test_constant_recovery_well_posed(lens):
     assert report.method == "direct"
     assert np.max(np.abs(report.u_lower - c)) <= 1e-8
     assert np.max(np.abs(report.u_upper - c)) <= 1e-8
+
+
+def test_solve_records_condition_estimate_for_probe(lens, solutions):
+    rule = build_rule("gauss-legendre", 32, -1, 1)
+    bc = make_bc(solutions["z2"], lens, 1.0, 2.0, rule)
+    standalone = compactness_probe(assemble(lens, bc, rule)).condition_estimate
+    system = assemble(lens, bc, rule)
+    report = solve_system(system)
+    assert system.condition_estimate == report.condition_estimate == standalone
+    assert compactness_probe(system).condition_estimate == standalone
 
 
 def test_equal_alphas_hit_resonance_and_fall_back(lens):
@@ -132,6 +151,34 @@ def test_reconstruct_linearity(lens, solutions):
     assert v == pytest.approx(v1 + v2, abs=1e-12)
 
 
+def test_reconstruct_many_points_matches_one_at_a_time(lens, solutions):
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    tr = make_trace(solutions["exp_half"], lens, rule)
+    pts = default_interior_grid(lens)
+    many = reconstruct_interior(lens, tr, pts)
+    one = [reconstruct_interior(lens, tr, pt) for pt in pts]
+    assert many.shape == (len(pts),)
+    assert np.max(np.abs(many - np.asarray(one))) <= 1e-14
+    assert reconstruct_interior(lens, tr, []).shape == (0,)
+
+
+def test_solve_problem_builds_the_running_integral_once(lens, solutions, monkeypatch):
+    import cbie.solver
+
+    original = cbie.solver.partial_integral_functional
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cbie.solver, "partial_integral_functional", counting)
+    rule = build_rule("gauss-legendre", 32, -1, 1)
+    report = solve_problem(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule)
+    assert len(report.interior_samples) == 20
+    assert len(calls) == 1
+
+
 def test_reconstruct_outside_raises(lens, solutions):
     rule = build_rule("gauss-legendre", 32, -1, 1)
     tr = make_trace(solutions["z"], lens, rule)
@@ -139,6 +186,8 @@ def test_reconstruct_outside_raises(lens, solutions):
         reconstruct_interior(lens, tr, (0.0, 1.5))
     with pytest.raises(DomainError):
         reconstruct_interior(lens, tr, (0.0, 1.0))  # on the boundary
+    with pytest.raises(DomainError):
+        reconstruct_interior(lens, tr, [(0.0, 0.0), (0.0, 1.5)])
 
 
 def test_default_interior_grid(lens):
