@@ -95,7 +95,7 @@ class FredholmSystem:
 def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmSystem:
     ops = build_operators(domain, rule)  # raises AssemblyError on touching curves
     n = rule.n
-    phi1, phi2 = bc.sample(ops.x)
+    phi1, phi2 = bc.sample(rule.nodes)
 
     a1c, a2c = complex(bc.alpha1), complex(bc.alpha2)
     warnings = []
@@ -137,7 +137,7 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     if not np.all(np.isfinite(matrix)):
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite system entry at row {i}, column {j} "
-                            f"(nodes {ops.x[i % n]}, {ops.x[j % n]})")
+                            f"(nodes {rule.nodes[i % n]}, {rule.nodes[j % n]})")
     if not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite right-hand side")
     return FredholmSystem(matrix, rhs, rule, warnings)

@@ -33,7 +33,6 @@ from .kernel import (
     fund_solution,
     fund_solution_oracle,
     heaviside_sym,
-    is_singular_config,
 )
 from .lcg import Lcg
 from .manufactured import complex_from_config, make_bc, make_trace, solution_from_config
@@ -196,8 +195,6 @@ def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
         if abs(d1) < 0.1 or abs(x2) < 0.1 or abs(x2 - xi2) < 0.1 or abs(xi2) < 0.1:
             continue
         p = KernelPoint(d1, x2, xi2)
-        if is_singular_config(p):
-            continue
         val = fund_solution(p)
         ora = fund_solution_oracle(p)
         fund_rel = abs(val - ora) / max(abs(ora), 1e-300)

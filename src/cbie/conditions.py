@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -47,7 +47,6 @@ from .quadrature import (
     log_weight_matrix,
     partial_integral_matrix,
     pv_weight_matrix,
-    sample_interpolator,
 )
 
 CONDITION_IDS = ("eq8", "eq9", "eq10", "eq11", "eq12", "eq7-boundary")
@@ -82,10 +81,6 @@ class BoundaryTrace:
             if not tangential and not np.all(np.isfinite(arr)):
                 raise NumericError(f"{name} contains non-finite entries")
             setattr(self, name, arr)
-
-    def u_fn(self, side: str) -> Callable:
-        values = self.u_lower if side == "lower" else self.u_upper
-        return sample_interpolator(self.rule, values)
 
 
 @dataclass
@@ -123,8 +118,6 @@ class Operators:
     """
 
     rule: QuadratureRule
-    x: np.ndarray = field(repr=False)
-    w: np.ndarray = field(repr=False)
     g1: np.ndarray = field(repr=False)
     g2: np.ndarray = field(repr=False)
     g1p: np.ndarray = field(repr=False)
@@ -138,10 +131,6 @@ class Operators:
     c12: np.ndarray = field(repr=False)         # dU/dx2, curve 1 -> targets on curve 2
     b11: np.ndarray = field(repr=False)         # bounded remainder, diagonal pair curve 1
     b22: np.ndarray = field(repr=False)         # bounded remainder, diagonal pair curve 2
-    kv21_lo: np.ndarray = field(repr=False)     # representation kernels (eq7), see build
-    kv11_lo: np.ndarray = field(repr=False)
-    kv22_up: np.ndarray = field(repr=False)
-    kv12_up: np.ndarray = field(repr=False)
     dc21: np.ndarray = field(repr=False)        # corner corrections: exact zeroth
     dc12: np.ndarray = field(repr=False)        # kernel moments minus discrete row
     dku21: np.ndarray = field(repr=False)       # sums, applied to the continued trace
@@ -173,6 +162,12 @@ def _bounded_remainder(x, gv, gp, gpp, w):
     core = (1j / TWO_PI) * num / (dx * (dg + 1j * dx))
     np.fill_diagonal(core, -(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
     return w[None, :] * core
+
+
+def _sign_weights(rule: QuadratureRule, partial: np.ndarray) -> np.ndarray:
+    """Weights of int f(x) (-(i/4)) sign(x - x_i) dx at the nodes, through the
+    running integral: -(i/4) (int_a^b f - 2 int_a^{x_i} f)."""
+    return -0.25j * (rule.weights[None, :] - 2.0 * partial)
 
 
 @lru_cache(maxsize=8)
@@ -211,8 +206,8 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
     # exactly through the running-integral weights.
     den21 = (g2[None, :] - g1[:, None]) + 1j * dx
-    sign_w = -0.25j * (np.tile(w, (rule.n, 1)) - 2.0 * partial)
-    ku21 = (w[None, :] * (np.log(den21) / TWO_PI) + sign_w) * f2col[None, :]
+    ku21 = (w[None, :] * (np.log(den21) / TWO_PI)
+            + _sign_weights(rule, partial)) * f2col[None, :]
 
     # dU/dx2 cross matrices (smooth: the vertical gap never closes at nodes).
     c21 = w[None, :] * ((1.0 / TWO_PI) / den21) * f2col[None, :]
@@ -221,20 +216,6 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
 
     b11 = _bounded_remainder(x, g1, g1p, g1pp, w)
     b22 = _bounded_remainder(x, g2, g2p, g2pp, w)
-
-    # Representation (eq7) kernels.  Lower-curve targets:
-    #   curve 2: principal log, smooth;  curve 1: diagonal log split plus
-    #   the half-weighted jump term -(i/2) int_a^{xi}.
-    kv21_lo = w[None, :] * (np.log(den21) / TWO_PI) * f2col[None, :]
-    sm1 = (np.log(np.abs(m1)) + 1j * np.angle(m1)) / TWO_PI
-    kv11_lo = (w[None, :] * sm1 + wlog / TWO_PI - 0.5j * partial) * f1col[None, :]
-    # Upper-curve targets: curve 2 diagonal split (same structure), curve 1
-    # smooth in the (0, 2pi) branch plus the full jump correction -i int_a^{xi}.
-    m2 = _diffq(g2, g2p, x) + 1j
-    sm2 = (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI
-    kv22_up = (w[None, :] * sm2 + wlog / TWO_PI - 0.5j * partial) * f2col[None, :]
-    kv12_up = (w[None, :] * (log_lifted(den12) / TWO_PI)
-               - 1j * partial) * f1col[None, :]
 
     # Exact zeroth moments of the cross kernels (contour antiderivatives).
     # Curve-2 kernels seen from curve 1 stay in the right complex half-plane
@@ -263,10 +244,8 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     dc12 = l12 - c12 @ np.ones(rule.n)
     dku21 = m21 - ku21 @ np.ones(rule.n)
 
-    return Operators(rule, x, w, g1, g2, g1p, g2p, pv, wlog, partial,
-                     ku11, ku21, c21, c12, b11, b22,
-                     kv21_lo, kv11_lo, kv22_up, kv12_up,
-                     dc21, dc12, dku21)
+    return Operators(rule, g1, g2, g1p, g2p, pv, wlog, partial,
+                     ku11, ku21, c21, c12, b11, b22, dc21, dc12, dku21)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +344,26 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     carry the half-trace, the anchor term the other half).
     """
     ops = build_operators(domain, trace.rule)
+    du1, du2 = trace.du_lower, trace.du_upper
+    f1col = 1.0 - 1j * ops.g1p
+    f2col = 1.0 - 1j * ops.g2p
     if side == "lower":
-        flux = ops.kv21_lo @ trace.du_upper - ops.kv11_lo @ trace.du_lower
+        # The eq7 kernels on this curve are the eq8 kernels ku21 and ku11
+        # without their -(i/4) sign(x - xi) term (see docs/method.md section 6).
+        flux = (ops.ku21 @ du2 - ops.ku11 @ du1
+                - _sign_weights(trace.rule, ops.partial) @ (f2col * du2 - f1col * du1))
     elif side == "upper":
-        flux = ops.kv22_up @ trace.du_upper - ops.kv12_up @ trace.du_lower
+        # Curve 2: diagonal log split as on curve 1, with the half-weighted
+        # jump -(i/2) int_a^{xi}; curve 1: smooth in the (0, 2pi) branch plus
+        # the full jump correction -i int_a^{xi}.
+        x, w = trace.rule.nodes, trace.rule.weights
+        m2 = _diffq(ops.g2, ops.g2p, x) + 1j
+        sm2 = (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI
+        kv22 = (w[None, :] * sm2 + ops.wlog / TWO_PI - 0.5j * ops.partial) * f2col[None, :]
+        den12 = (ops.g1[None, :] - ops.g2[:, None]) + 1j * (x[None, :] - x[:, None])
+        kv12 = (w[None, :] * (log_lifted(den12) / TWO_PI)
+                - 1j * ops.partial) * f1col[None, :]
+        flux = kv22 @ du2 - kv12 @ du1
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     return trace.u_lower - flux

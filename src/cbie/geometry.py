@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, GeometryError
 
@@ -54,6 +53,7 @@ class CurveDescriptor:
             ys = np.array(params[n:])
             if not np.all(np.diff(xs) > 0):
                 raise GeometryError("tabulated nodes must be strictly increasing")
+            from scipy.interpolate import PchipInterpolator
             object.__setattr__(self, "_pchip", PchipInterpolator(xs, ys))
 
     def value(self, x1):

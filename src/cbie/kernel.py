@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import KernelSingularityError
 
@@ -76,6 +75,8 @@ def fund_solution(p: KernelPoint) -> complex:
 def fund_solution_oracle(p: KernelPoint, tol: float = 1e-13) -> complex:
     """Adaptive numerical integration of the defining integral (slow; used
     by the kernel-check oracle and the test suite)."""
+    from scipy.integrate import quad
+
     if is_singular_config(p):
         raise KernelSingularityError(f"singular kernel configuration {p}", point=p)
 

@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, ShapeError
 
-FAMILIES = ("gauss-legendre", "midpoint-uniform")
-
 
 @dataclass(frozen=True)
 class QuadratureRule:

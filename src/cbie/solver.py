@@ -14,7 +14,12 @@ from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .manufactured import SolutionSpec, eval_solution, make_trace
-from .quadrature import QuadratureRule, build_rule, partial_integral_functional
+from .quadrature import (
+    QuadratureRule,
+    build_rule,
+    partial_integral_functional,
+    sample_interpolator,
+)
 
 
 @dataclass
@@ -75,7 +80,7 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
         if not domain.contains(float(xi1), float(xi2)):
             raise DomainError(f"point ({xi1}, {xi2}) is not strictly inside the domain")
     ops = build_operators(domain, trace.rule)
-    x, w = ops.x, ops.w
+    x, w = trace.rule.nodes, trace.rule.weights
     f1 = trace.du_lower * (1.0 - 1j * ops.g1p)
     f2 = trace.du_upper * (1.0 - 1j * ops.g2p)
     xi1, xi2 = pts[:, :1], pts[:, 1:]
@@ -87,7 +92,7 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
     i1 = np.sum(w * f1 * log_lifted(w1), axis=1) / TWO_PI
 
     corr = -1j * partial_integral_functional(trace.rule, f1)(pts[:, 0])
-    u1_at = trace.u_fn("lower")(pts[:, 0])
+    u1_at = sample_interpolator(trace.rule, trace.u_lower)(pts[:, 0])
     vals = u1_at - i2 + i1 + corr
     return complex(vals[0]) if single else vals
 

@@ -1,5 +1,9 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,6 +210,21 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
     cfg = _write(tmp_path / "c.json", _solve_cfg())
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
     assert calls == {"svd": 0, "cond": 0, "lu_factor": 1}
+
+
+def test_cli_import_leaves_edge_case_scipy_modules_unloaded():
+    # only tabulated curves and data need scipy.interpolate, and only the
+    # kernel oracle needs scipy.integrate; the CLI imports neither up front
+    import cbie
+
+    src = str(Path(cbie.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, cbie.cli; print([m for m in ('scipy.interpolate', "
+            "'scipy.integrate') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

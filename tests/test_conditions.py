@@ -170,7 +170,7 @@ def test_conditions_on_general_closing_domain(solutions):
     dom = PlaneDomain(-1.0, 1.0,
                       lower=CurveDescriptor("polynomial", (-0.7, 0.1, 0.7, -0.1)),
                       upper=CurveDescriptor("polynomial", (0.9, 0.2, -0.9, -0.2)))
-    for condition in ("eq8", "eq10", "eq12"):
+    for condition in ("eq8", "eq10", "eq12", "eq7-boundary"):
         sups = _window_sups(dom, solutions["z2"], condition, levels=(64, 128))
         assert sups[-1] <= 1e-10
 
