@@ -19,13 +19,11 @@ from .conditions import (
     eq7_boundary_residuals,
     eq8_residuals,
     nc_residuals,
-    singular_factor,
 )
 from .geometry import (
     CurveDescriptor,
     PlaneDomain,
     ValidationReport,
-    eval_curve,
     lens_domain,
     validate_domain,
 )
@@ -50,7 +48,6 @@ from .manufactured import (
 from .quadrature import (
     QuadratureRule,
     build_rule,
-    integrate,
     log_weight_matrix,
     pv_integrate,
     pv_weight_matrix,

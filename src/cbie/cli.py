@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import BCSpec, compactness_probe, dump_system
-from .conditions import condition_report
+from .conditions import CONDITION_IDS, condition_report, window_mask
 from .errors import CbieError, ConfigurationError, GeometryError, NumericError
 from .geometry import domain_from_config, validate_domain
 from .kernel import (
@@ -40,6 +40,7 @@ from .quadrature import build_rule, pv_integrate
 from .solver import convergence_sweep, solve_problem
 
 SCHEMA_VERSION = "1"
+MIN_SOLVE_NODES = 8  # smallest rule a solve accepts, at rule.n and in rule.levels
 
 DEFAULT_TOLERANCES = {
     "window_delta": None,        # None -> 0.1 (b1 - a1)
@@ -108,9 +109,40 @@ def _require(cfg: dict, key: str):
     return cfg[key]
 
 
+def _object(value, key: str) -> dict:
+    """value, or a ConfigurationError naming the key when it is not a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _levels(rule: dict, default: list, minimum: int) -> list:
+    """rule.levels: a non-empty, strictly increasing list of integers >= minimum."""
+    levels = rule.get("levels", default)
+    if not (isinstance(levels, list) and levels
+            and all(type(n) is int and n >= minimum for n in levels)
+            and all(n0 < n1 for n0, n1 in zip(levels, levels[1:]))):
+        raise ConfigurationError(f"rule.levels must be a strictly increasing list of "
+                                 f"integers >= {minimum}, got {levels!r}")
+    return levels
+
+
+def _window_delta(tol: dict, domain, family: str, levels: list):
+    """tolerances.window_delta, checked to leave a node of every level's rule
+    inside the window [a1 + delta, b1 - delta]; None selects 0.1 (b1 - a1)."""
+    delta = tol["window_delta"]
+    if delta is not None and not (delta >= 0 and all(
+            np.any(window_mask(build_rule(family, n, domain.a1, domain.b1), delta))
+            for n in levels)):
+        raise ConfigurationError(
+            f"tolerances.window_delta = {delta!r} must be >= 0 and leave a node of "
+            f"every rule inside [a1 + delta, b1 - delta]")
+    return delta
+
+
 def _tolerances(cfg: dict) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
-    for key, val in cfg.get("tolerances", {}).items():
+    for key, val in _object(cfg.get("tolerances", {}), "tolerances").items():
         if key not in tol:
             raise ConfigurationError(f"unknown tolerance key {key!r}")
         if not (key == "window_delta" and val is None):  # None: the default window
@@ -163,12 +195,12 @@ def _phi_from_tabulated(path: str):
 
 
 def _bc(cfg: dict, domain):
-    block = _require(cfg, "bc")
+    block = _object(_require(cfg, "bc"), "bc")
     alpha1 = complex_from_config(_require(block, "alpha1"), "bc.alpha1")
     alpha2 = complex_from_config(_require(block, "alpha2"), "bc.alpha2")
-    phi_block = _require(block, "phi")
+    phi_block = _object(_require(block, "phi"), "bc.phi")
     if "solution" in phi_block:
-        spec = solution_from_config(phi_block["solution"])
+        spec = solution_from_config(_object(phi_block["solution"], "bc.phi.solution"))
         return make_bc(spec, domain, alpha1, alpha2, None), spec
     if "tabulated" in phi_block:
         phi1, phi2 = _phi_from_tabulated(phi_block["tabulated"])
@@ -184,6 +216,8 @@ def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     rng = Lcg(seed)
     n_points = _number(cfg.get("points", 100), int, "points")
+    if n_points < 1:
+        raise ConfigurationError(f"points must be >= 1, got {n_points}")
     rows = []
     worst = {"fund": 0.0, "du2": 0.0, "du1": 0.0, "annih": 0.0}
     while len(rows) < n_points:
@@ -248,8 +282,9 @@ def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
 
 def run_pv_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
-    family = cfg.get("rule", {}).get("family", "gauss-legendre")
-    levels = cfg.get("rule", {}).get("levels", [16, 32, 64])
+    rule_cfg = _object(cfg.get("rule", {}), "rule")
+    family = rule_cfg.get("family", "gauss-legendre")
+    levels = _levels(rule_cfg, [16, 32, 64], 2)
     cases = [
         ("one_sym", lambda x: 1.0 + 0 * x, 0.0, (-1.0, 1.0), 0.0),
         ("x_at_0", lambda x: x, 0.0, (-1.0, 1.0), 2.0),
@@ -286,15 +321,20 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
     bc, spec = _bc(cfg, domain)
     if spec is None:
         raise ConfigurationError("nc-verify needs a manufactured solution source")
-    conditions = cfg.get("conditions",
-                         ["eq8", "eq9", "eq10", "eq11", "eq12", "eq7-boundary"])
-    levels = cfg.get("rule", {}).get("levels", [64, 128, 256])
-    family = cfg.get("rule", {}).get("family", "gauss-legendre")
-    delta = tol["window_delta"]
+    conditions = cfg.get("conditions", list(CONDITION_IDS))
+    if not (isinstance(conditions, list) and conditions
+            and all(c in CONDITION_IDS for c in conditions)
+            and len(set(conditions)) == len(conditions)):
+        raise ConfigurationError(f"conditions must be a non-empty list of distinct ids "
+                                 f"from {list(CONDITION_IDS)}, got {conditions!r}")
+    rule_cfg = _object(cfg.get("rule", {}), "rule")
+    levels = _levels(rule_cfg, [64, 128, 256], 2)
+    family = rule_cfg.get("family", "gauss-legendre")
+    delta = _window_delta(tol, domain, family, levels)
 
     sups = {c: [] for c in conditions}
     for n in levels:
-        rule = build_rule(family, _number(n, int, "rule.levels"), domain.a1, domain.b1)
+        rule = build_rule(family, n, domain.a1, domain.b1)
         trace = make_trace(spec, domain, rule)
         for c in conditions:
             sups[c].append(condition_report(trace, domain, c, delta).sup_window)
@@ -307,7 +347,7 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
                 ratio = sups[c][k - 1] / sups[c][k]
             records.append({
                 "condition": c,
-                "N": int(n),
+                "N": n,
                 "sup_residual": sups[c][k],
                 "ratio": ratio,
             })
@@ -334,10 +374,10 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
-    rule_cfg = _require(cfg, "rule")
+    rule_cfg = _object(_require(cfg, "rule"), "rule")
     n = _number(_require(rule_cfg, "n"), int, "rule.n")
-    if n < 8:
-        raise ConfigurationError(f"solve needs n >= 8, got {n}")
+    if n < MIN_SOLVE_NODES:
+        raise ConfigurationError(f"rule.n must be >= {MIN_SOLVE_NODES}, got {n}")
     family = rule_cfg.get("family", "gauss-legendre")
     rule = build_rule(family, n, domain.a1, domain.b1)
     report = solve_problem(domain, bc, rule, cond_threshold=tol["cond_threshold"])
@@ -375,12 +415,12 @@ def run_convergence(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
-    levels = [_number(v, int, "rule.levels")
-              for v in cfg.get("rule", {}).get("levels", [64, 128, 256])]
-    family = cfg.get("rule", {}).get("family", "gauss-legendre")
+    rule_cfg = _object(cfg.get("rule", {}), "rule")
+    levels = _levels(rule_cfg, [64, 128, 256], MIN_SOLVE_NODES)
+    family = rule_cfg.get("family", "gauss-legendre")
     table = convergence_sweep(domain, bc, levels, family=family, truth=spec,
                               cond_threshold=tol["cond_threshold"],
-                              delta=tol["window_delta"])
+                              delta=_window_delta(tol, domain, family, levels))
     ok = True
     if spec is not None and len(levels) > 1:
         errs = [row["trace_error"] for row in table.levels]
@@ -418,13 +458,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's probe seed")
-        if name == "nc-verify":
-            p.add_argument("--solution", default=None,
-                           help="override the manufactured solution name")
-            p.add_argument("--conditions", default=None,
-                           help="comma-separated condition ids")
-            p.add_argument("--levels", default=None,
-                           help="comma-separated rule sizes, e.g. 64,128,256")
     args = parser.parse_args(argv)
 
     try:
@@ -433,18 +466,6 @@ def main(argv=None) -> int:
         if task_in_cfg is not None and task_in_cfg != args.task:
             raise ConfigurationError(
                 f"config task {task_in_cfg!r} does not match subcommand {args.task!r}")
-        if args.task == "nc-verify":
-            if args.solution is not None:
-                cfg.setdefault("bc", {"alpha1": 1.0, "alpha2": 2.0})
-                cfg["bc"]["phi"] = {"solution": {"name": args.solution}}
-            if args.conditions is not None:
-                cfg["conditions"] = [c.strip() for c in args.conditions.split(",")]
-            if args.levels is not None:
-                try:
-                    levels = [int(v) for v in args.levels.split(",")]
-                except ValueError as exc:
-                    raise ConfigurationError(f"bad --levels value {args.levels!r}") from exc
-                cfg.setdefault("rule", {})["levels"] = levels
         seed = args.seed if args.seed is not None else _number(cfg.get("seed", 42), int, "seed")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

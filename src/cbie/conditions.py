@@ -36,7 +36,6 @@ from .errors import (
     AssemblyError,
     DataError,
     DomainError,
-    KernelSingularityError,
     NumericError,
     ShapeError,
 )
@@ -194,7 +193,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
 
     pv = pv_weight_matrix(rule)
     wlog = log_weight_matrix(rule)
-    partial = partial_integral_matrix(rule)
+    partial = partial_integral_matrix(rule, x)
 
     # eq8 kernel matrices, targets on the lower curve.
     # Diagonal pair: symmetric-angle kernel splits into (1/2pi) log|x - xi|
@@ -249,30 +248,6 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
 
 
 # ---------------------------------------------------------------------------
-# Singular factorization of the diagonal dU/dx2 kernel
-# ---------------------------------------------------------------------------
-
-def singular_factor(domain: PlaneDomain, side: str, x1: float, xi1: float):
-    """Split dU/dx2 on a same-curve pair into its Cauchy part and remainder.
-
-    Returns (kernel, singular_part, remainder) with
-      kernel        = dU/dx2(x1 - xi1, gamma(x1) - gamma(xi1))
-      singular_part = (1/2pi) / ((x1 - xi1) (gamma'(xi1) + i))
-      remainder     = kernel - singular_part  (continuous as x1 -> xi1)
-    """
-    if x1 == xi1:
-        raise KernelSingularityError("singular_factor requires x1 != xi1",
-                                     point=(x1, xi1))
-    curve = domain.curve(side)
-    gx, gxi = float(curve.value(x1)), float(curve.value(xi1))
-    gpxi = float(curve.slope(xi1))
-    d1 = x1 - xi1
-    kernel = (1.0 / TWO_PI) / ((gx - gxi) + 1j * d1)
-    singular = (1.0 / TWO_PI) / (d1 * (gpxi + 1j))
-    return kernel, singular, kernel - singular
-
-
-# ---------------------------------------------------------------------------
 # Residual sweeps (vectorized over all target nodes)
 # ---------------------------------------------------------------------------
 
@@ -281,43 +256,21 @@ def _require_tangential(trace: BoundaryTrace, which: str):
         raise DataError(f"{which} needs tangential (du/dx1) trace data")
 
 
-def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain,
-                  kernel_variant: str = "symmetric") -> np.ndarray:
-    """u_1 - u_2 + 2 int du_2 U [1-i g2'] - 2 int du_1 U [1-i g1'] at every node.
-
-    kernel_variant="anchored0" evaluates the rejected zero-anchored kernel
-    normalization instead (kept for the normalization audit; it leaves a
-    nonzero Cauchy-integral defect on exact solutions).
-    """
+def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
+    """u_1 - u_2 + 2 int du_2 U [1-i g2'] - 2 int du_1 U [1-i g1'] at every node,
+    with U the symmetric-angle kernel (docs/method.md section 3)."""
     ops = build_operators(domain, trace.rule)
     du1, du2 = trace.du_lower, trace.du_upper
-    if kernel_variant == "anchored0":
-        # anchored kernel = symmetric kernel - (1/2pi) log|d1| on both pairs
-        ku21 = ops.ku21 - (ops.wlog / TWO_PI) * (1.0 - 1j * ops.g2p)[None, :]
-        ku11 = ops.ku11 - (ops.wlog / TWO_PI) * (1.0 - 1j * ops.g1p)[None, :]
-        cross = ku21 @ du2 + ops.dku21 * du1
-    elif kernel_variant == "symmetric":
-        ku11 = ops.ku11
-        cross = ops.cross_ku21(du1, du2)
-    else:
-        raise DataError(f"unknown eq8 kernel variant {kernel_variant!r}")
     return (trace.u_lower - trace.u_upper
-            + 2.0 * cross - 2.0 * (ku11 @ du1))
+            + 2.0 * ops.cross_ku21(du1, du2) - 2.0 * (ops.ku11 @ du1))
 
 
-def nc_residuals(trace: BoundaryTrace, domain: PlaneDomain, which: str,
-                 pv_sign: float = 1.0) -> np.ndarray:
-    """Residual vectors of the Cauchy-formula conditions eq9..eq12.
-
-    pv_sign flips the sign of the extracted principal-value part; the
-    audit asserts that only +1 converges.
-    """
+def nc_residuals(trace: BoundaryTrace, domain: PlaneDomain, which: str) -> np.ndarray:
+    """Residual vectors of the Cauchy-formula conditions eq9..eq12."""
     ops = build_operators(domain, trace.rule)
     du1, du2 = trace.du_lower, trace.du_upper
-    pv1 = ops.pv @ du1
-    pv2 = ops.pv @ du2
-    sing1 = pv_sign * (-1j / TWO_PI) * pv1 + ops.b11 @ du1
-    sing2 = pv_sign * (-1j / TWO_PI) * pv2 + ops.b22 @ du2
+    sing1 = (-1j / TWO_PI) * (ops.pv @ du1) + ops.b11 @ du1
+    sing2 = (-1j / TWO_PI) * (ops.pv @ du2) + ops.b22 @ du2
     t21 = ops.cross_c21(du1, du2)
     t12 = ops.cross_c12(du1, du2)
     if which == "eq10":

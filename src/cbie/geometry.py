@@ -127,22 +127,6 @@ class PlaneDomain:
         return float(self.lower.value(x1)) < x2 < float(self.upper.value(x1))
 
 
-def eval_curve(domain: PlaneDomain, side: str, x1):
-    """Return (gamma_k(x1), gamma_k'(x1)) for the chosen side."""
-    scalar = np.isscalar(x1)
-    x = np.asarray(x1, dtype=float)
-    if np.any(x < domain.a1) or np.any(x > domain.b1):
-        raise DomainError(f"x1={x1} outside [{domain.a1}, {domain.b1}]")
-    curve = domain.curve(side)
-    v = curve.value(x)
-    s = curve.slope(x)
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(s))):
-        raise GeometryError(f"curve {side} non-finite at x1={x1}")
-    if scalar:
-        return float(v), float(s)
-    return v, s
-
-
 @dataclass
 class ValidationReport:
     valid: bool

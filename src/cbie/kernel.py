@@ -72,7 +72,7 @@ def fund_solution(p: KernelPoint) -> complex:
     return (np.log(abs(p.x2 - p.xi2)) - np.log(abs(p.xi2))) / TWO_PI
 
 
-def fund_solution_oracle(p: KernelPoint, tol: float = 1e-13) -> complex:
+def fund_solution_oracle(p: KernelPoint) -> complex:
     """Adaptive numerical integration of the defining integral (slow; used
     by the kernel-check oracle and the test suite)."""
     from scipy.integrate import quad
@@ -83,7 +83,7 @@ def fund_solution_oracle(p: KernelPoint, tol: float = 1e-13) -> complex:
     def integrand(t, part):
         return getattr(1.0 / complex(t - p.xi2, p.d1), part)
 
-    re, im = (quad(integrand, 0.0, p.x2, args=(part,), epsabs=tol, epsrel=tol,
+    re, im = (quad(integrand, 0.0, p.x2, args=(part,), epsabs=1e-13, epsrel=1e-13,
                    limit=400)[0] for part in ("real", "imag"))
     return complex(re, im) / TWO_PI
 
@@ -132,17 +132,3 @@ def boundary_log_kernel(d1, d2):
         out = (np.log(np.abs(w)) + 1j * ang) / TWO_PI
     return complex(out) if out.ndim == 0 else out
 
-
-def anchored_log_kernel(d1, d2):
-    """Zero-anchored difference kernel (1/2pi)[Log(d2+i d1) - Log(i d1)].
-
-    Equal to fund_solution(d1, d2, 0).  Kept as a rejected variant for the
-    sign/normalization audit: with this normalization the trace-difference
-    identity picks up a nonzero Cauchy-integral defect.
-    """
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    w = d2 + 1j * d1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = (np.log(w + 0j) - np.log(1j * d1 + 0j)) / TWO_PI
-    return complex(out) if out.ndim == 0 else out

@@ -149,7 +149,9 @@ def make_bc(spec: SolutionSpec, domain: PlaneDomain, alpha1: complex,
 
 def pde_residual_check(spec: SolutionSpec, points: Sequence, h: float) -> float:
     """Max |second-order central-difference approximation of the operator|
-    over the points; vanishes to O(h^2) for genuine solutions."""
+    over the points; vanishes to O(h^2) for genuine solutions.  No solver
+    path calls it: the test suite uses it as an independent check that the
+    manufactured family solves the equation."""
     if h <= 0:
         raise ConfigurationError("step h must be positive")
     worst = 0.0

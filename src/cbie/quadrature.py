@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, DomainError
 
 
 @dataclass(frozen=True)
@@ -63,13 +63,6 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     raise ConfigurationError(f"unknown quadrature family {family!r}")
 
 
-def integrate(samples, rule: QuadratureRule) -> complex:
-    samples = np.asarray(samples)
-    if samples.shape != rule.nodes.shape:
-        raise ShapeError(f"{len(samples)} samples for an {rule.n}-node rule")
-    return complex(np.sum(rule.weights * samples))
-
-
 def _fd4(f: Callable, x: float, h: float) -> complex:
     return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
 
@@ -108,7 +101,8 @@ def pv_integrate_excluded_node(f: Callable, xi: float, rule: QuadratureRule) -> 
 
     Converges (slowly) to the PV because the excluded cell is symmetric
     about the rule's own node; only sensible for the midpoint family with
-    xi equal to one of the nodes.
+    xi equal to one of the nodes.  No solver path calls it: the test suite
+    uses it as an independent reference for `pv_integrate`.
     """
     if rule.family != "midpoint-uniform":
         raise ConfigurationError("node-excluded PV oracle needs the midpoint family")
@@ -212,10 +206,10 @@ def _log_monomial_moments(lo: float, hi: float, kmax: int) -> np.ndarray:
     return np.array([anti(hi, k) - anti(lo, k) for k in range(kmax + 1)])
 
 
-def _log_weight_matrix_midpoint(rule: QuadratureRule, window_cells: int = 3) -> np.ndarray:
+def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
     """Windowed product integration of f(x) log|x - x_i| on the midpoint grid.
 
-    Cells within `window_cells` of the singular node are integrated with
+    Cells within three cells of the singular node are integrated with
     local polynomial product weights (exact log moments); the remaining
     cells keep their plain midpoint weights.
     """
@@ -224,8 +218,8 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule, window_cells: int = 3) -> 
     h = w[0]
     out = np.zeros((n, n))
     for i in range(n):
-        jlo = max(0, i - window_cells)
-        jhi = min(n - 1, i + window_cells)
+        jlo = max(0, i - 3)
+        jhi = min(n - 1, i + 3)
         idx = np.arange(jlo, jhi + 1)
         lo = x[jlo] - 0.5 * h - x[i]
         hi = x[jhi] + 0.5 * h - x[i]
@@ -271,49 +265,28 @@ def _legendre_integration_coeffs(n: int) -> np.ndarray:
     return lint
 
 
-def partial_integral_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Row i approximates int_a^{x_i} f dx from the samples f(x_j).
+def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
+    """Row m approximates int_a^{x_m} f dx from the samples f(x_j), for any
+    points x in [a, b]; the rows at x = rule.nodes are the running integral
+    at the nodes.
 
     Gauss: integrate the Legendre expansion (exact for degree < n).
-    Midpoint: cumulative cell sums with a half-cell at the target.
+    Midpoint: whole cells left of x_m plus the covered part of its cell.
     """
     n = rule.n
+    x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
-        t = rule.reference_nodes()
+        t = (x - rule.center) / rule.scale
         trans = _legendre_transform_matrix(rule)
         lint = _legendre_integration_coeffs(n)
         ev = np.polynomial.legendre.legvander(t, n)
         ev0 = np.polynomial.legendre.legvander([-1.0], n)
         return rule.scale * ((ev - ev0) @ lint @ trans)
-    m = np.tril(np.tile(rule.weights, (n, 1)), -1)
-    m[np.arange(n), np.arange(n)] = 0.5 * rule.weights
-    return m
-
-
-def partial_integral_functional(rule: QuadratureRule, samples) -> Callable:
-    """Return F with F(x) ~ int_a^x f dx, built from the node samples."""
-    samples = np.asarray(samples, dtype=complex)
-    if rule.family == "gauss-legendre":
-        trans = _legendre_transform_matrix(rule)
-        lint = _legendre_integration_coeffs(rule.n)
-        coeffs = lint @ (trans @ samples)
-        s, c = rule.scale, rule.center
-        base = np.polynomial.legendre.legval(-1.0, coeffs)
-
-        def F(x):
-            t = (np.asarray(x, dtype=float) - c) / s
-            return s * (np.polynomial.legendre.legval(t, coeffs) - base)
-
-        return F
-    csum = np.concatenate([[0.0], np.cumsum(rule.weights * samples)])
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
-
-    def F(x):
-        k = np.searchsorted(edges, x) - 1
-        k = np.clip(k, 0, rule.n - 1)
-        return csum[k] + (np.asarray(x) - edges[k]) * samples[k]
-
-    return F
+    k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
+    m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
+    m[np.arange(len(x)), k] = x - edges[k]
+    return m
 
 
 def barycentric_weights(rule: QuadratureRule) -> np.ndarray:

@@ -17,7 +17,7 @@ from .manufactured import SolutionSpec, eval_solution, make_trace
 from .quadrature import (
     QuadratureRule,
     build_rule,
-    partial_integral_functional,
+    partial_integral_matrix,
     sample_interpolator,
 )
 
@@ -91,26 +91,25 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
     w1 = (ops.g1 - xi2) + 1j * (x - xi1)
     i1 = np.sum(w * f1 * log_lifted(w1), axis=1) / TWO_PI
 
-    corr = -1j * partial_integral_functional(trace.rule, f1)(pts[:, 0])
+    corr = -1j * (partial_integral_matrix(trace.rule, pts[:, 0]) @ f1)
     u1_at = sample_interpolator(trace.rule, trace.u_lower)(pts[:, 0])
     vals = u1_at - i2 + i1 + corr
     return complex(vals[0]) if single else vals
 
 
-def default_interior_grid(domain: PlaneDomain, nx: int = 5, ny: int = 4,
-                          scale: float = 0.6) -> list:
-    """Evaluation grid: nx x ny points spanning `scale` of the bounding box,
+def default_interior_grid(domain: PlaneDomain) -> list:
+    """Evaluation grid: 5 x 4 points spanning 0.6 of the bounding box,
     filtered to points strictly inside the domain."""
     xs = np.linspace(domain.a1, domain.b1, 256)
     lo = float(np.min(domain.lower.value(xs)))
     hi = float(np.max(domain.upper.value(xs)))
     cx = 0.5 * (domain.a1 + domain.b1)
     cy = 0.5 * (lo + hi)
-    half_x = 0.5 * scale * (domain.b1 - domain.a1)
-    half_y = 0.5 * scale * (hi - lo)
+    half_x = 0.5 * 0.6 * (domain.b1 - domain.a1)
+    half_y = 0.5 * 0.6 * (hi - lo)
     pts = []
-    for x1 in np.linspace(cx - half_x, cx + half_x, nx):
-        for x2 in np.linspace(cy - half_y, cy + half_y, ny):
+    for x1 in np.linspace(cx - half_x, cx + half_x, 5):
+        for x2 in np.linspace(cy - half_y, cy + half_y, 4):
             if domain.contains(float(x1), float(x2)):
                 pts.append((float(x1), float(x2)))
     return pts
@@ -127,13 +126,12 @@ def trace_from_solution(system_rule: QuadratureRule, domain: PlaneDomain,
 
 
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
-                  cond_threshold: float = 1e8,
-                  interior_points: Optional[Sequence] = None) -> SolveReport:
+                  cond_threshold: float = 1e8) -> SolveReport:
     """Assemble, solve, and reconstruct on the interior grid."""
     system = assemble(domain, bc, rule)
     report = solve_system(system, cond_threshold)
     trace = trace_from_solution(rule, domain, bc, report)
-    pts = default_interior_grid(domain) if interior_points is None else interior_points
+    pts = default_interior_grid(domain)
     vals = reconstruct_interior(domain, trace, pts)
     report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
     return report

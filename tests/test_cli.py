@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cbie.cli import main
+from cbie.cli import TASKS, main
 from cbie.lcg import Lcg
 
 LENS_DOMAIN = {
@@ -117,28 +118,68 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 2
 
 
-@pytest.mark.parametrize("key,spoil", [
-    pytest.param("domain.lower", lambda cfg, tmp: cfg["domain"]["lower"].update(kind="spline"),
+@pytest.mark.parametrize("task,key,spoil", [
+    pytest.param("solve", "domain.lower",
+                 lambda cfg, tmp: cfg["domain"]["lower"].update(kind="spline"),
                  id="unknown-curve-kind"),
-    pytest.param("bc.phi.tabulated", lambda cfg, tmp: cfg["bc"].update(
+    pytest.param("solve", "bc.phi.tabulated", lambda cfg, tmp: cfg["bc"].update(
         phi={"tabulated": str(tmp / "no_such_phi.json")}), id="missing-tabulated-file"),
-    pytest.param("bc.phi.tabulated", lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": 0}),
+    pytest.param("solve", "bc.phi.tabulated",
+                 lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": 0}),
                  id="tabulated-not-a-path"),
-    pytest.param("bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="x"), id="alpha1-text"),
-    pytest.param("rule.n", lambda cfg, tmp: cfg["rule"].update(n="abc"), id="n-text"),
-    pytest.param("domain.a1", lambda cfg, tmp: cfg["domain"].update(a1="abc"), id="a1-text"),
-    pytest.param("tolerances.cond_threshold",
+    pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="x"),
+                 id="alpha1-text"),
+    pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n="abc"), id="n-text"),
+    pytest.param("solve", "domain.a1", lambda cfg, tmp: cfg["domain"].update(a1="abc"),
+                 id="a1-text"),
+    pytest.param("solve", "tolerances.cond_threshold",
                  lambda cfg, tmp: cfg.update(tolerances={"cond_threshold": "abc"}),
                  id="tolerance-text"),
+    pytest.param("pv-check", "rule.levels", lambda cfg, tmp: cfg.update(rule={"levels": ["x"]}),
+                 id="levels-text"),
+    pytest.param("convergence", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [64, 32]}),
+                 id="levels-decreasing-convergence"),
+    pytest.param("nc-verify", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [64, 32]}),
+                 id="levels-decreasing-nc-verify"),
+    pytest.param("convergence", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [2, 4]}),
+                 id="levels-below-solve-minimum"),
+    pytest.param("nc-verify", "conditions", lambda cfg, tmp: cfg.update(conditions=["eq99"]),
+                 id="unknown-condition"),
+    pytest.param("nc-verify", "conditions", lambda cfg, tmp: cfg.update(conditions="eq8"),
+                 id="conditions-not-a-list"),
+    pytest.param("convergence", "tolerances.window_delta",
+                 lambda cfg, tmp: cfg.update(tolerances={"window_delta": 1.5}),
+                 id="empty-window-convergence"),
+    pytest.param("nc-verify", "tolerances.window_delta",
+                 lambda cfg, tmp: cfg.update(tolerances={"window_delta": 1.5}),
+                 id="empty-window-nc-verify"),
+    pytest.param("solve", "rule", lambda cfg, tmp: cfg.update(rule=5), id="rule-not-object"),
+    pytest.param("solve", "tolerances", lambda cfg, tmp: cfg.update(tolerances=[1]),
+                 id="tolerances-not-object"),
+    pytest.param("solve", "bc", lambda cfg, tmp: cfg.update(bc=5), id="bc-not-object"),
+    pytest.param("kernel-check", "points", lambda cfg, tmp: cfg.update(points=0),
+                 id="no-points"),
 ])
-def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, key, spoil):
+def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()
     spoil(cfg, tmp_path)
     path = _write(tmp_path / "c.json", cfg)
-    assert main(["solve", "--config", path, "--out", str(outdir)]) == 2
+    assert main([task, "--config", path, "--out", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert key in err
+
+
+@pytest.mark.parametrize("task", list(TASKS))
+def test_help_lists_only_config_out_seed(capsys, task):
+    with pytest.raises(SystemExit) as exc:
+        main([task, "--help"])
+    assert exc.value.code == 0
+    options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--config", "--out", "--seed"}
 
 
 @pytest.mark.parametrize("task", ["solve", "convergence"])

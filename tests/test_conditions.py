@@ -9,13 +9,11 @@ from cbie.conditions import (
     eq8_residuals,
     nc_residuals,
     representation_boundary,
-    singular_factor,
     window_mask,
 )
 from cbie.errors import DataError, DomainError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain
-from cbie.kernel import dU_dx2
-from cbie.lcg import Lcg
+from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_trace
 from cbie.quadrature import build_rule
 
@@ -53,57 +51,61 @@ def test_trace_tangential_required_for_eq9(lens):
 
 
 # ---------------------------------------------------------------------------
-# singular factorization of the diagonal dU/dx2 kernel
+# singular factorization of the diagonal dU/dx2 kernel: the bounded
+# remainders b11 and b22 of the operators
 # ---------------------------------------------------------------------------
 
+def _remainder(domain, side, n=32):
+    """The rule and the remainder per unit weight, B[i, j] / w_j, on one curve."""
+    rule = build_rule("gauss-legendre", n, domain.a1, domain.b1)
+    ops = build_operators(domain, rule)
+    return rule, (ops.b11 if side == "lower" else ops.b22) / rule.weights[None, :]
+
+
 def test_singular_factor_reconstructs_kernel(lens):
-    rng = Lcg(42)
-    for _ in range(1000):
-        x1 = rng.uniform(-0.99, 0.99)
-        xi1 = rng.uniform(-0.99, 0.99)
-        if abs(x1 - xi1) < 1e-6:
-            continue
-        side = "upper" if rng.uniform() < 0.5 else "lower"
-        kernel, singular, remainder = singular_factor(lens, side, x1, xi1)
-        assert abs((singular + remainder) - kernel) <= 1e-13 * max(abs(kernel), 1.0)
-        curve = lens.curve(side)
-        direct = dU_dx2(x1 - xi1, float(curve.value(x1)) - float(curve.value(xi1)))
-        assert kernel == pytest.approx(direct, rel=1e-14)
+    # off the diagonal: Cauchy part + remainder = (1 - i g'(x_j)) dU/dx2
+    for side in ("lower", "upper"):
+        rule, rem = _remainder(lens, side)
+        curve, x = lens.curve(side), rule.nodes
+        g, gp = curve.value(x), curve.slope(x)
+        dx = x[None, :] - x[:, None]
+        np.fill_diagonal(dx, 1.0)
+        kernel = (1 - 1j * gp)[None, :] * dU_dx2(dx, g[None, :] - g[:, None])
+        off = ~np.eye(rule.n, dtype=bool)
+        err = np.abs((-1j / TWO_PI) / dx + rem - kernel)[off]
+        assert np.max(err / np.abs(kernel[off])) <= 1e-14
 
 
 def test_singular_factor_straight_line_exact():
-    # constant curve: remainder vanishes identically, kernel is the pure
-    # Cauchy factor (1/2pi) / (i (x1 - xi1))
+    # constant curve: the remainder vanishes identically, the kernel is the
+    # pure Cauchy factor
     flat = PlaneDomain(-1.0, 1.0,
                        lower=CurveDescriptor("polynomial", (-1.0,)),
                        upper=CurveDescriptor("polynomial", (1.0,)))
-    kernel, singular, remainder = singular_factor(flat, "upper", 0.4, 0.1)
-    assert remainder == pytest.approx(0.0, abs=1e-16)
-    assert kernel == pytest.approx((1 / (2 * np.pi)) / (1j * 0.3), rel=1e-13)
+    for side in ("lower", "upper"):
+        assert np.all(_remainder(flat, side)[1] == 0)
 
 
 def test_singular_factor_linear_curve():
     tilted = PlaneDomain(-1.0, 1.0,
                          lower=CurveDescriptor("polynomial", (-2.0, 1.0)),
                          upper=CurveDescriptor("polynomial", (2.0, 1.0)))
-    for (x1, xi1) in ((0.4, 0.1), (-0.3, 0.7)):
-        kernel, _, remainder = singular_factor(tilted, "upper", x1, xi1)
-        expected = (1 / (2 * np.pi)) / ((x1 - xi1) * (1 + 1j))
-        assert kernel == pytest.approx(expected, rel=1e-13)
-        assert abs(remainder) <= 1e-14
+    for side in ("lower", "upper"):
+        rule, rem = _remainder(tilted, side)
+        assert np.all(np.diag(rem) == 0)
+        assert np.max(np.abs(rem)) <= 1e-11  # round-off in g(x_j) - g(x_i) only
 
 
 def test_singular_factor_lens_value(lens):
-    kernel, _, _ = singular_factor(lens, "upper", 0.3, 0.1)
-    g2 = lambda x: 1 - x * x
-    assert kernel == pytest.approx(dU_dx2(0.2, g2(0.3) - g2(0.1)), rel=1e-14)
-
-
-def test_singular_factor_coincident_raises(lens):
-    from cbie.errors import KernelSingularityError
-
-    with pytest.raises(KernelSingularityError):
-        singular_factor(lens, "upper", 0.3, 0.3)
+    # the diagonal is the limit of the continuous remainder, evaluated from
+    # the kernel just off each node
+    eps = 1e-5
+    for side in ("lower", "upper"):
+        rule, rem = _remainder(lens, side)
+        curve, x = lens.curve(side), rule.nodes
+        near = ((1 - 1j * curve.slope(x + eps)) * dU_dx2(eps, curve.value(x + eps) - curve.value(x))
+                + (1j / TWO_PI) / eps)
+        assert np.max(np.abs(near - np.diag(rem))) <= 1e-5  # O(eps)
 
 
 # ---------------------------------------------------------------------------
@@ -198,39 +200,6 @@ def test_midpoint_family_cross_check(lens, solutions):
         sups.append(condition_report(tr, lens, "eq10").sup_window)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] <= 1e-4
-
-
-# ---------------------------------------------------------------------------
-# sign / normalization audit
-# ---------------------------------------------------------------------------
-
-def test_eq8_kernel_normalization_audit(lens, solutions):
-    """The zero-anchored kernel reading must NOT converge (its defect is the
-    Cauchy integral of the trace difference), while the symmetric-angle
-    reading does."""
-    sups_good, sups_bad = [], []
-    for n in (64, 128):
-        rule = build_rule("gauss-legendre", n, -1, 1)
-        tr = make_trace(solutions["z2"], lens, rule)
-        mask = window_mask(rule, 0.2)
-        good = eq8_residuals(tr, lens, kernel_variant="symmetric")
-        bad = eq8_residuals(tr, lens, kernel_variant="anchored0")
-        sups_good.append(np.max(np.abs(good[mask])))
-        sups_bad.append(np.max(np.abs(bad[mask])))
-    assert sups_good[-1] <= 1e-10
-    assert min(sups_bad) > 0.1  # stays O(1): rejected variant
-
-
-def test_pv_sign_audit(lens, solutions):
-    """Flipping the principal-value sign in the Cauchy-formula conditions
-    must break convergence."""
-    rule = build_rule("gauss-legendre", 128, -1, 1)
-    tr = make_trace(solutions["z2"], lens, rule)
-    mask = window_mask(rule, 0.2)
-    good = nc_residuals(tr, lens, "eq10", pv_sign=+1.0)
-    bad = nc_residuals(tr, lens, "eq10", pv_sign=-1.0)
-    assert np.max(np.abs(good[mask])) <= 1e-10
-    assert np.max(np.abs(bad[mask])) > 0.1
 
 
 # ---------------------------------------------------------------------------

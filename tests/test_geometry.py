@@ -6,55 +6,37 @@ from cbie.geometry import (
     CurveDescriptor,
     PlaneDomain,
     domain_from_config,
-    eval_curve,
     validate_domain,
 )
 
 
 def test_lens_eval_upper_at_zero(lens):
-    value, slope = eval_curve(lens, "upper", 0.0)
-    assert value == 1.0
-    assert slope == 0.0
+    assert lens.upper.value(0.0) == 1.0
+    assert lens.upper.slope(0.0) == 0.0
 
 
 def test_lens_eval_lower(lens):
-    value, slope = eval_curve(lens, "lower", 0.5)
-    assert value == pytest.approx(-0.75)
-    assert slope == pytest.approx(1.0)
+    assert lens.lower.value(0.5) == pytest.approx(-0.75)
+    assert lens.lower.slope(0.5) == pytest.approx(1.0)
 
 
 def test_tabulated_two_points_is_linear():
     curve = CurveDescriptor("tabulated", (0.0, 1.0, 0.0, 1.0))
     dom = PlaneDomain(0.0, 1.0, lower=CurveDescriptor("polynomial", (-1.0,)),
                       upper=curve)
-    value, slope = eval_curve(dom, "upper", 0.5)
-    assert value == pytest.approx(0.5)
-    assert slope == pytest.approx(1.0)
+    assert dom.upper.value(0.5) == pytest.approx(0.5)
+    assert dom.upper.slope(0.5) == pytest.approx(1.0)
 
 
 def test_eval_curve_vectorized(lens):
     x = np.linspace(-0.9, 0.9, 7)
-    v, s = eval_curve(lens, "upper", x)
-    assert np.allclose(v, 1 - x * x)
-    assert np.allclose(s, -2 * x)
-
-
-def test_eval_curve_out_of_interval(lens):
-    with pytest.raises(DomainError):
-        eval_curve(lens, "upper", 1.5)
-
-
-def test_eval_curve_nonfinite_is_geometry_error():
-    dom = PlaneDomain(-1.0, 1.0,
-                      lower=CurveDescriptor("ellipse-graph", (1.0, -1.0)),
-                      upper=CurveDescriptor("ellipse-graph", (1.0, 1.0)))
-    with pytest.raises(GeometryError):
-        eval_curve(dom, "upper", 1.0)  # vertical tangent: slope is infinite
+    assert np.allclose(lens.upper.value(x), 1 - x * x)
+    assert np.allclose(lens.upper.slope(x), -2 * x)
 
 
 def test_bad_side(lens):
     with pytest.raises(DomainError):
-        eval_curve(lens, "middle", 0.0)
+        lens.curve("middle")
 
 
 def test_domain_requires_ordered_interval():
@@ -96,8 +78,7 @@ def test_validate_flags_vertical_tangents():
     assert report.nonfinite_points  # slope blows up at the interval ends
     # interior probes see |gamma'| = |x| / sqrt(1 - x^2)
     x = 0.98
-    v, s = eval_curve(dom, "upper", x)
-    assert s == pytest.approx(-x / np.sqrt(1 - x * x))
+    assert dom.upper.slope(x) == pytest.approx(-x / np.sqrt(1 - x * x))
 
 
 def test_validate_needs_two_probes(lens):
@@ -108,8 +89,10 @@ def test_validate_needs_two_probes(lens):
 def test_side_symmetry(lens):
     swapped = PlaneDomain(lens.a1, lens.b1, lower=lens.upper, upper=lens.lower)
     for x in (-0.7, 0.0, 0.3):
-        assert eval_curve(lens, "upper", x) == eval_curve(swapped, "lower", x)
-        assert eval_curve(lens, "lower", x) == eval_curve(swapped, "upper", x)
+        for side, other in (("upper", "lower"), ("lower", "upper")):
+            curve, mirror = lens.curve(side), swapped.curve(other)
+            assert curve.value(x) == mirror.value(x)
+            assert curve.slope(x) == mirror.slope(x)
 
 
 def test_curvature_values(lens):

@@ -4,7 +4,6 @@ import pytest
 from cbie.errors import KernelSingularityError
 from cbie.kernel import (
     KernelPoint,
-    anchored_log_kernel,
     boundary_log_kernel,
     dU_dx1,
     dU_dx2,
@@ -232,20 +231,11 @@ def test_boundary_log_kernel_conjugation():
             np.conj(boundary_log_kernel(d1, d2)), abs=1e-15)
 
 
-def test_anchored_kernel_equals_fund_solution_with_zero_anchor():
-    rng = Lcg(13)
-    for _ in range(50):
-        d1 = rng.uniform(0.05, 2.0) * (1 if rng.uniform() < 0.5 else -1)
-        d2 = rng.uniform(-2, 2)
-        assert anchored_log_kernel(d1, d2) == pytest.approx(
-            fund_solution(KernelPoint(d1, d2, 0.0)), abs=1e-14)
-
-
 def test_kernels_differ_by_real_log():
-    # symmetric-angle kernel = anchored kernel + log|d1| / 2pi
+    # symmetric-angle kernel = zero-anchored kernel + log|d1| / 2pi
     rng = Lcg(17)
     for _ in range(50):
         d1 = rng.uniform(0.05, 2.0) * (1 if rng.uniform() < 0.5 else -1)
         d2 = rng.uniform(-2, 2)
-        diff = boundary_log_kernel(d1, d2) - anchored_log_kernel(d1, d2)
+        diff = boundary_log_kernel(d1, d2) - fund_solution(KernelPoint(d1, d2, 0.0))
         assert diff == pytest.approx(np.log(abs(d1)) / TWO_PI, abs=1e-14)

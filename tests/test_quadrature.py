@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cbie.errors import ConfigurationError, DomainError, ShapeError
+from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
     build_rule,
     diff_matrix,
-    integrate,
     log_weight_matrix,
-    partial_integral_functional,
     partial_integral_matrix,
     pv_integrate,
     pv_integrate_excluded_node,
@@ -58,24 +56,13 @@ def test_rule_size_error():
 
 def test_integrate_quadratic_exact():
     rule = build_rule("gauss-legendre", 2, -1, 1)
-    assert integrate(rule.nodes**2, rule) == pytest.approx(2.0 / 3.0, rel=1e-15)
-
-
-def test_integrate_zero():
-    rule = build_rule("gauss-legendre", 8, -1, 1)
-    assert integrate(np.zeros(8), rule) == 0
+    assert rule.weights @ rule.nodes**2 == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_integrate_complex_exponential():
     rule = build_rule("gauss-legendre", 64, 0, np.pi)
-    val = integrate(np.exp(1j * rule.nodes), rule)
+    val = rule.weights @ np.exp(1j * rule.nodes)
     assert abs(val - 2j) <= 1e-12
-
-
-def test_integrate_shape_error():
-    rule = build_rule("gauss-legendre", 8, -1, 1)
-    with pytest.raises(ShapeError):
-        integrate(np.zeros(7), rule)
 
 
 # ---------------------------------------------------------------------------
@@ -254,25 +241,33 @@ def test_diff_matrix_midpoint():
 
 def test_partial_integral_matrix_gauss():
     rule = build_rule("gauss-legendre", 32, -1, 1)
-    pm = partial_integral_matrix(rule)
+    pm = partial_integral_matrix(rule, rule.nodes)
     vals = pm @ np.exp(rule.nodes)
     exact = np.exp(rule.nodes) - np.exp(-1.0)
     assert np.max(np.abs(vals - exact)) <= 1e-13
 
 
 def test_partial_integral_functional():
+    # off the nodes: the running integral at any points of [a, b]
+    xs = np.array([-1.0, -0.9, -0.3, 0.123, 0.9, 1.0])
     rule = build_rule("gauss-legendre", 32, -1, 1)
-    F = partial_integral_functional(rule, np.exp(rule.nodes))
-    for x in (-0.9, -0.3, 0.123, 0.9):
-        assert abs(F(x) - (np.exp(x) - np.exp(-1.0))) <= 1e-13
+    vals = partial_integral_matrix(rule, xs) @ np.exp(rule.nodes)
+    assert np.max(np.abs(vals - (np.exp(xs) - np.exp(-1.0)))) <= 1e-13
+    # midpoint: exact for a constant integrand, also inside a cell
+    rule = build_rule("midpoint-uniform", 10, -1, 1)
+    vals = partial_integral_matrix(rule, xs) @ np.ones(rule.n)
+    assert np.max(np.abs(vals - (xs + 1.0))) <= 1e-15
 
 
 def test_partial_integral_midpoint():
     rule = build_rule("midpoint-uniform", 500, 0, 1)
-    pm = partial_integral_matrix(rule)
+    pm = partial_integral_matrix(rule, rule.nodes)
     vals = pm @ rule.nodes**2
     exact = rule.nodes**3 / 3
     assert np.max(np.abs(vals - exact)) <= 1e-5
+    # at the nodes: whole cells to the left plus half the node's own cell
+    cells = np.tril(np.tile(rule.weights, (rule.n, 1)), -1) + np.diag(0.5 * rule.weights)
+    assert np.max(np.abs(pm - cells)) <= 1e-15
 
 
 def test_sample_interpolator_complex():

@@ -165,14 +165,14 @@ def test_reconstruct_many_points_matches_one_at_a_time(lens, solutions):
 def test_solve_problem_builds_the_running_integral_once(lens, solutions, monkeypatch):
     import cbie.solver
 
-    original = cbie.solver.partial_integral_functional
+    original = cbie.solver.partial_integral_matrix
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cbie.solver, "partial_integral_functional", counting)
+    monkeypatch.setattr(cbie.solver, "partial_integral_matrix", counting)
     rule = build_rule("gauss-legendre", 32, -1, 1)
     report = solve_problem(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule)
     assert len(report.interior_samples) == 20
