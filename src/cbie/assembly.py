@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
-from scipy.sparse.linalg import LinearOperator, svds
 
 from .conditions import build_operators
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
@@ -147,6 +145,8 @@ def lu_condition(matrix: np.ndarray) -> tuple:
     """LU factors of the matrix and LAPACK's estimate of its 1-norm condition
     number (gecon on those factors, Hager-Higham); an exactly zero pivot
     gives inf."""
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+
     with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
         warnings.simplefilter("ignore", LinAlgWarning)
         factors = lu_factor(matrix, check_finite=False)
@@ -177,6 +177,8 @@ def compactness_probe(system: FredholmSystem) -> DecayReport:
     m = system.matrix
     dim = m.shape[0]
     if dim > 3 * PROBE_K:
+        from scipy.sparse.linalg import LinearOperator, svds
+
         op = LinearOperator(m.shape, dtype=m.dtype,
                             matvec=lambda v: m @ v - v,
                             rmatvec=lambda v: (m.T @ v.conj()).conj() - v)

@@ -41,6 +41,7 @@ from .solver import convergence_sweep, solve_problem
 
 SCHEMA_VERSION = "1"
 MIN_SOLVE_NODES = 8  # smallest rule a solve accepts, at rule.n and in rule.levels
+PV_GATED_NODES = 64  # pv-check gates the levels from here up
 
 DEFAULT_TOLERANCES = {
     "window_delta": None,        # None -> 0.1 (b1 - a1)
@@ -77,12 +78,20 @@ def write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
-def _number(value, convert, key: str):
-    """convert(value), or a ConfigurationError naming the config key."""
+def _number(value, key: str) -> float:
+    """float(value), or a ConfigurationError naming the config key."""
     try:
-        return convert(value)
+        return float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
+
+
+def _integer(value, key: str) -> int:
+    """value if it is a JSON integer (not a boolean), or a ConfigurationError
+    naming the config key; a fraction is never truncated."""
+    if type(value) is not int:
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def load_config(path: str) -> dict:
@@ -116,14 +125,18 @@ def _object(value, key: str) -> dict:
     return value
 
 
-def _levels(rule: dict, default: list, minimum: int) -> list:
-    """rule.levels: a non-empty, strictly increasing list of integers >= minimum."""
+def _levels(rule: dict, default: list, minimum: int, gated: int = 0) -> list:
+    """rule.levels: a non-empty, strictly increasing list of integers >= minimum
+    whose last level is >= gated, the smallest level the task's gate checks."""
     levels = rule.get("levels", default)
     if not (isinstance(levels, list) and levels
             and all(type(n) is int and n >= minimum for n in levels)
             and all(n0 < n1 for n0, n1 in zip(levels, levels[1:]))):
         raise ConfigurationError(f"rule.levels must be a strictly increasing list of "
                                  f"integers >= {minimum}, got {levels!r}")
+    if levels[-1] < gated:
+        raise ConfigurationError(f"rule.levels must include a level >= {gated}, the "
+                                 f"smallest the gate checks, got {levels!r}")
     return levels
 
 
@@ -146,7 +159,7 @@ def _tolerances(cfg: dict) -> dict:
         if key not in tol:
             raise ConfigurationError(f"unknown tolerance key {key!r}")
         if not (key == "window_delta" and val is None):  # None: the default window
-            val = _number(val, float, f"tolerances.{key}")
+            val = _number(val, f"tolerances.{key}")
         tol[key] = val
     return tol
 
@@ -215,7 +228,7 @@ def _bc(cfg: dict, domain):
 def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     rng = Lcg(seed)
-    n_points = _number(cfg.get("points", 100), int, "points")
+    n_points = _integer(cfg.get("points", 100), "points")
     if n_points < 1:
         raise ConfigurationError(f"points must be >= 1, got {n_points}")
     rows = []
@@ -284,7 +297,7 @@ def run_pv_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     rule_cfg = _object(cfg.get("rule", {}), "rule")
     family = rule_cfg.get("family", "gauss-legendre")
-    levels = _levels(rule_cfg, [16, 32, 64], 2)
+    levels = _levels(rule_cfg, [16, 32, 64], 2, PV_GATED_NODES)
     cases = [
         ("one_sym", lambda x: 1.0 + 0 * x, 0.0, (-1.0, 1.0), 0.0),
         ("x_at_0", lambda x: x, 0.0, (-1.0, 1.0), 2.0),
@@ -303,7 +316,7 @@ def run_pv_check(cfg: dict, outdir: Path, seed: int) -> int:
             err = abs(pv_integrate(f, xi, rule) - target)
             rows.append((name, family, n, err))
             gate = tol["pv_exp_tol"] if name == "exp" else tol["pv_analytic_tol"]
-            if n >= 64 and err > gate:
+            if n >= PV_GATED_NODES and err > gate:
                 ok = False
     write_csv(outdir / "pv_check.csv", ["case", "family", "n", "error"], rows)
     write_json(outdir / "pv_check.json", {
@@ -375,7 +388,7 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
     rule_cfg = _object(_require(cfg, "rule"), "rule")
-    n = _number(_require(rule_cfg, "n"), int, "rule.n")
+    n = _integer(_require(rule_cfg, "n"), "rule.n")
     if n < MIN_SOLVE_NODES:
         raise ConfigurationError(f"rule.n must be >= {MIN_SOLVE_NODES}, got {n}")
     family = rule_cfg.get("family", "gauss-legendre")
@@ -466,7 +479,7 @@ def main(argv=None) -> int:
         if task_in_cfg is not None and task_in_cfg != args.task:
             raise ConfigurationError(
                 f"config task {task_in_cfg!r} does not match subcommand {args.task!r}")
-        seed = args.seed if args.seed is not None else _number(cfg.get("seed", 42), int, "seed")
+        seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 42), "seed")
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         status = TASKS[args.task](cfg, outdir, seed)

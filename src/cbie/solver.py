@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import lu_solve
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
 from .conditions import BoundaryTrace, build_operators, log_lifted, window_mask
@@ -48,6 +47,8 @@ def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveRe
     factors, cond = lu_condition(m)
     system.condition_estimate = cond
     if np.isfinite(cond) and cond <= cond_threshold:
+        from scipy.linalg import lu_solve
+
         sol, method = lu_solve(factors, b, check_finite=False), "direct"
     else:
         del factors  # free the LU before lstsq copies the matrix

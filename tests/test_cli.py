@@ -162,6 +162,16 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     pytest.param("solve", "bc", lambda cfg, tmp: cfg.update(bc=5), id="bc-not-object"),
     pytest.param("kernel-check", "points", lambda cfg, tmp: cfg.update(points=0),
                  id="no-points"),
+    pytest.param("pv-check", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [16, 32]}),
+                 id="levels-below-pv-gate"),
+    pytest.param("kernel-check", "points", lambda cfg, tmp: cfg.update(points=2.5),
+                 id="points-fraction"),
+    pytest.param("kernel-check", "points", lambda cfg, tmp: cfg.update(points=True),
+                 id="points-boolean"),
+    pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n=16.5),
+                 id="n-fraction"),
+    pytest.param("solve", "seed", lambda cfg, tmp: cfg.update(seed=1.5), id="seed-fraction"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()
@@ -253,19 +263,42 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
     assert calls == {"svd": 0, "cond": 0, "lu_factor": 1}
 
 
-def test_cli_import_leaves_edge_case_scipy_modules_unloaded():
-    # only tabulated curves and data need scipy.interpolate, and only the
-    # kernel oracle needs scipy.integrate; the CLI imports neither up front
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a fresh interpreter importing this cbie."""
     import cbie
 
     src = str(Path(cbie.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, cbie.cli; print([m for m in ('scipy.interpolate', "
-            "'scipy.integrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_edge_case_scipy_modules_unloaded():
+    # only tabulated curves and data need scipy.interpolate, and only the
+    # kernel oracle needs scipy.integrate; the CLI imports neither up front
+    code = ("import sys, cbie.cli; print([m for m in ('scipy.interpolate', "
+            "'scipy.integrate') if m in sys.modules])")
+    assert _fresh_python(code) == "[]"
+
+
+def test_verify_tasks_load_no_scipy_and_solve_does(tmp_path):
+    # nc-verify and pv-check only build operators and take residuals; scipy
+    # comes in with the first dense factorization, which only solve runs
+    nc_cfg = _write(tmp_path / "nc.json", dict(_solve_cfg(), rule={"levels": [64, 128]}))
+    pv_cfg = _write(tmp_path / "pv.json", {"schema_version": "1"})
+    solve_cfg = _write(tmp_path / "solve.json", _solve_cfg(n=64))
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from cbie.cli import main\n"
+        f"status = [main(['nc-verify', '--config', {nc_cfg!r}, '--out', {out!r}]),\n"
+        f"          main(['pv-check', '--config', {pv_cfg!r}, '--out', {out!r}])]\n"
+        "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        f"status.append(main(['solve', '--config', {solve_cfg!r}, '--out', {out!r}]))\n"
+        "print(status, before, 'scipy.linalg' in sys.modules)\n")
+    assert _fresh_python(code) == "[0, 0, 0] [] True"
 
 
 # ---------------------------------------------------------------------------
