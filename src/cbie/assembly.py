@@ -1,10 +1,10 @@
 """Second-kind dense system for the two unknown boundary traces.
 
 The boundary data  du/dx2|_k + alpha_k u_k = phi_k  eliminates the normal
-derivatives; the trace-difference identity (row block A) and the
-alpha-weighted combination of the two Cauchy-formula conditions with the
-principal value of the unknown swapped for its double-integral expression
-(row block B) then close a 2N x 2N system
+derivatives; the trace-difference identity eq8 (row block A) and
+(i/pi) PV eq8 minus the alpha-weighted combination of the two
+Cauchy-formula conditions, in which the principal value of the unknown
+cancels (row block B), then close a 2N x 2N system
 
     (I + K) [u_1; u_2] = b
 
@@ -102,36 +102,25 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
             "near-degenerate alpha combination |1/alpha1 + 1/alpha2| < 1e-8; "
             "expect degraded conditioning")
 
-    eye = np.eye(n)
-    P, KU11, KU21 = ops.pv, ops.ku11, ops.ku21
-    C21, C12, B11, B22 = ops.c21, ops.c12, ops.b11, ops.b22
-    dku21, dc21, dc12 = ops.dku21, ops.dc21, ops.dc12
-    i_pi = 1j / np.pi
+    # With D = [du_1; du_2] = phi - alpha U (alpha scaling columns), block A
+    # is eq8 and block B is (i/pi) PV eq8 - (eq10/alpha1 + eq12/alpha2), in
+    # which the principal value of u_1 - u_2 cancels:
+    # B = G D + (i/pi) PV[phi_1/alpha1 - phi_2/alpha2] with
+    # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2.
+    eq8, cauchy = ops.eq8, ops.cauchy
+    phi = np.concatenate([phi1, phi2])
+    alpha = np.repeat([a1c, a2c], n)
+    diag = np.arange(n)
+    g = (1j / np.pi) * (ops.pv @ eq8) - cauchy[:n] / a1c - cauchy[n:] / a2c
+    g[diag, diag] -= 1.0 / a1c
+    g[diag, n + diag] -= 1.0 / a2c
 
-    # Row block A: trace-difference identity with du eliminated; cross
-    # integrals carry the analytic-continuation corner correction (a
-    # diagonal acting on the opposite curve's density).
-    a_u1 = eye + 2.0 * a1c * (KU11 - np.diag(dku21))
-    a_u2 = -eye - 2.0 * a2c * KU21
-    rhs_a = 2.0 * (KU11 @ phi1) - 2.0 * (KU21 @ phi2) - 2.0 * dku21 * phi1
-
-    # Row block B: alpha-weighted Cauchy-formula combination; the principal
-    # value of (u_1 - u_2) is replaced by row block A's integral expression
-    # (precomputed kernel products P @ KU).
-    PK11 = P @ (KU11 - np.diag(dku21))
-    PK21 = P @ KU21
-    b_u1 = (eye + 2.0 * a1c * i_pi * PK11
-            + 2.0 * B11 + (2.0 * a1c / a2c) * C12 - 2.0 * np.diag(dc21))
-    b_u2 = (eye - 2.0 * a2c * i_pi * PK21
-            - (2.0 * a2c / a1c) * C21 - 2.0 * B22 + 2.0 * np.diag(dc12))
-    reg_phi = ((2.0 / a1c) * (C21 @ phi2 + dc21 * phi1) - (2.0 / a1c) * (B11 @ phi1)
-               + (2.0 / a2c) * (B22 @ phi2) - (2.0 / a2c) * (C12 @ phi1 + dc12 * phi2))
-    rhs_b = (phi1 / a1c + phi2 / a2c
-             - i_pi * (P @ (phi1 / a1c - phi2 / a2c))
-             + i_pi * (P @ rhs_a) - reg_phi)
-
-    matrix = np.block([[a_u1, a_u2], [b_u1, b_u2]])
-    rhs = np.concatenate([rhs_a, rhs_b])
+    matrix = np.concatenate([eq8, g])
+    matrix *= -alpha
+    matrix[diag, diag] += 1.0
+    matrix[diag, n + diag] -= 1.0
+    rhs = np.concatenate([-(eq8 @ phi), -(g @ phi)
+                          - (1j / np.pi) * (ops.pv @ (phi1 / a1c - phi2 / a2c))])
     if not np.all(np.isfinite(matrix)):
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite system entry at row {i}, column {j} "

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .kernel import (
 )
 from .lcg import Lcg
 from .manufactured import complex_from_config, make_bc, make_trace, solution_from_config
-from .quadrature import build_rule, pv_integrate
+from .quadrature import FAMILIES, build_rule, pv_integrate
 from .solver import convergence_sweep, solve_problem
 
 SCHEMA_VERSION = "1"
@@ -79,11 +80,15 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _number(value, key: str) -> float:
-    """float(value), or a ConfigurationError naming the config key."""
+    """float(value) if it is finite, or a ConfigurationError naming the config
+    key: a NaN bound would pass every comparison gate."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(value, key: str) -> int:
@@ -112,10 +117,12 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigurationError(f"config missing required key {key!r}")
-    return cfg[key]
+def _require(block: dict, path: str):
+    """block[last key of path], or a ConfigurationError naming the full path."""
+    key = path.rpartition(".")[2]
+    if key not in block:
+        raise ConfigurationError(f"config missing required key {path!r}")
+    return block[key]
 
 
 def _object(value, key: str) -> dict:
@@ -125,9 +132,19 @@ def _object(value, key: str) -> dict:
     return value
 
 
-def _levels(rule: dict, default: list, minimum: int, gated: int = 0) -> list:
-    """rule.levels: a non-empty, strictly increasing list of integers >= minimum
-    whose last level is >= gated, the smallest level the task's gate checks."""
+def _family(rule: dict) -> str:
+    family = rule.get("family", "gauss-legendre")
+    if family not in FAMILIES:
+        raise ConfigurationError(
+            f"rule.family must be one of {list(FAMILIES)}, got {family!r}")
+    return family
+
+
+def _family_levels(cfg: dict, default: list, minimum: int, gated: int = 0) -> tuple:
+    """(rule.family, rule.levels), the levels a non-empty, strictly increasing
+    list of integers >= minimum whose last level is >= gated, the smallest
+    level the task's gate checks."""
+    rule = _object(cfg.get("rule", {}), "rule")
     levels = rule.get("levels", default)
     if not (isinstance(levels, list) and levels
             and all(type(n) is int and n >= minimum for n in levels)
@@ -137,7 +154,7 @@ def _levels(rule: dict, default: list, minimum: int, gated: int = 0) -> list:
     if levels[-1] < gated:
         raise ConfigurationError(f"rule.levels must include a level >= {gated}, the "
                                  f"smallest the gate checks, got {levels!r}")
-    return levels
+    return _family(rule), levels
 
 
 def _window_delta(tol: dict, domain, family: str, levels: list):
@@ -207,11 +224,17 @@ def _phi_from_tabulated(path: str):
         raise ConfigurationError(f"bc.phi.tabulated: bad data file {path!r}: {exc}") from exc
 
 
+def _alpha(block: dict, key: str) -> complex:
+    alpha = complex_from_config(_require(block, key), key)
+    if alpha == 0:
+        raise ConfigurationError(f"{key} must be nonzero")
+    return alpha
+
+
 def _bc(cfg: dict, domain):
     block = _object(_require(cfg, "bc"), "bc")
-    alpha1 = complex_from_config(_require(block, "alpha1"), "bc.alpha1")
-    alpha2 = complex_from_config(_require(block, "alpha2"), "bc.alpha2")
-    phi_block = _object(_require(block, "phi"), "bc.phi")
+    alpha1, alpha2 = _alpha(block, "bc.alpha1"), _alpha(block, "bc.alpha2")
+    phi_block = _object(_require(block, "bc.phi"), "bc.phi")
     if "solution" in phi_block:
         spec = solution_from_config(_object(phi_block["solution"], "bc.phi.solution"))
         return make_bc(spec, domain, alpha1, alpha2, None), spec
@@ -295,9 +318,7 @@ def run_kernel_check(cfg: dict, outdir: Path, seed: int) -> int:
 
 def run_pv_check(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
-    rule_cfg = _object(cfg.get("rule", {}), "rule")
-    family = rule_cfg.get("family", "gauss-legendre")
-    levels = _levels(rule_cfg, [16, 32, 64], 2, PV_GATED_NODES)
+    family, levels = _family_levels(cfg, [16, 32, 64], 2, PV_GATED_NODES)
     cases = [
         ("one_sym", lambda x: 1.0 + 0 * x, 0.0, (-1.0, 1.0), 0.0),
         ("x_at_0", lambda x: x, 0.0, (-1.0, 1.0), 2.0),
@@ -340,9 +361,7 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
             and len(set(conditions)) == len(conditions)):
         raise ConfigurationError(f"conditions must be a non-empty list of distinct ids "
                                  f"from {list(CONDITION_IDS)}, got {conditions!r}")
-    rule_cfg = _object(cfg.get("rule", {}), "rule")
-    levels = _levels(rule_cfg, [64, 128, 256], 2)
-    family = rule_cfg.get("family", "gauss-legendre")
+    family, levels = _family_levels(cfg, [64, 128, 256], 2)
     delta = _window_delta(tol, domain, family, levels)
 
     sups = {c: [] for c in conditions}
@@ -352,27 +371,14 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
         for c in conditions:
             sups[c].append(condition_report(trace, domain, c, delta).sup_window)
 
-    records = []
-    for c in conditions:
-        for k, n in enumerate(levels):
-            ratio = None
-            if k > 0 and sups[c][k] > 0:
-                ratio = sups[c][k - 1] / sups[c][k]
-            records.append({
-                "condition": c,
-                "N": n,
-                "sup_residual": sups[c][k],
-                "ratio": ratio,
-            })
-    ok = True
-    for c in conditions:
-        final = sups[c][-1]
-        if final > tol["sup_residual"]:
-            ok = False
-        if len(levels) > 1 and final > tol["ratio_floor"]:
-            prev = sups[c][-2]
-            if prev / final < tol["min_ratio"]:
-                ok = False
+    records = [{"condition": c, "N": n, "sup_residual": s[k],
+                "ratio": s[k - 1] / s[k] if k > 0 and s[k] > 0 else None}
+               for c, s in sups.items() for k, n in enumerate(levels)]
+    # each gate states the comparison that passes, so a NaN residual fails
+    ok = all(s[-1] <= tol["sup_residual"]
+             and (len(s) < 2 or s[-1] <= tol["ratio_floor"]
+                  or s[-2] >= tol["min_ratio"] * s[-1])
+             for s in sups.values())
     write_json(outdir / "nc_verify.json", {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
@@ -388,10 +394,10 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
     rule_cfg = _object(_require(cfg, "rule"), "rule")
-    n = _integer(_require(rule_cfg, "n"), "rule.n")
+    n = _integer(_require(rule_cfg, "rule.n"), "rule.n")
     if n < MIN_SOLVE_NODES:
         raise ConfigurationError(f"rule.n must be >= {MIN_SOLVE_NODES}, got {n}")
-    family = rule_cfg.get("family", "gauss-legendre")
+    family = _family(rule_cfg)
     rule = build_rule(family, n, domain.a1, domain.b1)
     report = solve_problem(domain, bc, rule, cond_threshold=tol["cond_threshold"])
     system = report.system
@@ -428,18 +434,12 @@ def run_convergence(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
-    rule_cfg = _object(cfg.get("rule", {}), "rule")
-    levels = _levels(rule_cfg, [64, 128, 256], MIN_SOLVE_NODES)
-    family = rule_cfg.get("family", "gauss-legendre")
+    family, levels = _family_levels(cfg, [64, 128, 256], MIN_SOLVE_NODES)
     table = convergence_sweep(domain, bc, levels, family=family, truth=spec,
                               cond_threshold=tol["cond_threshold"],
                               delta=_window_delta(tol, domain, family, levels))
-    ok = True
-    if spec is not None and len(levels) > 1:
-        errs = [row["trace_error"] for row in table.levels]
-        for e0, e1 in zip(errs, errs[1:]):
-            if e1 > max(e0, tol["ratio_floor"]):
-                ok = False
+    errs = [row["trace_error"] for row in table.levels] if spec is not None else []
+    ok = all(e1 <= max(e0, tol["ratio_floor"]) for e0, e1 in zip(errs, errs[1:]))
     write_json(outdir / "convergence.json", {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,

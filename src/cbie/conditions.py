@@ -113,7 +113,11 @@ class Operators:
 
     All matrices act on raw trace sample vectors (the quadrature weights
     and the [1 - i gamma'] factors are folded into the entries).  Target
-    rows are the rule nodes.
+    rows are the rule nodes; with D = [du_1; du_2] the stacked condition
+    operators give
+
+        eq8          = u_1 - u_2 + eq8 @ D
+        [eq10; eq12] = D + (i/pi) [-pv @ du_1; pv @ du_2] + cauchy @ D.
     """
 
     rule: QuadratureRule
@@ -124,28 +128,9 @@ class Operators:
     pv: np.ndarray = field(repr=False)          # discrete PV of a sample vector
     wlog: np.ndarray = field(repr=False)        # weights for int f log|x - x_i|
     partial: np.ndarray = field(repr=False)     # weights for int_a^{x_i} f
-    ku11: np.ndarray = field(repr=False)        # eq8 kernel, curve 1 -> targets on curve 1
-    ku21: np.ndarray = field(repr=False)        # eq8 kernel, curve 2 -> targets on curve 1
-    c21: np.ndarray = field(repr=False)         # dU/dx2, curve 2 -> targets on curve 1
-    c12: np.ndarray = field(repr=False)         # dU/dx2, curve 1 -> targets on curve 2
-    b11: np.ndarray = field(repr=False)         # bounded remainder, diagonal pair curve 1
-    b22: np.ndarray = field(repr=False)         # bounded remainder, diagonal pair curve 2
-    dc21: np.ndarray = field(repr=False)        # corner corrections: exact zeroth
-    dc12: np.ndarray = field(repr=False)        # kernel moments minus discrete row
-    dku21: np.ndarray = field(repr=False)       # sums, applied to the continued trace
-
-    # Cross-pair integrals evaluated with analytic-continuation subtraction:
-    # the trace on the opposite curve at the target is the analytic
-    # continuation of the density, so subtracting it removes the corner
-    # quasi-singularity and the exact kernel moment restores the total.
-    def cross_c21(self, du1, du2):
-        return self.c21 @ du2 + self.dc21 * du1
-
-    def cross_c12(self, du1, du2):
-        return self.c12 @ du1 + self.dc12 * du2
-
-    def cross_ku21(self, du1, du2):
-        return self.ku21 @ du2 + self.dku21 * du1
+    eq8: np.ndarray = field(repr=False)         # N x 2N, log kernels of both curves
+    cauchy: np.ndarray = field(repr=False)      # 2N x 2N, bounded dU/dx2 parts
+    dku21: np.ndarray = field(repr=False)       # half the eq8 corner correction on du_1
 
 
 def _bounded_remainder(x, gv, gp, gpp, w):
@@ -187,6 +172,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
         raise AssemblyError(
             f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
 
+    n = rule.n
     f1col = 1.0 - 1j * g1p
     f2col = 1.0 - 1j * g2p
     dx = x[None, :] - x[:, None]
@@ -195,31 +181,40 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     wlog = log_weight_matrix(rule)
     partial = partial_integral_matrix(rule, x)
 
-    # eq8 kernel matrices, targets on the lower curve.
-    # Diagonal pair: symmetric-angle kernel splits into (1/2pi) log|x - xi|
-    # plus the smooth part (1/2pi)[log|m| + i(Arg m - pi/2)], m = diffq + i.
+    # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
+    # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
+    # into (1/2pi) log|x - xi| plus the smooth part
+    # (1/2pi)[log|m| + i(Arg m - pi/2)], m = diffq + i.
+    eq8 = np.empty((n, 2 * n), dtype=complex)
     m1 = _diffq(g1, g1p, x) + 1j
     r1 = (np.log(np.abs(m1)) + 1j * (np.angle(m1) - np.pi / 2)) / TWO_PI
-    ku11 = (w[None, :] * r1 + wlog / TWO_PI) * f1col[None, :]
+    eq8[:, :n] = (w[None, :] * r1 + wlog / TWO_PI) * (-2.0 * f1col)[None, :]
+    del m1, r1  # not read again: keeps them out of the build's memory peak
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
     # exactly through the running-integral weights.
     den21 = (g2[None, :] - g1[:, None]) + 1j * dx
-    ku21 = (w[None, :] * (np.log(den21) / TWO_PI)
-            + _sign_weights(rule, partial)) * f2col[None, :]
+    eq8[:, n:] = (w[None, :] * (np.log(den21) / TWO_PI)
+                  + _sign_weights(rule, partial)) * (2.0 * f2col)[None, :]
 
-    # dU/dx2 cross matrices (smooth: the vertical gap never closes at nodes).
-    c21 = w[None, :] * ((1.0 / TWO_PI) / den21) * f2col[None, :]
+    # [eq10; eq12] carries +-2 x the bounded remainders of the diagonal
+    # pairs and -+2 x the dU/dx2 cross kernels (smooth: the vertical gap
+    # never closes at nodes).
+    cauchy = np.empty((2 * n, 2 * n), dtype=complex)
+    cauchy[:n, :n] = 2.0 * _bounded_remainder(x, g1, g1p, g1pp, w)
+    cauchy[:n, n:] = w[None, :] * ((-2.0 / TWO_PI) / den21) * f2col[None, :]
     den12 = (g1[None, :] - g2[:, None]) + 1j * dx
-    c12 = w[None, :] * ((1.0 / TWO_PI) / den12) * f1col[None, :]
+    cauchy[n:, :n] = w[None, :] * ((2.0 / TWO_PI) / den12) * f1col[None, :]
+    cauchy[n:, n:] = -2.0 * _bounded_remainder(x, g2, g2p, g2pp, w)
 
-    b11 = _bounded_remainder(x, g1, g1p, g1pp, w)
-    b22 = _bounded_remainder(x, g2, g2p, g2pp, w)
-
-    # Exact zeroth moments of the cross kernels (contour antiderivatives).
-    # Curve-2 kernels seen from curve 1 stay in the right complex half-plane
-    # (principal branch); curve-1 kernels seen from curve 2 stay in the left
-    # half-plane (branch continuous there: angles lifted to (0, 2pi)).
+    # Corner corrections: the opposite curve's trace at the target continues
+    # the cross-pair density analytically, so subtracting it removes the
+    # corner quasi-singularity; the kernel's exact zeroth moment (contour
+    # antiderivatives) restores the total.  Each correction, moment minus
+    # discrete row sum, sits on the diagonal of the target curve's own block.
+    # Curve-2 kernels seen from curve 1 stay in the right half-plane
+    # (principal branch), curve-1 kernels seen from curve 2 in the left one
+    # (branch continuous there: angles lifted to (0, 2pi)).
     a1, b1 = rule.a, rule.b
     zeta1 = g1 + 1j * x
     zeta2 = g2 + 1j * x
@@ -239,53 +234,43 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     m21 = (-1j / TWO_PI) * (_anti(d_hi - zeta1) - _anti(d_lo - zeta1))
     m21 += -0.25j * ((b1 - x) - 1j * (g2_b - g2) - (x - a1) + 1j * (g2 - g2_a))
 
-    dc21 = l21 - c21 @ np.ones(rule.n)
-    dc12 = l12 - c12 @ np.ones(rule.n)
-    dku21 = m21 - ku21 @ np.ones(rule.n)
+    ones, diag = np.ones(n), np.arange(n)
+    dku21 = m21 - 0.5 * (eq8[:, n:] @ ones)
+    eq8[diag, diag] += 2.0 * dku21
+    cauchy[diag, diag] += -2.0 * l21 - cauchy[:n, n:] @ ones
+    cauchy[n + diag, n + diag] += 2.0 * l12 - cauchy[n:, :n] @ ones
 
-    return Operators(rule, g1, g2, g1p, g2p, pv, wlog, partial,
-                     ku11, ku21, c21, c12, b11, b22, dc21, dc12, dku21)
+    return Operators(rule, g1, g2, g1p, g2p, pv, wlog, partial, eq8, cauchy, dku21)
 
 
 # ---------------------------------------------------------------------------
 # Residual sweeps (vectorized over all target nodes)
 # ---------------------------------------------------------------------------
 
-def _require_tangential(trace: BoundaryTrace, which: str):
-    if trace.ux1_lower is None or trace.ux1_upper is None:
-        raise DataError(f"{which} needs tangential (du/dx1) trace data")
-
-
 def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
     """u_1 - u_2 + 2 int du_2 U [1-i g2'] - 2 int du_1 U [1-i g1'] at every node,
     with U the symmetric-angle kernel (docs/method.md section 3)."""
     ops = build_operators(domain, trace.rule)
-    du1, du2 = trace.du_lower, trace.du_upper
-    return (trace.u_lower - trace.u_upper
-            + 2.0 * ops.cross_ku21(du1, du2) - 2.0 * (ops.ku11 @ du1))
+    d = np.concatenate([trace.du_lower, trace.du_upper])
+    return trace.u_lower - trace.u_upper + ops.eq8 @ d
 
 
 def nc_residuals(trace: BoundaryTrace, domain: PlaneDomain, which: str) -> np.ndarray:
-    """Residual vectors of the Cauchy-formula conditions eq9..eq12."""
+    """Residual vectors of the Cauchy-formula conditions eq9..eq12; eq9 and
+    eq11 restate eq10 and eq12 through the tangential traces."""
+    if which not in ("eq9", "eq10", "eq11", "eq12"):
+        raise DataError(f"unknown condition {which!r}")
     ops = build_operators(domain, trace.rule)
     du1, du2 = trace.du_lower, trace.du_upper
-    sing1 = (-1j / TWO_PI) * (ops.pv @ du1) + ops.b11 @ du1
-    sing2 = (-1j / TWO_PI) * (ops.pv @ du2) + ops.b22 @ du2
-    t21 = ops.cross_c21(du1, du2)
-    t12 = ops.cross_c12(du1, du2)
-    if which == "eq10":
-        return du1 - 2.0 * t21 + 2.0 * sing1
-    if which == "eq12":
-        return du2 - 2.0 * sing2 + 2.0 * t12
-    if which == "eq9":
-        _require_tangential(trace, "eq9")
-        return (trace.ux1_lower - trace.ux1_upper + 1j * du2
-                + 2j * sing1 - 2j * t21)
-    if which == "eq11":
-        _require_tangential(trace, "eq11")
-        return (trace.ux1_upper - trace.ux1_lower + 1j * du1
-                + 2j * t12 - 2j * sing2)
-    raise DataError(f"unknown condition {which!r}")
+    d = np.concatenate([du1, du2])
+    cauchy_pv = (1j / np.pi) * np.concatenate([-(ops.pv @ du1), ops.pv @ du2])
+    eq10, eq12 = np.split(d + cauchy_pv + ops.cauchy @ d, 2)
+    if which in ("eq10", "eq12"):
+        return eq10 if which == "eq10" else eq12
+    if trace.ux1_lower is None or trace.ux1_upper is None:
+        raise DataError(f"{which} needs tangential (du/dx1) trace data")
+    jump = trace.ux1_lower - trace.ux1_upper + 1j * (du2 - du1)
+    return jump + 1j * eq10 if which == "eq9" else 1j * eq12 - jump
 
 
 def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
@@ -301,9 +286,10 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     f1col = 1.0 - 1j * ops.g1p
     f2col = 1.0 - 1j * ops.g2p
     if side == "lower":
-        # The eq7 kernels on this curve are the eq8 kernels ku21 and ku11
-        # without their -(i/4) sign(x - xi) term (see docs/method.md section 6).
-        flux = (ops.ku21 @ du2 - ops.ku11 @ du1
+        # The eq7 kernels on this curve are half the eq8 kernels, without
+        # their corner correction and their -(i/4) sign(x - xi) term (see
+        # docs/method.md section 6).
+        flux = (0.5 * (ops.eq8 @ np.concatenate([du1, du2])) - ops.dku21 * du1
                 - _sign_weights(trace.rule, ops.partial) @ (f2col * du2 - f1col * du1))
     elif side == "upper":
         # Curve 2: diagonal log split as on curve 1, with the half-weighted

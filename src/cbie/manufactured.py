@@ -14,6 +14,7 @@ oracle for every other module.  Closed forms:
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,33 +84,42 @@ def canonical_solutions() -> dict:
 
 
 def complex_from_config(value, key: str) -> complex:
-    """A config number given as a scalar or as [re, im]; a bad value raises
-    ConfigurationError naming the key."""
+    """A finite config number given as a scalar or as [re, im]; a bad value
+    raises ConfigurationError naming the key."""
     try:
         if isinstance(value, (list, tuple)):
             re, im = value
-            return complex(float(re), float(im))
-        return complex(value)
+            number = complex(float(re), float(im))
+        else:
+            number = complex(value)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}") from exc
+    if not cmath.isfinite(number):
+        raise ConfigurationError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def solution_from_config(block: dict) -> SolutionSpec:
+    name = block.get("name", "custom")
+    if not isinstance(name, str):
+        raise ConfigurationError(f"bc.phi.solution.name must be a string, got {name!r}")
     if "name" in block and len(block) == 1:
         table = canonical_solutions()
-        name = block["name"]
         if name not in table:
-            raise ConfigurationError(
-                f"unknown solution name {name!r}; known: {sorted(table)}")
+            raise ConfigurationError(f"bc.phi.solution.name: unknown solution "
+                                     f"{name!r}; known: {sorted(table)}")
         return table[name]
 
     def coeffs(key):
-        return tuple(complex_from_config(c, f"bc.phi.solution.{key}")
-                     for c in block.get(key, ()))
+        values = block.get(key, ())
+        if not isinstance(values, (list, tuple)):
+            raise ConfigurationError(
+                f"bc.phi.solution.{key} must be a list of coefficients, got {values!r}")
+        return tuple(complex_from_config(c, f"bc.phi.solution.{key}") for c in values)
 
     scale = block.get("f_exp_scale")
     return SolutionSpec(
-        name=block.get("name", "custom"),
+        name=name,
         f_coeffs=coeffs("f_coeffs"),
         f_exp_scale=(None if scale is None
                      else complex_from_config(scale, "bc.phi.solution.f_exp_scale")),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
+FAMILIES = ("gauss-legendre", "midpoint-uniform")
 
 @dataclass(frozen=True)
 class QuadratureRule:

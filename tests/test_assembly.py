@@ -10,10 +10,11 @@ from cbie.assembly import (
     dump_system,
     load_system,
 )
+from cbie.conditions import BoundaryTrace, eq8_residuals, nc_residuals
 from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain
 from cbie.manufactured import canonical_solutions, make_bc, make_trace
-from cbie.quadrature import build_rule
+from cbie.quadrature import build_rule, pv_weight_matrix
 
 
 def _const_bc(c, alpha1=1.0, alpha2=1.0):
@@ -123,6 +124,37 @@ def test_du_zero_rows_reduce_to_trace_difference(lens):
     vec = np.concatenate([common, common])
     rows_a = (system.matrix @ vec - system.rhs)[:rule.n]
     assert np.max(np.abs(rows_a)) <= 1e-10
+
+
+# closes at x1 = -1 and 1: gamma_2 - gamma_1 = 2 (1 - x^2)(1 + 0.2 x)
+CLOSING_CUBIC = PlaneDomain(-1.0, 1.0,
+                            lower=CurveDescriptor("polynomial", (-0.9, -0.1, 0.9, 0.1)),
+                            upper=CurveDescriptor("polynomial", (1.1, 0.3, -1.1, -0.3)))
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("midpoint-uniform", 48)])
+@pytest.mark.parametrize("domain_name", ["lens", "cubic"])
+def test_system_rows_are_the_conditions(lens, solutions, domain_name, family, n):
+    # for any trace U with du = phi - alpha U, the system's residual is the
+    # condition residuals: eq8 in block A and
+    # (i/pi) PV eq8 - (eq10/alpha1 + eq12/alpha2) in block B
+    domain = lens if domain_name == "lens" else CLOSING_CUBIC
+    a1, a2 = 1.0 + 0.5j, 2.0
+    rule = build_rule(family, n, domain.a1, domain.b1)
+    bc = make_bc(solutions["exp_half"], domain, a1, a2, rule)
+    system = assemble(domain, bc, rule)
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+    phi1, phi2 = bc.sample(rule.nodes)
+    trace = BoundaryTrace(rule, u[:n], u[n:], du_from_bc(u[:n], a1, phi1),
+                          du_from_bc(u[n:], a2, phi2))
+    eq8 = eq8_residuals(trace, domain)
+    block_b = ((1j / np.pi) * (pv_weight_matrix(rule) @ eq8)
+               - (nc_residuals(trace, domain, "eq10") / a1
+                  + nc_residuals(trace, domain, "eq12") / a2))
+    expected = np.concatenate([eq8, block_b])
+    err = np.max(np.abs(system.matrix @ u - system.rhs - expected))
+    assert err <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_second_kind_diagonal_blocks(lens):

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbie.cli import TASKS, main
 from cbie.lcg import Lcg
@@ -172,6 +176,39 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n=16.5),
                  id="n-fraction"),
     pytest.param("solve", "seed", lambda cfg, tmp: cfg.update(seed=1.5), id="seed-fraction"),
+    pytest.param("solve", "bc.phi.solution.name",
+                 lambda cfg, tmp: cfg["bc"]["phi"]["solution"].update(name=[1]),
+                 id="solution-name-list"),
+    pytest.param("solve", "bc.phi.solution.name",
+                 lambda cfg, tmp: cfg["bc"]["phi"]["solution"].update(name={}),
+                 id="solution-name-object"),
+    pytest.param("solve", "bc.phi.solution.f_coeffs",
+                 lambda cfg, tmp: cfg["bc"]["phi"].update(solution={"f_coeffs": 3}),
+                 id="f-coeffs-not-a-list"),
+    pytest.param("solve", "bc.phi.solution.name",
+                 lambda cfg, tmp: cfg["bc"]["phi"]["solution"].update(name="nope"),
+                 id="unknown-solution-name"),
+    pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1=0),
+                 id="alpha1-zero"),
+    pytest.param("solve", "bc.alpha2", lambda cfg, tmp: cfg["bc"].update(alpha2=[0, 0]),
+                 id="alpha2-zero"),
+    pytest.param("solve", "rule.family",
+                 lambda cfg, tmp: cfg["rule"].update(family="simpson"), id="unknown-family"),
+    pytest.param("nc-verify", "rule.family",
+                 lambda cfg, tmp: cfg.update(rule={"family": "simpson"}),
+                 id="unknown-family-nc-verify"),
+    pytest.param("solve", "'bc.alpha1'", lambda cfg, tmp: cfg["bc"].pop("alpha1"),
+                 id="missing-alpha1"),
+    pytest.param("solve", "'rule.n'", lambda cfg, tmp: cfg["rule"].pop("n"), id="missing-n"),
+    pytest.param("nc-verify", "tolerances.sup_residual",
+                 lambda cfg, tmp: cfg.update(tolerances={"sup_residual": float("nan")}),
+                 id="tolerance-nan"),
+    pytest.param("nc-verify", "tolerances.sup_residual",
+                 lambda cfg, tmp: cfg.update(tolerances={"sup_residual": "nan"}),
+                 id="tolerance-nan-text"),
+    pytest.param("solve", "tolerances.cond_threshold",
+                 lambda cfg, tmp: cfg.update(tolerances={"cond_threshold": float("inf")}),
+                 id="tolerance-inf"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()
@@ -181,6 +218,58 @@ def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert key in err
+
+
+# A small valid config for every task: the lens, rule.n 16, levels 16/32/64.
+SMALL_CONFIG = {
+    "schema_version": "1",
+    "seed": 3,
+    "points": 3,
+    "domain": LENS_DOMAIN,
+    "bc": {"alpha1": 1.0, "alpha2": 2.0,
+           "phi": {"solution": {"name": "quad", "f_coeffs": [0.0, 0.0, 1.0]}}},
+    "rule": {"family": "gauss-legendre", "n": 16, "levels": [16, 32, 64]},
+    "conditions": ["eq8", "eq10"],
+    "tolerances": {"sup_residual": 1e-3, "min_ratio": 2.0},
+}
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
+
+
+# small values only: a large rule.n would allocate a huge matrix
+LEAF_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0.5, -0.5, float("nan"), float("inf"),
+                     "x", [], [1, 2], {}]),
+    st.integers(min_value=-2, max_value=40))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(task=st.sampled_from(sorted(TASKS)),
+       path=st.sampled_from(_leaf_paths(SMALL_CONFIG)),
+       value=LEAF_VALUES)
+def test_mutated_leaf_exits_cleanly(tmp_path_factory, task, path, value):
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("mutated")
+    config = _write(tmp / "c.json", cfg)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([task, "--config", config, "--out", str(tmp / "out")])
+    assert status in (0, 1, 2, 3)
+    if status == 2:
+        assert err.getvalue().startswith("configuration error:")
+        assert path[0] in err.getvalue()
 
 
 @pytest.mark.parametrize("task", list(TASKS))
@@ -339,6 +428,22 @@ def test_nc_verify_quadratic(tmp_path, outdir):
     for rec in payload["records"]:
         if rec["N"] == 128:
             assert rec["sup_residual"] <= 1e-3
+
+
+def test_nc_verify_exact_zero_residual_passes(tmp_path, outdir):
+    # the constant solution has an eq8 residual of exactly 0 at every level;
+    # with a negative ratio floor the ratio gate must not divide by it
+    cfg = _write(tmp_path / "c.json", {
+        "schema_version": "1",
+        "domain": LENS_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "const"}}},
+        "rule": {"levels": [16, 32]},
+        "conditions": ["eq8"],
+        "tolerances": {"ratio_floor": -1.0},
+    })
+    assert main(["nc-verify", "--config", cfg, "--out", str(outdir)]) == 0
+    payload = json.loads((outdir / "nc_verify.json").read_text())
+    assert [r["sup_residual"] for r in payload["records"]] == [0.0, 0.0]
 
 
 def test_solve_and_outputs(tmp_path, outdir):

@@ -3,6 +3,7 @@ import pytest
 
 from cbie.conditions import (
     BoundaryTrace,
+    _bounded_remainder,
     build_operators,
     condition_report,
     eq7_boundary_residuals,
@@ -52,14 +53,16 @@ def test_trace_tangential_required_for_eq9(lens):
 
 # ---------------------------------------------------------------------------
 # singular factorization of the diagonal dU/dx2 kernel: the bounded
-# remainders b11 and b22 of the operators
+# remainders that the Cauchy operator carries on its diagonal-pair blocks
 # ---------------------------------------------------------------------------
 
 def _remainder(domain, side, n=32):
     """The rule and the remainder per unit weight, B[i, j] / w_j, on one curve."""
     rule = build_rule("gauss-legendre", n, domain.a1, domain.b1)
-    ops = build_operators(domain, rule)
-    return rule, (ops.b11 if side == "lower" else ops.b22) / rule.weights[None, :]
+    curve, x = domain.curve(side), rule.nodes
+    rem = _bounded_remainder(x, curve.value(x), curve.slope(x), curve.curvature(x),
+                             rule.weights)
+    return rule, rem / rule.weights[None, :]
 
 
 def test_singular_factor_reconstructs_kernel(lens):
