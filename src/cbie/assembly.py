@@ -111,7 +111,9 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
     diag = np.arange(n)
-    g = (1j / np.pi) * (ops.pv @ eq8) - cauchy[:n] / a1c - cauchy[n:] / a2c
+    # pv is real: one real GEMM on the interleaved (re, im) columns of eq8
+    g = ((1j / np.pi) * (ops.pv @ eq8.view(float)).view(complex)
+         - cauchy[:n] / a1c - cauchy[n:] / a2c)
     g[diag, diag] -= 1.0 / a1c
     g[diag, n + diag] -= 1.0 / a2c
 

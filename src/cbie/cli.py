@@ -80,8 +80,11 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _number(value, key: str) -> float:
-    """float(value) if it is finite, or a ConfigurationError naming the config
-    key: a NaN bound would pass every comparison gate."""
+    """float(value) if it is a finite number (not a boolean), or a
+    ConfigurationError naming the config key: a NaN bound would pass every
+    comparison gate."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError) as exc:
@@ -178,6 +181,9 @@ def _tolerances(cfg: dict) -> dict:
         if not (key == "window_delta" and val is None):  # None: the default window
             val = _number(val, f"tolerances.{key}")
         tol[key] = val
+    if not tol["min_ratio"] > 0:  # 0 or less would switch the ratio gate off
+        raise ConfigurationError(
+            f"tolerances.min_ratio must be > 0, got {tol['min_ratio']!r}")
     return tol
 
 

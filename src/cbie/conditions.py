@@ -43,6 +43,7 @@ from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .quadrature import (
     QuadratureRule,
+    _legendre_transform_matrix,
     log_weight_matrix,
     partial_integral_matrix,
     pv_weight_matrix,
@@ -100,11 +101,15 @@ def _diffq(gamma_vals: np.ndarray, slope_vals: np.ndarray, x: np.ndarray) -> np.
     return m
 
 
-def log_lifted(w):
-    """log w with the angle lifted to [0, 2pi): the branch continuous
+def log_parts(re, im, lifted: bool = False):
+    """log(re + i im) from its real and imaginary parts, with no complex
+    logarithm: (1/2) log(re^2 + im^2) + i arctan2(im, re).  The angle is the
+    principal one, or, lifted, the one in [0, 2pi): the branch continuous
     across the negative real axis, for arguments in the left half-plane."""
-    ang = np.angle(w)
-    return np.log(np.abs(w)) + 1j * np.where(ang < 0, ang + 2 * np.pi, ang)
+    ang = np.arctan2(im, re)
+    if lifted:
+        ang = np.where(ang < 0, ang + 2 * np.pi, ang)
+    return 0.5 * np.log(re * re + im * im) + 1j * ang
 
 
 @dataclass(frozen=True)
@@ -138,12 +143,13 @@ def _bounded_remainder(x, gv, gp, gpp, w):
     with the continuous diagonal limit -(i/4pi) g''(x_i)/(g'(x_i) + i).
 
     The algebraic form (i/2pi)(dg - g'(x_j) dx) / (dx (dg + i dx)) already
-    carries the (1 - i g') column factor."""
+    carries the (1 - i g') column factor; with 1/(dg + i dx) =
+    (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real."""
     dx = x[None, :] - x[:, None]
     dg = gv[None, :] - gv[:, None]
     np.fill_diagonal(dx, 1.0)
-    num = dg - gp[None, :] * dx
-    core = (1j / TWO_PI) * num / (dx * (dg + 1j * dx))
+    q = (dg - gp[None, :] * dx) / (TWO_PI * dx * (dg * dg + dx * dx))
+    core = q * dx + 1j * (q * dg)
     np.fill_diagonal(core, -(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
     return w[None, :] * core
 
@@ -178,33 +184,39 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     dx = x[None, :] - x[:, None]
 
     pv = pv_weight_matrix(rule)
-    wlog = log_weight_matrix(rule)
-    partial = partial_integral_matrix(rule, x)
+    trans = _legendre_transform_matrix(rule) if rule.family == "gauss-legendre" else None
+    wlog = log_weight_matrix(rule, trans)
+    partial = partial_integral_matrix(rule, x, trans)
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
     # into (1/2pi) log|x - xi| plus the smooth part
-    # (1/2pi)[log|m| + i(Arg m - pi/2)], m = diffq + i.
+    # (1/2pi)[log|m| + i(Arg m - pi/2)], m = d + i with d = diffq real, that
+    # is (1/2pi)[(1/2) log1p(d^2) - i arctan d].
     eq8 = np.empty((n, 2 * n), dtype=complex)
-    m1 = _diffq(g1, g1p, x) + 1j
-    r1 = (np.log(np.abs(m1)) + 1j * (np.angle(m1) - np.pi / 2)) / TWO_PI
+    d = _diffq(g1, g1p, x)
+    r1 = (0.5 * np.log1p(d * d) - 1j * np.arctan(d)) / TWO_PI
     eq8[:, :n] = (w[None, :] * r1 + wlog / TWO_PI) * (-2.0 * f1col)[None, :]
-    del m1, r1  # not read again: keeps them out of the build's memory peak
+    del d, r1  # not read again: keeps them out of the build's memory peak
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
     # exactly through the running-integral weights.
-    den21 = (g2[None, :] - g1[:, None]) + 1j * dx
-    eq8[:, n:] = (w[None, :] * (np.log(den21) / TWO_PI)
+    gap21 = g2[None, :] - g1[:, None]
+    eq8[:, n:] = (w[None, :] * (log_parts(gap21, dx) / TWO_PI)
                   + _sign_weights(rule, partial)) * (2.0 * f2col)[None, :]
 
     # [eq10; eq12] carries +-2 x the bounded remainders of the diagonal
     # pairs and -+2 x the dU/dx2 cross kernels (smooth: the vertical gap
-    # never closes at nodes).
+    # never closes at nodes), 1/(gap + i dx) = (gap - i dx)/(gap^2 + dx^2).
+    def _inverse(gap):
+        r = 1.0 / (gap * gap + dx * dx)
+        return gap * r - 1j * (dx * r)
+
     cauchy = np.empty((2 * n, 2 * n), dtype=complex)
     cauchy[:n, :n] = 2.0 * _bounded_remainder(x, g1, g1p, g1pp, w)
-    cauchy[:n, n:] = w[None, :] * ((-2.0 / TWO_PI) / den21) * f2col[None, :]
-    den12 = (g1[None, :] - g2[:, None]) + 1j * dx
-    cauchy[n:, :n] = w[None, :] * ((2.0 / TWO_PI) / den12) * f1col[None, :]
+    cauchy[:n, n:] = w[None, :] * ((-2.0 / TWO_PI) * _inverse(gap21)) * f2col[None, :]
+    cauchy[n:, :n] = (w[None, :] * ((2.0 / TWO_PI) * _inverse(g1[None, :] - g2[:, None]))
+                      * f1col[None, :])
     cauchy[n:, n:] = -2.0 * _bounded_remainder(x, g2, g2p, g2pp, w)
 
     # Corner corrections: the opposite curve's trace at the target continues
@@ -217,14 +229,14 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     # (branch continuous there: angles lifted to (0, 2pi)).
     a1, b1 = rule.a, rule.b
     zeta1 = g1 + 1j * x
-    zeta2 = g2 + 1j * x
-    c_lo = complex(domain.lower.value(a1)) + 1j * a1
-    c_hi = complex(domain.lower.value(b1)) + 1j * b1
     d_lo = complex(domain.upper.value(a1)) + 1j * a1
     d_hi = complex(domain.upper.value(b1)) + 1j * b1
+    g1_a = float(domain.lower.value(a1))
+    g1_b = float(domain.lower.value(b1))
 
     l21 = (np.log(d_hi - zeta1) - np.log(d_lo - zeta1)) / (2j * np.pi)
-    l12 = (log_lifted(c_hi - zeta2) - log_lifted(c_lo - zeta2)) / (2j * np.pi)
+    l12 = (log_parts(g1_b - g2, b1 - x, lifted=True)
+           - log_parts(g1_a - g2, a1 - x, lifted=True)) / (2j * np.pi)
 
     def _anti(wv):
         return wv * (np.log(wv) - 1.0)
@@ -296,12 +308,12 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
         # jump -(i/2) int_a^{xi}; curve 1: smooth in the (0, 2pi) branch plus
         # the full jump correction -i int_a^{xi}.
         x, w = trace.rule.nodes, trace.rule.weights
-        m2 = _diffq(ops.g2, ops.g2p, x) + 1j
-        sm2 = (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI
+        d = _diffq(ops.g2, ops.g2p, x)  # m = d + i, Arg m = pi/2 - arctan d
+        sm2 = (0.5 * np.log1p(d * d) + 1j * (np.pi / 2 - np.arctan(d))) / TWO_PI
         kv22 = (w[None, :] * sm2 + ops.wlog / TWO_PI - 0.5j * ops.partial) * f2col[None, :]
-        den12 = (ops.g1[None, :] - ops.g2[:, None]) + 1j * (x[None, :] - x[:, None])
-        kv12 = (w[None, :] * (log_lifted(den12) / TWO_PI)
-                - 1j * ops.partial) * f1col[None, :]
+        lg12 = log_parts(ops.g1[None, :] - ops.g2[:, None], x[None, :] - x[:, None],
+                         lifted=True)
+        kv12 = (w[None, :] * (lg12 / TWO_PI) - 1j * ops.partial) * f1col[None, :]
         flux = kv22 @ du2 - kv12 @ du1
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")

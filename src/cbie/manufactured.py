@@ -15,7 +15,7 @@ oracle for every other module.  Closed forms:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,8 +84,11 @@ def canonical_solutions() -> dict:
 
 
 def complex_from_config(value, key: str) -> complex:
-    """A finite config number given as a scalar or as [re, im]; a bad value
-    raises ConfigurationError naming the key."""
+    """A finite config number given as a scalar or as [re, im]; a bad value,
+    a boolean among them, raises ConfigurationError naming the key."""
+    parts = value if isinstance(value, (list, tuple)) else [value]
+    if any(isinstance(v, bool) for v in parts):
+        raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}")
     try:
         if isinstance(value, (list, tuple)):
             re, im = value
@@ -100,6 +103,10 @@ def complex_from_config(value, key: str) -> complex:
 
 
 def solution_from_config(block: dict) -> SolutionSpec:
+    known = [f.name for f in fields(SolutionSpec)]
+    for key in block:
+        if key not in known:
+            raise ConfigurationError(f"bc.phi.solution.{key}: unknown key; known: {known}")
     name = block.get("name", "custom")
     if not isinstance(name, str):
         raise ConfigurationError(f"bc.phi.solution.name must be a string, got {name!r}")

@@ -54,7 +54,7 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     if not a < b:
         raise ConfigurationError(f"need a < b, got [{a}, {b}]")
     if family == "gauss-legendre":
-        t, w = np.polynomial.legendre.leggauss(n)
+        t, w = _gauss_legendre(n)
         s, c = 0.5 * (b - a), 0.5 * (b + a)
         return QuadratureRule(family, a, b, n, c + s * t, s * w)
     if family == "midpoint-uniform":
@@ -62,6 +62,33 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
         nodes = a + h * (np.arange(n) + 0.5)
         return QuadratureRule(family, a, b, n, nodes, np.full(n, h))
     raise ConfigurationError(f"unknown quadrature family {family!r}")
+
+
+def _legendre_pn(n: int, t: np.ndarray) -> tuple:
+    """(P_n(t), P_n'(t)) by the three-term recurrence, for |t| < 1."""
+    p0, p1 = np.ones_like(t), t
+    for k in range(1, n):  # (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}
+        tp = t * p1
+        p0, p1 = p1, tp + (k / (k + 1)) * (tp - p0)
+    return p1, n * (t * p1 - p0) / (t * t - 1.0)
+
+
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1] in O(n^2): Newton on P_n over the non-negative half of the
+    rule, started from Tricomi's asymptotic nodes, then
+    w = 2 / ((1 - t^2) P_n'(t)^2); the other half mirrors it."""
+    k = np.arange(1, (n + 1) // 2 + 1)
+    t = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):  # quadratic convergence: three steps reach round-off
+        p, dp = _legendre_pn(n, t)
+        t = t - p / dp
+    if n % 2:
+        t[-1] = 0.0  # the middle node of an odd rule
+    dp = _legendre_pn(n, t)[1]
+    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    m = len(t) - n % 2  # mirrored: all but an odd rule's middle node
+    return np.concatenate([-t[:m], t[::-1]]), np.concatenate([w[:m], w[::-1]])
 
 
 def _fd4(f: Callable, x: float, h: float) -> complex:
@@ -171,7 +198,7 @@ def _legendre_q_on_cut(tau: np.ndarray, kmax: int) -> np.ndarray:
     return q
 
 
-def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
+def _log_weight_matrix_gauss(rule: QuadratureRule, trans: np.ndarray) -> np.ndarray:
     """Global product integration of f(x) log|x - x_i| on Gauss nodes.
 
     Expands the sampled f in Legendre polynomials (the transform is exact
@@ -188,10 +215,9 @@ def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
 
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
-    for k in range(1, n):
-        moments[k] = 2.0 * (qk[k + 1] - qk[k - 1]) / (2 * k + 1)
+    moments[1:] = 2.0 * (qk[2:] - qk[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
 
-    wref_log = moments.T @ _legendre_transform_matrix(rule)  # (i, j)
+    wref_log = moments.T @ trans  # (i, j)
     s = rule.scale
     return s * wref_log + np.log(s) * rule.weights[None, :]
 
@@ -238,10 +264,16 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
     return out
 
 
-def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
+def log_weight_matrix(rule: QuadratureRule,
+                      trans: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx.
+
+    On Gauss rules, trans is the rule's Legendre transform
+    (`_legendre_transform_matrix`) when the caller already holds it."""
     if rule.family == "gauss-legendre":
-        return _log_weight_matrix_gauss(rule)
+        if trans is None:
+            trans = _legendre_transform_matrix(rule)
+        return _log_weight_matrix_gauss(rule, trans)
     return _log_weight_matrix_midpoint(rule)
 
 
@@ -255,34 +287,29 @@ def _legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
     return ((2 * np.arange(n) + 1) / 2.0)[:, None] * pk * wref[None, :]
 
 
-def _legendre_integration_coeffs(n: int) -> np.ndarray:
-    """Map Legendre coefficients of f to those of its antiderivative:
-    int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1)."""
-    lint = np.zeros((n + 1, n))
-    lint[1, 0] = 1.0
-    for k in range(1, n):
-        lint[k + 1, k] = 1.0 / (2 * k + 1)
-        lint[k - 1, k] -= 1.0 / (2 * k + 1)
-    return lint
-
-
-def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
+def partial_integral_matrix(rule: QuadratureRule, x,
+                            trans: Optional[np.ndarray] = None) -> np.ndarray:
     """Row m approximates int_a^{x_m} f dx from the samples f(x_j), for any
     points x in [a, b]; the rows at x = rule.nodes are the running integral
     at the nodes.
 
-    Gauss: integrate the Legendre expansion (exact for degree < n).
+    Gauss: integrate the Legendre expansion (exact for degree < n) through
+    the antiderivatives int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1),
+    taken from -1; trans as in `log_weight_matrix`.
     Midpoint: whole cells left of x_m plus the covered part of its cell.
     """
     n = rule.n
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
+        if trans is None:
+            trans = _legendre_transform_matrix(rule)
         t = (x - rule.center) / rule.scale
-        trans = _legendre_transform_matrix(rule)
-        lint = _legendre_integration_coeffs(n)
         ev = np.polynomial.legendre.legvander(t, n)
-        ev0 = np.polynomial.legendre.legvander([-1.0], n)
-        return rule.scale * ((ev - ev0) @ lint @ trans)
+        ev -= np.polynomial.legendre.legvander([-1.0], n)  # P_k(t) - P_k(-1)
+        anti = np.empty((len(x), n))  # anti[m, k] = int_-1^{t_m} P_k
+        anti[:, 0] = ev[:, 1]
+        anti[:, 1:] = (ev[:, 2:] - ev[:, :-2]) / (2 * np.arange(1, n) + 1)
+        return rule.scale * (anti @ trans)
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
-from .conditions import BoundaryTrace, build_operators, log_lifted, window_mask
+from .conditions import BoundaryTrace, build_operators, log_parts, window_mask
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
@@ -86,11 +86,8 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
     f2 = trace.du_upper * (1.0 - 1j * ops.g2p)
     xi1, xi2 = pts[:, :1], pts[:, 1:]
 
-    w2 = (ops.g2 - xi2) + 1j * (x - xi1)
-    i2 = np.sum(w * f2 * np.log(w2), axis=1) / TWO_PI
-
-    w1 = (ops.g1 - xi2) + 1j * (x - xi1)
-    i1 = np.sum(w * f1 * log_lifted(w1), axis=1) / TWO_PI
+    i2 = np.sum(w * f2 * log_parts(ops.g2 - xi2, x - xi1), axis=1) / TWO_PI
+    i1 = np.sum(w * f1 * log_parts(ops.g1 - xi2, x - xi1, lifted=True), axis=1) / TWO_PI
 
     corr = -1j * (partial_integral_matrix(trace.rule, pts[:, 0]) @ f1)
     u1_at = sample_interpolator(trace.rule, trace.u_lower)(pts[:, 0])

@@ -209,6 +209,31 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     pytest.param("solve", "tolerances.cond_threshold",
                  lambda cfg, tmp: cfg.update(tolerances={"cond_threshold": float("inf")}),
                  id="tolerance-inf"),
+    pytest.param("solve", "bc.phi.solution.f_coefs",
+                 lambda cfg, tmp: cfg["bc"]["phi"].update(
+                     solution={"name": "z2", "f_coefs": [0, 0, 1]}),
+                 id="solution-unknown-key"),
+    pytest.param("nc-verify", "bc.phi.solution.f_coefs",
+                 lambda cfg, tmp: cfg["bc"]["phi"].update(
+                     solution={"name": "z2", "f_coefs": [0, 0, 1]}),
+                 id="solution-unknown-key-nc-verify"),
+    pytest.param("nc-verify", "tolerances.sup_residual",
+                 lambda cfg, tmp: cfg.update(tolerances={"sup_residual": True}),
+                 id="tolerance-boolean"),
+    pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1=True),
+                 id="alpha1-boolean"),
+    pytest.param("solve", "bc.phi.solution.g_coeffs",
+                 lambda cfg, tmp: cfg["bc"]["phi"].update(solution={"g_coeffs": [0, [1, True]]}),
+                 id="coefficient-boolean"),
+    pytest.param("nc-verify", "tolerances.min_ratio",
+                 lambda cfg, tmp: cfg.update(tolerances={"min_ratio": False}),
+                 id="min-ratio-boolean"),
+    pytest.param("nc-verify", "tolerances.min_ratio",
+                 lambda cfg, tmp: cfg.update(tolerances={"min_ratio": 0}),
+                 id="min-ratio-zero"),
+    pytest.param("nc-verify", "tolerances.min_ratio",
+                 lambda cfg, tmp: cfg.update(tolerances={"min_ratio": -1.0}),
+                 id="min-ratio-negative"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()

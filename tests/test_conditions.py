@@ -257,6 +257,93 @@ def test_condition_report_window(lens, solutions):
     assert rep.window_delta == 0.3
 
 
+# ---------------------------------------------------------------------------
+# the real-arithmetic kernels against their complex formulas
+# ---------------------------------------------------------------------------
+
+# closes at x1 = -1 and 1: gamma_2 - gamma_1 = 2 (1 - x^2)(1 + 0.2 x)
+CLOSING_CUBIC = PlaneDomain(-1.0, 1.0,
+                            lower=CurveDescriptor("polynomial", (-0.9, -0.1, 0.9, 0.1)),
+                            upper=CurveDescriptor("polynomial", (1.1, 0.3, -1.1, -0.3)))
+
+
+def _complex_formulas(domain, rule, trace):
+    """eq8, cauchy and both boundary representations, rebuilt from the
+    bundle's wlog and partial with the complex logarithm, np.angle, complex
+    division and the angle lift of the complex argument."""
+    ops = build_operators(domain, rule)
+    x, w, n = rule.nodes, rule.weights, rule.n
+    g1, g2, f1col, f2col = ops.g1, ops.g2, 1 - 1j * ops.g1p, 1 - 1j * ops.g2p
+    dx = x[None, :] - x[:, None]
+    off = dx + np.eye(n)  # 1 on the diagonal
+
+    def lifted(v):
+        ang = np.angle(v)
+        return np.log(np.abs(v)) + 1j * np.where(ang < 0, ang + 2 * np.pi, ang)
+
+    def m(g, gp):  # diffq + i
+        q = (g[None, :] - g[:, None]) / off
+        np.fill_diagonal(q, gp)
+        return q + 1j
+
+    def remainder(curve, g):
+        gp, gpp = curve.slope(x), curve.curvature(x)
+        dg = g[None, :] - g[:, None]
+        core = (1j / TWO_PI) * (dg - gp[None, :] * off) / (off * (dg + 1j * off))
+        np.fill_diagonal(core, -(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
+        return w[None, :] * core
+
+    sign = -0.25j * (w[None, :] - 2.0 * ops.partial)
+    m1 = m(g1, ops.g1p)
+    r1 = (np.log(np.abs(m1)) + 1j * (np.angle(m1) - np.pi / 2)) / TWO_PI
+    den21 = (g2[None, :] - g1[:, None]) + 1j * dx
+    den12 = (g1[None, :] - g2[:, None]) + 1j * dx
+    eq8 = np.concatenate([(w * r1 + ops.wlog / TWO_PI) * (-2.0 * f1col),
+                          (w * np.log(den21) / TWO_PI + sign) * (2.0 * f2col)], axis=1)
+    cauchy = np.block([
+        [2.0 * remainder(domain.lower, g1), w * ((-2.0 / TWO_PI) / den21) * f2col],
+        [w * ((2.0 / TWO_PI) / den12) * f1col, -2.0 * remainder(domain.upper, g2)]])
+
+    a, b = rule.a, rule.b
+    zeta1, zeta2 = g1 + 1j * x, g2 + 1j * x
+    c_lo, c_hi = (complex(domain.lower.value(v)) + 1j * v for v in (a, b))
+    d_lo, d_hi = (complex(domain.upper.value(v)) + 1j * v for v in (a, b))
+    l21 = (np.log(d_hi - zeta1) - np.log(d_lo - zeta1)) / (2j * np.pi)
+    l12 = (lifted(c_hi - zeta2) - lifted(c_lo - zeta2)) / (2j * np.pi)
+    anti = lambda v: v * (np.log(v) - 1.0)
+    g2_a, g2_b = d_lo.real, d_hi.real
+    m21 = ((-1j / TWO_PI) * (anti(d_hi - zeta1) - anti(d_lo - zeta1))
+           - 0.25j * ((b - x) - 1j * (g2_b - g2) - (x - a) + 1j * (g2 - g2_a)))
+    dku21 = m21 - 0.5 * np.sum(eq8[:, n:], axis=1)
+    diag = np.arange(n)
+    eq8[diag, diag] += 2.0 * dku21
+    cauchy[diag, diag] += -2.0 * l21 - np.sum(cauchy[:n, n:], axis=1)
+    cauchy[n + diag, n + diag] += 2.0 * l12 - np.sum(cauchy[n:, :n], axis=1)
+
+    du1, du2 = trace.du_lower, trace.du_upper
+    lower = trace.u_lower - (0.5 * (eq8 @ np.concatenate([du1, du2])) - dku21 * du1
+                             - sign @ (f2col * du2 - f1col * du1))
+    m2 = m(g2, ops.g2p)
+    kv22 = (w * (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI + ops.wlog / TWO_PI
+            - 0.5j * ops.partial) * f2col
+    kv12 = (w * lifted(den12) / TWO_PI - 1j * ops.partial) * f1col
+    upper = trace.u_lower - (kv22 @ du2 - kv12 @ du1)
+    return eq8, cauchy, lower, upper
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("midpoint-uniform", 48)])
+@pytest.mark.parametrize("domain_name", ["lens", "cubic"])
+def test_operators_match_complex_formulas(lens, solutions, domain_name, family, n):
+    domain = lens if domain_name == "lens" else CLOSING_CUBIC
+    rule = build_rule(family, n, domain.a1, domain.b1)
+    trace = make_trace(solutions["exp_half"], domain, rule)
+    ops = build_operators(domain, rule)
+    got = (ops.eq8, ops.cauchy, representation_boundary(trace, domain, "lower"),
+           representation_boundary(trace, domain, "upper"))
+    for actual, expected in zip(got, _complex_formulas(domain, rule, trace)):
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_operators_cached(lens):
     rule = build_rule("gauss-legendre", 32, -1, 1)
     assert build_operators(lens, rule) is build_operators(lens, rule)

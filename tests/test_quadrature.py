@@ -31,6 +31,27 @@ def test_midpoint_four_point():
     assert np.allclose(rule.weights, 0.25)
 
 
+# end weights w_0 of the 512- and 1024-point rules on [-1, 1], from Newton
+# on P_n in 50-digit arithmetic
+END_WEIGHTS = {512: 2.825263737393469203874501e-05, 1024: 7.070076410182589871295805e-06}
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 9, 31, 64, 512, 1024])
+def test_gauss_rule_matches_leggauss(n):
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    t, w = np.polynomial.legendre.leggauss(n)
+    assert np.max(np.abs(rule.nodes - t)) <= 2.3e-16
+    # leggauss's own end weights are off by 1.1e-10 at n = 512 and 1.2e-9 at
+    # n = 1024 against END_WEIGHTS; this rule's by 9e-13 and 4e-13
+    assert np.max(np.abs(rule.weights / w - 1.0)) <= (2e-9 if n > 512 else 1e-9)
+    if n in END_WEIGHTS:
+        assert abs(rule.weights[0] / END_WEIGHTS[n] - 1.0) <= 1e-11
+    assert abs(np.sum(rule.weights) - 2.0) <= 1e-14
+    k = np.arange(n)[:, None]  # int t^(2k) dt = 2/(2k + 1), exact for k < n
+    moments = (rule.nodes[None, :] ** (2 * k)) @ rule.weights
+    assert np.max(np.abs(moments - 2.0 / (2 * k[:, 0] + 1))) <= 1e-14
+
+
 @pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
 @pytest.mark.parametrize("n", [2, 5, 33, 128])
 def test_rule_invariants(family, n):
@@ -245,6 +266,25 @@ def test_partial_integral_matrix_gauss():
     vals = pm @ np.exp(rule.nodes)
     exact = np.exp(rule.nodes) - np.exp(-1.0)
     assert np.max(np.abs(vals - exact)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_partial_integral_matrix_matches_legendre_integration_map(n):
+    # reference: the Legendre antiderivative map applied as a dense
+    # (n + 1) x n matrix, int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1)
+    from cbie.quadrature import _legendre_transform_matrix
+
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    lint = np.zeros((n + 1, n))
+    lint[1, 0] = 1.0
+    for k in range(1, n):
+        lint[k + 1, k] = 1.0 / (2 * k + 1)
+        lint[k - 1, k] = -1.0 / (2 * k + 1)
+    ev = np.polynomial.legendre.legvander(rule.reference_nodes(), n)
+    ev0 = np.polynomial.legendre.legvander([-1.0], n)
+    expected = rule.scale * ((ev - ev0) @ lint @ _legendre_transform_matrix(rule))
+    got = partial_integral_matrix(rule, rule.nodes)
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_partial_integral_functional():
