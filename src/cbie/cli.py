@@ -360,7 +360,8 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
     if spec is None:
-        raise ConfigurationError("nc-verify needs a manufactured solution source")
+        raise ConfigurationError("nc-verify needs bc.phi.solution: bc.phi.tabulated "
+                                 "gives no exact solution to check against")
     conditions = cfg.get("conditions", list(CONDITION_IDS))
     if not (isinstance(conditions, list) and conditions
             and all(c in CONDITION_IDS for c in conditions)
@@ -440,11 +441,14 @@ def run_convergence(cfg: dict, outdir: Path, seed: int) -> int:
     tol = _tolerances(cfg)
     domain = _domain(cfg)
     bc, spec = _bc(cfg, domain)
+    if spec is None:
+        raise ConfigurationError("convergence needs bc.phi.solution: bc.phi.tabulated "
+                                 "gives no exact solution to check against")
     family, levels = _family_levels(cfg, [64, 128, 256], MIN_SOLVE_NODES)
     table = convergence_sweep(domain, bc, levels, family=family, truth=spec,
                               cond_threshold=tol["cond_threshold"],
                               delta=_window_delta(tol, domain, family, levels))
-    errs = [row["trace_error"] for row in table.levels] if spec is not None else []
+    errs = [row["trace_error"] for row in table.levels]
     ok = all(e1 <= max(e0, tol["ratio_floor"]) for e0, e1 in zip(errs, errs[1:]))
     write_json(outdir / "convergence.json", {
         "schema_version": SCHEMA_VERSION,

@@ -43,7 +43,6 @@ from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .quadrature import (
     QuadratureRule,
-    _legendre_transform_matrix,
     log_weight_matrix,
     partial_integral_matrix,
     pv_weight_matrix,
@@ -184,9 +183,8 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     dx = x[None, :] - x[:, None]
 
     pv = pv_weight_matrix(rule)
-    trans = _legendre_transform_matrix(rule) if rule.family == "gauss-legendre" else None
-    wlog = log_weight_matrix(rule, trans)
-    partial = partial_integral_matrix(rule, x, trans)
+    wlog = log_weight_matrix(rule)
+    partial = partial_integral_matrix(rule, x)
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits

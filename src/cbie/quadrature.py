@@ -5,7 +5,9 @@ Two families:
   gauss-legendre   open Gauss rule; PV by singularity subtraction, log
                    kernels by global product integration against the
                    Legendre basis (exact log moments via Legendre Q
-                   functions on the cut)
+                   functions on the cut); one three-term recurrence gives
+                   the nodes, the rule's Legendre transform and the Q
+                   moments
   midpoint-uniform composite midpoint; PV by the same subtraction with a
                    finite-difference diagonal, log kernels by windowed
                    local product integration; serves as the cross-check
@@ -15,6 +17,7 @@ Two families:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,6 +50,16 @@ class QuadratureRule:
     def reference_nodes(self) -> np.ndarray:
         return (self.nodes - self.center) / self.scale
 
+    @cached_property
+    def legendre(self) -> np.ndarray:
+        """Gauss rules: the map from node samples to Legendre coefficients
+        (exact for degree < n), c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j.
+        Computed once per rule object; operator builds and interior
+        reconstruction on the same rule share it."""
+        t = self.reference_nodes()
+        pk = _legendre_recurrence(t, 1.0, t, self.n - 1)  # (k, j)
+        return ((2 * np.arange(self.n) + 1) / 2.0)[:, None] * pk * (self.weights / self.scale)
+
 
 def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     if n < 2:
@@ -64,13 +77,20 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     raise ConfigurationError(f"unknown quadrature family {family!r}")
 
 
-def _legendre_pn(n: int, t: np.ndarray) -> tuple:
-    """(P_n(t), P_n'(t)) by the three-term recurrence, for |t| < 1."""
-    p0, p1 = np.ones_like(t), t
-    for k in range(1, n):  # (k+1) P_{k+1} = (2k+1) t P_k - k P_{k-1}
-        tp = t * p1
-        p0, p1 = p1, tp + (k / (k + 1)) * (tp - p0)
-    return p1, n * (t * p1 - p0) / (t * t - 1.0)
+def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
+    """Rows y_0..y_kmax (k-major, shape (kmax + 1,) + t.shape) of
+    (k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1}, started from y0 and y1:
+    the Legendre P_k from 1 and t, the Legendre Q_k on the cut |t| < 1
+    from arctanh t and t arctanh t - 1 (forward recurrence is stable
+    there, where both solutions oscillate)."""
+    y = np.empty((kmax + 1,) + np.shape(t))
+    y[0] = y0
+    if kmax >= 1:
+        y[1] = y1
+    for k in range(1, kmax):
+        ty = t * y[k]
+        y[k + 1] = ty + (k / (k + 1)) * (ty - y[k - 1])
+    return y
 
 
 def _gauss_legendre(n: int) -> tuple:
@@ -78,14 +98,18 @@ def _gauss_legendre(n: int) -> tuple:
     [-1, 1] in O(n^2): Newton on P_n over the non-negative half of the
     rule, started from Tricomi's asymptotic nodes, then
     w = 2 / ((1 - t^2) P_n'(t)^2); the other half mirrors it."""
+    def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1
+        p0, p1 = _legendre_recurrence(t, 1.0, t, n)[n - 1:]
+        return p1, n * (t * p1 - p0) / (t * t - 1.0)
+
     k = np.arange(1, (n + 1) // 2 + 1)
     t = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
     for _ in range(3):  # quadratic convergence: three steps reach round-off
-        p, dp = _legendre_pn(n, t)
+        p, dp = pn(t)
         t = t - p / dp
     if n % 2:
         t[-1] = 0.0  # the middle node of an odd rule
-    dp = _legendre_pn(n, t)[1]
+    dp = pn(t)[1]
     w = 2.0 / ((1.0 - t * t) * dp * dp)
     m = len(t) - n % 2  # mirrored: all but an odd rule's middle node
     return np.concatenate([-t[:m], t[::-1]]), np.concatenate([w[:m], w[::-1]])
@@ -185,20 +209,7 @@ def pv_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     return p + w[:, None] * diff_matrix(rule)
 
 
-def _legendre_q_on_cut(tau: np.ndarray, kmax: int) -> np.ndarray:
-    """Q_k(tau) for tau in (-1,1), k = 0..kmax, forward recurrence (stable
-    on the cut where both Legendre solutions oscillate)."""
-    tau = np.asarray(tau, dtype=float)
-    q = np.empty((kmax + 1,) + tau.shape)
-    q[0] = np.arctanh(tau)
-    if kmax >= 1:
-        q[1] = tau * q[0] - 1.0
-    for k in range(1, kmax):
-        q[k + 1] = ((2 * k + 1) * tau * q[k] - k * q[k - 1]) / (k + 1)
-    return q
-
-
-def _log_weight_matrix_gauss(rule: QuadratureRule, trans: np.ndarray) -> np.ndarray:
+def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
     """Global product integration of f(x) log|x - x_i| on Gauss nodes.
 
     Expands the sampled f in Legendre polynomials (the transform is exact
@@ -211,13 +222,14 @@ def _log_weight_matrix_gauss(rule: QuadratureRule, trans: np.ndarray) -> np.ndar
     """
     n = rule.n
     t = rule.reference_nodes()
-    qk = _legendre_q_on_cut(t, n)  # (n+1, n): qk[k, i] = Q_k(t_i); moments need Q up to n
+    q0 = np.arctanh(t)
+    qk = _legendre_recurrence(t, q0, t * q0 - 1.0, n)  # qk[k, i] = Q_k(t_i), k <= n
 
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
     moments[1:] = 2.0 * (qk[2:] - qk[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
 
-    wref_log = moments.T @ trans  # (i, j)
+    wref_log = moments.T @ rule.legendre  # (i, j)
     s = rule.scale
     return s * wref_log + np.log(s) * rule.weights[None, :]
 
@@ -264,52 +276,33 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
     return out
 
 
-def log_weight_matrix(rule: QuadratureRule,
-                      trans: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx.
-
-    On Gauss rules, trans is the rule's Legendre transform
-    (`_legendre_transform_matrix`) when the caller already holds it."""
+def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
+    """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
     if rule.family == "gauss-legendre":
-        if trans is None:
-            trans = _legendre_transform_matrix(rule)
-        return _log_weight_matrix_gauss(rule, trans)
+        return _log_weight_matrix_gauss(rule)
     return _log_weight_matrix_midpoint(rule)
 
 
-def _legendre_transform_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Map node samples to Legendre coefficients (exact for degree < n):
-    c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j."""
-    n = rule.n
-    t = rule.reference_nodes()
-    wref = rule.weights / rule.scale
-    pk = np.polynomial.legendre.legvander(t, n - 1).T  # (k, j)
-    return ((2 * np.arange(n) + 1) / 2.0)[:, None] * pk * wref[None, :]
-
-
-def partial_integral_matrix(rule: QuadratureRule, x,
-                            trans: Optional[np.ndarray] = None) -> np.ndarray:
+def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     """Row m approximates int_a^{x_m} f dx from the samples f(x_j), for any
     points x in [a, b]; the rows at x = rule.nodes are the running integral
     at the nodes.
 
     Gauss: integrate the Legendre expansion (exact for degree < n) through
-    the antiderivatives int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1),
-    taken from -1; trans as in `log_weight_matrix`.
+    the antiderivatives from -1, int P_0 = P_1 + 1 and
+    int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
+    latter because P_{k+1}(-1) = P_{k-1}(-1).
     Midpoint: whole cells left of x_m plus the covered part of its cell.
     """
     n = rule.n
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
-        if trans is None:
-            trans = _legendre_transform_matrix(rule)
         t = (x - rule.center) / rule.scale
-        ev = np.polynomial.legendre.legvander(t, n)
-        ev -= np.polynomial.legendre.legvander([-1.0], n)  # P_k(t) - P_k(-1)
-        anti = np.empty((len(x), n))  # anti[m, k] = int_-1^{t_m} P_k
-        anti[:, 0] = ev[:, 1]
-        anti[:, 1:] = (ev[:, 2:] - ev[:, :-2]) / (2 * np.arange(1, n) + 1)
-        return rule.scale * (anti @ trans)
+        p = _legendre_recurrence(t, 1.0, t, n)
+        anti = np.empty((n, len(x)))  # anti[k, m] = int_-1^{t_m} P_k
+        anti[0] = p[1] + 1.0
+        anti[1:] = (p[2:] - p[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
+        return rule.scale * (anti.T @ rule.legendre)
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
@@ -318,28 +311,26 @@ def partial_integral_matrix(rule: QuadratureRule, x,
 
 
 def barycentric_weights(rule: QuadratureRule) -> np.ndarray:
-    """Deterministic barycentric weights for the rule's nodes.
-
-    Gauss-Legendre nodes have the stable closed form (-1)^j sqrt((1-t^2) w);
-    other node sets use the log-scaled product formula (any common scaling
-    of the weights cancels in the barycentric ratio).
-    """
+    """Barycentric weights of Gauss-Legendre nodes, in the stable closed
+    form (-1)^j sqrt((1-t^2) w)."""
     t = rule.reference_nodes()
-    n = rule.n
-    if rule.family == "gauss-legendre":
-        wref = rule.weights / rule.scale
-        return (-1.0) ** np.arange(n) * np.sqrt((1.0 - t * t) * wref)
-    dt = np.abs(t[:, None] - t[None, :])
-    np.fill_diagonal(dt, 1.0)
-    logs = np.sum(np.log(dt), axis=1)
-    return (-1.0) ** np.arange(n) * np.exp(-(logs - np.mean(logs)))
+    wref = rule.weights / rule.scale
+    return (-1.0) ** np.arange(rule.n) * np.sqrt((1.0 - t * t) * wref)
 
 
 def sample_interpolator(rule: QuadratureRule, values) -> Callable:
-    """Polynomial interpolant through node samples (barycentric, second
-    form; stable on Gauss nodes).  Used to evaluate solved traces between
-    nodes."""
+    """Interpolant through node samples, used to evaluate solved traces
+    between nodes.  Gauss: the polynomial through all nodes (barycentric,
+    second form).  Midpoint: piecewise linear, the family's second order
+    (a global polynomial through equispaced nodes is ill-conditioned),
+    constant between an end node and its interval end."""
     values = np.asarray(values, dtype=complex)
+    if rule.family == "midpoint-uniform":
+        def linear(x):
+            out = np.interp(x, rule.nodes, values)
+            return complex(out) if np.ndim(x) == 0 else out
+
+        return linear
     beta = barycentric_weights(rule)
     t_nodes = rule.reference_nodes()
     s, c = rule.scale, rule.center

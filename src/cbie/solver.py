@@ -70,7 +70,7 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
     f_k = du_k (1 - i gk'); principal log on the upper curve, the branch
     continuous across the lower curve's cut on the lower one, and the
     running integral carrying the branch correction.  All terms evaluate
-    from the trace samples (polynomial interpolation supplies the point
+    from the trace samples (`sample_interpolator` supplies the point
     values between nodes).  xi is one point (x1, x2), which gives a complex,
     or an (m, 2) array of points, which gives m values; the running integral
     and the interpolant are built once for all of them.
@@ -113,8 +113,8 @@ def default_interior_grid(domain: PlaneDomain) -> list:
     return pts
 
 
-def trace_from_solution(system_rule: QuadratureRule, domain: PlaneDomain,
-                        bc: BCSpec, report: SolveReport) -> BoundaryTrace:
+def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
+                        report: SolveReport) -> BoundaryTrace:
     """Boundary trace of a solved system: solved u plus du eliminated
     through the boundary data."""
     phi1, phi2 = bc.sample(system_rule.nodes)
@@ -128,7 +128,7 @@ def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
     """Assemble, solve, and reconstruct on the interior grid."""
     system = assemble(domain, bc, rule)
     report = solve_system(system, cond_threshold)
-    trace = trace_from_solution(rule, domain, bc, report)
+    trace = trace_from_solution(rule, bc, report)
     pts = default_interior_grid(domain)
     vals = reconstruct_interior(domain, trace, pts)
     report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]

@@ -122,6 +122,12 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 2
 
 
+def _constant_phi(tmp):
+    """A valid tabulated phi file: constant data on [-1, 1]."""
+    return _write(tmp / "phi.json", {"x": [-1.0, 0.0, 1.0],
+                                     "phi1": [[1.0, 0.0]] * 3, "phi2": [[2.0, 0.0]] * 3})
+
+
 @pytest.mark.parametrize("task,key,spoil", [
     pytest.param("solve", "domain.lower",
                  lambda cfg, tmp: cfg["domain"]["lower"].update(kind="spline"),
@@ -234,6 +240,12 @@ def test_solve_requires_n_at_least_8(tmp_path, outdir):
     pytest.param("nc-verify", "tolerances.min_ratio",
                  lambda cfg, tmp: cfg.update(tolerances={"min_ratio": -1.0}),
                  id="min-ratio-negative"),
+    pytest.param("convergence", "bc.phi.solution",
+                 lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": _constant_phi(tmp)}),
+                 id="tabulated-convergence"),
+    pytest.param("nc-verify", "bc.phi.solution",
+                 lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": _constant_phi(tmp)}),
+                 id="tabulated-nc-verify"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
+    _legendre_recurrence,
     build_rule,
     diff_matrix,
     log_weight_matrix,
@@ -50,6 +51,47 @@ def test_gauss_rule_matches_leggauss(n):
     k = np.arange(n)[:, None]  # int t^(2k) dt = 2/(2k + 1), exact for k < n
     moments = (rule.nodes[None, :] ** (2 * k)) @ rule.weights
     assert np.max(np.abs(moments - 2.0 / (2 * k[:, 0] + 1))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512, 1024])
+def test_legendre_recurrence_p_rows_match_legvander(n):
+    t = build_rule("gauss-legendre", n, -1, 1).reference_nodes()
+    t = np.concatenate([[-1.0], t, [1.0]])
+    p = _legendre_recurrence(t, 1.0, t, n)
+    assert p.shape == (n + 1, n + 2)
+    assert np.max(np.abs(p - np.polynomial.legendre.legvander(t, n).T)) <= 1e-12
+
+
+def _legendre_q_textbook(tau, kmax):
+    # Q_k on the cut by the textbook form of the forward recurrence,
+    # (k+1) Q_{k+1} = (2k+1) tau Q_k - k Q_{k-1}
+    q = np.empty((kmax + 1,) + tau.shape)
+    q[0] = np.arctanh(tau)
+    if kmax >= 1:
+        q[1] = tau * q[0] - 1.0
+    for k in range(1, kmax):
+        q[k + 1] = ((2 * k + 1) * tau * q[k] - k * q[k - 1]) / (k + 1)
+    return q
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512, 1024])
+def test_legendre_recurrence_q_rows_match_textbook_form(n):
+    t = build_rule("gauss-legendre", n, -1, 1).reference_nodes()
+    q0 = np.arctanh(t)
+    q = _legendre_recurrence(t, q0, t * q0 - 1.0, n)
+    ref = _legendre_q_textbook(t, n)
+    assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_rule_legendre_transform_cached_and_identity_free():
+    rule = build_rule("gauss-legendre", 16, -1, 2)
+    assert rule.legendre is rule.legendre
+    # the cached transform is no field: equal rules stay equal and hash alike
+    other = build_rule("gauss-legendre", 16, -1, 2)
+    assert rule == other and hash(rule) == hash(other)
+    # exact for degree < n: the coefficients of P_3 on the reference interval
+    coeffs = rule.legendre @ np.polynomial.legendre.legval(rule.reference_nodes(), [0, 0, 0, 1])
+    assert np.max(np.abs(coeffs - np.eye(16)[3])) <= 1e-14
 
 
 @pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
@@ -271,18 +313,19 @@ def test_partial_integral_matrix_gauss():
 @pytest.mark.parametrize("n", [64, 256])
 def test_partial_integral_matrix_matches_legendre_integration_map(n):
     # reference: the Legendre antiderivative map applied as a dense
-    # (n + 1) x n matrix, int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1)
-    from cbie.quadrature import _legendre_transform_matrix
-
+    # (n + 1) x n matrix, int P_0 = P_1, int P_k = (P_{k+1} - P_{k-1})/(2k+1),
+    # after numpy's Legendre transform c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j
     rule = build_rule("gauss-legendre", n, -1, 1)
+    t = rule.reference_nodes()
     lint = np.zeros((n + 1, n))
     lint[1, 0] = 1.0
     for k in range(1, n):
         lint[k + 1, k] = 1.0 / (2 * k + 1)
         lint[k - 1, k] = -1.0 / (2 * k + 1)
-    ev = np.polynomial.legendre.legvander(rule.reference_nodes(), n)
+    ev = np.polynomial.legendre.legvander(t, n)
     ev0 = np.polynomial.legendre.legvander([-1.0], n)
-    expected = rule.scale * ((ev - ev0) @ lint @ _legendre_transform_matrix(rule))
+    trans = ((2 * np.arange(n) + 1) / 2.0)[:, None] * ev[:, :n].T * rule.weights[None, :]
+    expected = rule.scale * ((ev - ev0) @ lint @ trans)
     got = partial_integral_matrix(rule, rule.nodes)
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 

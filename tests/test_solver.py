@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cbie import quadrature
 from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
-from cbie.conditions import BoundaryTrace
+from cbie.conditions import BoundaryTrace, build_operators
 from cbie.errors import DomainError, NumericError, SolverError
+from cbie.geometry import lens_domain
 from cbie.manufactured import canonical_solutions, eval_solution, make_bc, make_trace
 from cbie.quadrature import build_rule
 from cbie.solver import (
@@ -238,9 +240,39 @@ def test_trace_from_solution_eliminates_du(lens, solutions):
     rule = build_rule("gauss-legendre", 64, -1, 1)
     bc = make_bc(spec, lens, 1.0, 2.0, rule)
     report = solve_problem(lens, bc, rule)
-    tr = trace_from_solution(rule, lens, bc, report)
+    tr = trace_from_solution(rule, bc, report)
     exact = make_trace(spec, lens, rule)
     assert np.max(np.abs(tr.du_lower - exact.du_lower)) <= 1e-6
+
+
+def test_midpoint_solve_interior_samples(solutions):
+    # a global polynomial through 192 equispaced nodes put interior errors
+    # of up to 7.3 on this solve, whose traces are good to 1e-3
+    spec = solutions["z2"]
+    domain = lens_domain(0.8)
+    rule = build_rule("midpoint-uniform", 192, -1, 1)
+    report = solve_problem(domain, make_bc(spec, domain, 1.0, 2.0, None), rule)
+    assert len(report.interior_samples) > 0
+    for (pt, val) in report.interior_samples:
+        assert abs(val - complex(eval_solution(spec, pt[0], pt[1])[0])) <= 2e-3
+
+
+def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
+    # build_operators and reconstruct_interior share the rule's transform
+    n = 64
+    kmaxes = []
+    recurrence = quadrature._legendre_recurrence
+
+    def counting(t, y0, y1, kmax):
+        kmaxes.append(kmax)
+        return recurrence(t, y0, y1, kmax)
+
+    monkeypatch.setattr(quadrature, "_legendre_recurrence", counting)
+    build_operators.cache_clear()
+    spec = solutions["z2"]
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    solve_problem(lens, make_bc(spec, lens, 1.0, 2.0, None), rule)
+    assert kmaxes.count(n - 1) == 1
 
 
 def test_convergence_sweep_quadratic(lens, solutions):
