@@ -16,9 +16,8 @@ from .conditions import (
     BoundaryTrace,
     ResidualReport,
     condition_report,
-    eq7_boundary_residuals,
+    condition_residuals,
     eq8_residuals,
-    nc_residuals,
 )
 from .geometry import (
     CurveDescriptor,

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import BCSpec, compactness_probe, dump_system
-from .conditions import CONDITION_IDS, condition_report, window_mask
+from .conditions import CONDITION_IDS, condition_residuals, window_mask
 from .errors import CbieError, ConfigurationError, GeometryError, NumericError
 from .geometry import domain_from_config, validate_domain
 from .kernel import (
@@ -162,9 +162,12 @@ def _family_levels(cfg: dict, default: list, minimum: int, gated: int = 0) -> tu
 
 def _window_delta(tol: dict, domain, family: str, levels: list):
     """tolerances.window_delta, checked to leave a node of every level's rule
-    inside the window [a1 + delta, b1 - delta]; None selects 0.1 (b1 - a1)."""
+    inside the window [a1 + delta, b1 - delta]; None selects 0.1 (b1 - a1),
+    which leaves one for any rule of two or more nodes."""
     delta = tol["window_delta"]
-    if delta is not None and not (delta >= 0 and all(
+    if delta is None:
+        return 0.1 * (domain.b1 - domain.a1)
+    if not (delta >= 0 and all(
             np.any(window_mask(build_rule(family, n, domain.a1, domain.b1), delta))
             for n in levels)):
         raise ConfigurationError(
@@ -374,9 +377,10 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
     sups = {c: [] for c in conditions}
     for n in levels:
         rule = build_rule(family, n, domain.a1, domain.b1)
-        trace = make_trace(spec, domain, rule)
-        for c in conditions:
-            sups[c].append(condition_report(trace, domain, c, delta).sup_window)
+        mask = window_mask(rule, delta)  # holds a node (_window_delta)
+        for c, v in condition_residuals(make_trace(spec, domain, rule), domain,
+                                        conditions).items():
+            sups[c].append(float(np.max(np.abs(v[mask]))))
 
     records = [{"condition": c, "N": n, "sup_residual": s[k],
                 "ratio": s[k - 1] / s[k] if k > 0 and s[k] > 0 else None}

@@ -265,24 +265,6 @@ def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
     return trace.u_lower - trace.u_upper + ops.eq8 @ d
 
 
-def nc_residuals(trace: BoundaryTrace, domain: PlaneDomain, which: str) -> np.ndarray:
-    """Residual vectors of the Cauchy-formula conditions eq9..eq12; eq9 and
-    eq11 restate eq10 and eq12 through the tangential traces."""
-    if which not in ("eq9", "eq10", "eq11", "eq12"):
-        raise DataError(f"unknown condition {which!r}")
-    ops = build_operators(domain, trace.rule)
-    du1, du2 = trace.du_lower, trace.du_upper
-    d = np.concatenate([du1, du2])
-    cauchy_pv = (1j / np.pi) * np.concatenate([-(ops.pv @ du1), ops.pv @ du2])
-    eq10, eq12 = np.split(d + cauchy_pv + ops.cauchy @ d, 2)
-    if which in ("eq10", "eq12"):
-        return eq10 if which == "eq10" else eq12
-    if trace.ux1_lower is None or trace.ux1_upper is None:
-        raise DataError(f"{which} needs tangential (du/dx1) trace data")
-    jump = trace.ux1_lower - trace.ux1_upper + 1j * (du2 - du1)
-    return jump + 1j * eq10 if which == "eq9" else 1j * eq12 - jump
-
-
 def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
                             side: str) -> np.ndarray:
     """Principal-value boundary evaluation of the representation formula.
@@ -318,12 +300,37 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     return trace.u_lower - flux
 
 
-def eq7_boundary_residuals(trace: BoundaryTrace, domain: PlaneDomain,
-                           side: str) -> np.ndarray:
-    """Representation on the curve minus the known trace (the half-trace
-    identity stated as a residual: PV value minus u = (LHS - u/2) - u/2)."""
-    target = trace.u_lower if side == "lower" else trace.u_upper
-    return representation_boundary(trace, domain, side) - target
+def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
+                        condition_ids) -> dict:
+    """Residual vectors at every node, keyed by the requested condition ids.
+
+    eq9..eq12 share one evaluation of the Cauchy formula; eq9 and eq11
+    restate eq10 and eq12 through the tangential traces.  eq7-boundary is
+    the representation on each curve minus its trace (the half-trace
+    identity as a residual), the larger of the two at each node."""
+    ids = set(condition_ids)
+    if ids - set(CONDITION_IDS):
+        raise DataError(f"unknown condition ids {sorted(ids - set(CONDITION_IDS))}")
+    out = {}
+    if "eq8" in ids:
+        out["eq8"] = eq8_residuals(trace, domain)
+    if ids & {"eq9", "eq10", "eq11", "eq12"}:
+        ops = build_operators(domain, trace.rule)
+        du1, du2 = trace.du_lower, trace.du_upper
+        d = np.concatenate([du1, du2])
+        cauchy_pv = (1j / np.pi) * np.concatenate([-(ops.pv @ du1), ops.pv @ du2])
+        eq10, eq12 = np.split(d + cauchy_pv + ops.cauchy @ d, 2)
+        out.update(eq10=eq10, eq12=eq12)
+        if ids & {"eq9", "eq11"}:
+            if trace.ux1_lower is None or trace.ux1_upper is None:
+                raise DataError("eq9 and eq11 need tangential (du/dx1) trace data")
+            jump = trace.ux1_lower - trace.ux1_upper + 1j * (du2 - du1)
+            out.update(eq9=jump + 1j * eq10, eq11=1j * eq12 - jump)
+    if "eq7-boundary" in ids:
+        lo = representation_boundary(trace, domain, "lower") - trace.u_lower
+        up = representation_boundary(trace, domain, "upper") - trace.u_upper
+        out["eq7-boundary"] = np.where(np.abs(lo) >= np.abs(up), lo, up)
+    return {c: out[c] for c in condition_ids}
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +348,7 @@ def condition_report(trace: BoundaryTrace, domain: PlaneDomain, condition_id: st
     rule = trace.rule
     if delta is None:
         delta = 0.1 * (rule.b - rule.a)
-    if condition_id == "eq8":
-        vals = eq8_residuals(trace, domain)
-    elif condition_id in ("eq9", "eq10", "eq11", "eq12"):
-        vals = nc_residuals(trace, domain, condition_id)
-    elif condition_id == "eq7-boundary":
-        lo = eq7_boundary_residuals(trace, domain, "lower")
-        up = eq7_boundary_residuals(trace, domain, "upper")
-        vals = np.where(np.abs(lo) >= np.abs(up), lo, up)
-    else:
-        raise DataError(f"unknown condition id {condition_id!r}")
+    vals = condition_residuals(trace, domain, (condition_id,))[condition_id]
     mags = np.abs(vals)
     mask = window_mask(rule, delta)
     sup = float(np.max(mags[mask])) if np.any(mask) else float(np.max(mags))

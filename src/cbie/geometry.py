@@ -190,11 +190,11 @@ def validate_domain(domain: PlaneDomain, probes: int) -> ValidationReport:
     )
 
 
-def lens_domain(half_height: float = 1.0, a1: float = -1.0, b1: float = 1.0) -> PlaneDomain:
+def lens_domain(half_height: float = 1.0) -> PlaneDomain:
     """The default test domain: gamma_2 = h(1-x^2), gamma_1 = -h(1-x^2) on [-1, 1]."""
     return PlaneDomain(
-        a1=a1,
-        b1=b1,
+        a1=-1.0,
+        b1=1.0,
         lower=CurveDescriptor("lens", (-half_height,)),
         upper=CurveDescriptor("lens", (half_height,)),
     )

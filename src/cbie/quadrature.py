@@ -9,9 +9,10 @@ Two families:
                    the nodes, the rule's Legendre transform and the Q
                    moments
   midpoint-uniform composite midpoint; PV by the same subtraction with a
-                   finite-difference diagonal, log kernels by windowed
-                   local product integration; serves as the cross-check
-                   oracle for the Gauss paths
+                   finite-difference diagonal, log kernels by product
+                   integration of the cell-wise constant samples (exact
+                   cell log moments); serves as the cross-check oracle
+                   for the Gauss paths
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DomainError
 
@@ -31,13 +33,9 @@ class QuadratureRule:
     family: str
     a: float
     b: float
-    size: int
+    n: int
     nodes: np.ndarray = field(repr=False, compare=False)
     weights: np.ndarray = field(repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.size
 
     @property
     def scale(self) -> float:
@@ -234,46 +232,16 @@ def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
     return s * wref_log + np.log(s) * rule.weights[None, :]
 
 
-def _log_monomial_moments(lo: float, hi: float, kmax: int) -> np.ndarray:
-    """m_k = int_lo^hi u^k log|u| du (lo <= 0 <= hi allowed); closed form."""
-
-    def anti(u, k):
-        if u == 0.0:
-            return 0.0
-        return u ** (k + 1) / (k + 1) * (np.log(abs(u)) - 1.0 / (k + 1))
-
-    return np.array([anti(hi, k) - anti(lo, k) for k in range(kmax + 1)])
-
-
 def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
-    """Windowed product integration of f(x) log|x - x_i| on the midpoint grid.
-
-    Cells within three cells of the singular node are integrated with
-    local polynomial product weights (exact log moments); the remaining
-    cells keep their plain midpoint weights.
-    """
-    x, w = rule.nodes, rule.weights
-    n = rule.n
-    h = w[0]
-    out = np.zeros((n, n))
-    for i in range(n):
-        jlo = max(0, i - 3)
-        jhi = min(n - 1, i + 3)
-        idx = np.arange(jlo, jhi + 1)
-        lo = x[jlo] - 0.5 * h - x[i]
-        hi = x[jhi] + 0.5 * h - x[i]
-        scale = max(abs(lo), abs(hi))
-        mu = _log_monomial_moments(lo, hi, len(idx) - 1)
-        mu /= scale ** np.arange(len(idx))
-        v = ((x[idx] - x[i]) / scale)[None, :] ** np.arange(len(idx))[:, None]
-        omega = np.linalg.solve(v, mu)
-        row = out[i]
-        outside = np.ones(n, dtype=bool)
-        outside[idx] = False
-        with np.errstate(divide="ignore"):
-            row[outside] = w[outside] * np.log(np.abs(x[outside] - x[i]))
-        row[idx] = omega
-    return out
+    """Product integration of f(x) log|x - x_i| on the midpoint grid, f taken
+    constant on each cell: entry (i, j) is the exact cell moment
+    int_cell_j log|x - x_i| dx = [u (log|u| - 1)] between the cell's edges.
+    The edges sit at u = h (j - i -+ 1/2), never 0, so the entry depends on
+    j - i only: 2n - 1 moments laid out as a Toeplitz matrix."""
+    n, h = rule.n, rule.weights[0]
+    t = np.arange(1 - n, n + 1) - 0.5  # edge offsets from a node, in cells
+    anti = h * t * (np.log(h * np.abs(t)) - 1.0)
+    return sliding_window_view(np.diff(anti), n)[::-1].copy()
 
 
 def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:

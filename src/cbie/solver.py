@@ -142,13 +142,12 @@ class ConvergenceTable:
 
 
 def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
-                      family: str = "gauss-legendre",
-                      truth: Optional[SolutionSpec] = None,
+                      truth: SolutionSpec, family: str = "gauss-legendre",
                       cond_threshold: float = 1e8,
                       delta: Optional[float] = None) -> ConvergenceTable:
-    """Solve at each level; report residual, conditioning, and (when an
-    exact solution is supplied) interior-window trace errors with their
-    between-level ratios."""
+    """Solve at each level; report residual, conditioning, and the errors
+    against the exact solution `truth`: interior-window trace errors with
+    their between-level ratios, and the interior-sample errors."""
     levels = list(levels)
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise SolverError("levels must be strictly increasing")
@@ -158,29 +157,23 @@ def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
     for n in levels:
         rule = build_rule(family, n, domain.a1, domain.b1)
         report = solve_problem(domain, bc, rule, cond_threshold)
-        row = {
+        mask = window_mask(rule, delta)
+        exact = make_trace(truth, domain, rule)
+        ierr = 0.0
+        for (pt, val) in report.interior_samples:
+            ue = complex(eval_solution(truth, pt[0], pt[1])[0])
+            ierr = max(ierr, abs(val - ue))
+        rows.append({
             "n": n,
             "residual_norm": report.residual_norm,
             "condition": report.condition_estimate,
             "method": report.method,
-        }
-        if truth is not None:
-            mask = window_mask(rule, delta)
-            exact = make_trace(truth, domain, rule)
-            err = max(
+            "trace_error": max(
                 float(np.max(np.abs((report.u_lower - exact.u_lower)[mask]))),
-                float(np.max(np.abs((report.u_upper - exact.u_upper)[mask]))),
-            )
-            row["trace_error"] = err
-            ierr = 0.0
-            for (pt, val) in report.interior_samples:
-                ue = complex(eval_solution(truth, pt[0], pt[1])[0])
-                ierr = max(ierr, abs(val - ue))
-            row["interior_error"] = ierr
-        rows.append(row)
-    ratios = []
-    if truth is not None:
-        for prev, cur in zip(rows, rows[1:]):
-            e0, e1 = prev["trace_error"], cur["trace_error"]
-            ratios.append(float("inf") if e1 == 0 else e0 / e1)
+                float(np.max(np.abs((report.u_upper - exact.u_upper)[mask])))),
+            "interior_error": ierr,
+        })
+    ratios = [float("inf") if cur["trace_error"] == 0
+              else prev["trace_error"] / cur["trace_error"]
+              for prev, cur in zip(rows, rows[1:])]
     return ConvergenceTable(rows, ratios)

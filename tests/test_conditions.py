@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from cbie.conditions import (
+    CONDITION_IDS,
     BoundaryTrace,
     _bounded_remainder,
     build_operators,
     condition_report,
-    eq7_boundary_residuals,
+    condition_residuals,
     eq8_residuals,
-    nc_residuals,
     representation_boundary,
     window_mask,
 )
 from cbie.errors import DataError, DomainError, NumericError, ShapeError
-from cbie.geometry import CurveDescriptor, PlaneDomain
+from cbie.geometry import CurveDescriptor, PlaneDomain, lens_domain
 from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_trace
 from cbie.quadrature import build_rule
@@ -41,14 +41,13 @@ def test_trace_tangential_required_for_eq9(lens):
     rule = build_rule("gauss-legendre", 8, -1, 1)
     z = np.zeros(8, dtype=complex)
     tr = BoundaryTrace(rule, z, z, z, z)
-    with pytest.raises(DataError):
-        nc_residuals(tr, lens, "eq9")
-    with pytest.raises(DataError):
-        nc_residuals(tr, lens, "eq11")
+    for c in ("eq9", "eq11"):
+        with pytest.raises(DataError):
+            condition_residuals(tr, lens, [c])
     # eq10/eq12 fine without tangential data
-    assert np.allclose(nc_residuals(tr, lens, "eq10"), 0)
+    assert np.allclose(condition_residuals(tr, lens, ["eq10"])["eq10"], 0)
     with pytest.raises(DataError):
-        nc_residuals(tr, lens, "eq13")
+        condition_residuals(tr, lens, ["eq13"])
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +202,17 @@ def test_midpoint_family_cross_check(lens, solutions):
         sups.append(condition_report(tr, lens, "eq10").sup_window)
     assert sups[0] > sups[1] > sups[2]
     assert sups[2] <= 1e-4
+    # every condition converges at the family's second order (h^2 log h)
+    domain = lens_domain(0.8)
+    ladder = {c: [] for c in CONDITION_IDS}
+    for n in (96, 192, 384, 768):
+        rule = build_rule("midpoint-uniform", n, -1, 1)
+        tr = make_trace(solutions["z2"], domain, rule)
+        mask = window_mask(rule, 0.2)
+        for c, v in condition_residuals(tr, domain, CONDITION_IDS).items():
+            ladder[c].append(np.max(np.abs(v[mask])))
+    for c, s in ladder.items():
+        assert s[1] / s[2] >= 3.5 and s[2] / s[3] >= 3.5, (c, s)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +224,8 @@ def test_midpoint_family_cross_check(lens, solutions):
 def test_eq7_boundary_residuals(lens, solutions, name, side):
     rule = build_rule("gauss-legendre", 256, -1, 1)
     tr = make_trace(solutions[name], lens, rule)
-    res = eq7_boundary_residuals(tr, lens, side)
+    target = tr.u_lower if side == "lower" else tr.u_upper
+    res = representation_boundary(tr, lens, side) - target
     mask = window_mask(rule, 0.2)
     assert np.max(np.abs(res[mask])) <= 1e-3
     assert np.max(np.abs(res[mask])) <= 1e-10  # spectral floor in practice
@@ -243,7 +254,7 @@ def test_pure_x1_trace_boundary_representation(lens):
     g = (1 - x * x) * np.exp(x)
     z = np.zeros(rule.n, dtype=complex)
     tr = BoundaryTrace(rule, g.astype(complex), g.astype(complex), z, z)
-    res = eq7_boundary_residuals(tr, lens, "lower")
+    res = representation_boundary(tr, lens, "lower") - tr.u_lower
     mask = window_mask(rule, 0.2)
     assert np.max(np.abs(res[mask])) <= 1e-3
 

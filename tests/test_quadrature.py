@@ -255,18 +255,30 @@ def test_log_weights_polynomial_exact():
 
 
 def test_log_weights_midpoint_window():
-    rule = build_rule("midpoint-uniform", 200, -1, 1)
-    wl = log_weight_matrix(rule)
-    i = 77
-    xi = float(rule.nodes[i])
-    exact = quad(lambda x: np.exp(x) * np.log(abs(x - xi)), -1, 1,
-                 points=[xi], limit=400)[0]
-    assert abs(wl[i] @ np.exp(rule.nodes) - exact) <= 1e-3
+    # exact cell moments: the error on the interior nodes falls at second
+    # order (h^2 log h), and every row integrates a constant exactly
+    f = lambda x: np.exp(0.7 * x) * np.cos(x)
+
+    def exact(xi):
+        return (quad(f, -1, xi, weight="alg-logb", wvar=(0, 0))[0]
+                + quad(f, xi, 1, weight="alg-loga", wvar=(0, 0))[0])
+
+    errs = []
+    for n in (96, 192, 384, 768):
+        rule = build_rule("midpoint-uniform", n, -1, 1)
+        wl = log_weight_matrix(rule)
+        x = rule.nodes
+        const = (1 - x) * (np.log(1 - x) - 1) + (1 + x) * (np.log(1 + x) - 1)
+        assert np.max(np.abs(wl.sum(axis=1) - const)) <= 1e-13
+        inner = np.abs(x) <= 0.8
+        approx = wl[inner] @ f(x)
+        errs.append(max(abs(v - exact(xi)) for v, xi in zip(approx, x[inner])))
+    assert all(e0 / e1 >= 3.0 for e0, e1 in zip(errs, errs[1:])), errs
 
 
 def test_log_weights_families_agree():
-    # the windowed midpoint scheme is the cross-check oracle for the
-    # Legendre product integration
+    # midpoint product integration (exact cell log moments) is the
+    # cross-check oracle for the Legendre product integration
     f = lambda x: np.cos(2 * x)
     xi = None
     g_rule = build_rule("gauss-legendre", 96, -1, 1)

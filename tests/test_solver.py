@@ -6,7 +6,13 @@ from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
 from cbie.conditions import BoundaryTrace, build_operators
 from cbie.errors import DomainError, NumericError, SolverError
 from cbie.geometry import lens_domain
-from cbie.manufactured import canonical_solutions, eval_solution, make_bc, make_trace
+from cbie.manufactured import (
+    SolutionSpec,
+    canonical_solutions,
+    eval_solution,
+    make_bc,
+    make_trace,
+)
 from cbie.quadrature import build_rule
 from cbie.solver import (
     convergence_sweep,
@@ -288,15 +294,13 @@ def test_convergence_sweep_quadratic(lens, solutions):
 
 def test_convergence_sweep_single_level_degenerate(lens):
     bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
-    table = convergence_sweep(lens, bc, [64])
+    table = convergence_sweep(lens, bc, [64], truth=SolutionSpec("zero"))
     assert len(table.levels) == 1
-    assert "trace_error" not in table.levels[0]
+    assert table.levels[0]["trace_error"] <= 1e-12
     assert table.ratios == []
 
 
 def test_convergence_sweep_zero_data(lens):
-    from cbie.manufactured import SolutionSpec
-
     bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
     table = convergence_sweep(lens, bc, [32, 64], truth=SolutionSpec("zero"))
     for row in table.levels:
@@ -308,4 +312,4 @@ def test_convergence_sweep_zero_data(lens):
 def test_convergence_sweep_rejects_unsorted(lens):
     bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
     with pytest.raises(SolverError):
-        convergence_sweep(lens, bc, [128, 64])
+        convergence_sweep(lens, bc, [128, 64], truth=SolutionSpec("zero"))
