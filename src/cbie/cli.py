@@ -19,14 +19,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import BCSpec, compactness_probe, dump_system
-from .conditions import CONDITION_IDS, condition_residuals, window_mask
+from .conditions import CONDITION_IDS, WINDOW_FRACTION, condition_residuals, window_mask
 from .errors import CbieError, ConfigurationError, GeometryError, NumericError
-from .geometry import domain_from_config, validate_domain
+from .geometry import CurveDescriptor, PlaneDomain, validate_domain
 from .kernel import (
     KernelPoint,
     dU_dx1,
@@ -36,17 +37,17 @@ from .kernel import (
     heaviside_sym,
 )
 from .lcg import Lcg
-from .manufactured import complex_from_config, make_bc, make_trace, solution_from_config
+from .manufactured import SolutionSpec, canonical_solutions, make_bc, make_trace
 from .quadrature import FAMILIES, build_rule, pv_integrate
-from .solver import convergence_sweep, solve_problem
+from .solver import COND_THRESHOLD, convergence_sweep, solve_problem
 
 SCHEMA_VERSION = "1"
 MIN_SOLVE_NODES = 8  # smallest rule a solve accepts, at rule.n and in rule.levels
 PV_GATED_NODES = 64  # pv-check gates the levels from here up
 
 DEFAULT_TOLERANCES = {
-    "window_delta": None,        # None -> 0.1 (b1 - a1)
-    "cond_threshold": 1e8,
+    "window_delta": None,        # None -> WINDOW_FRACTION (b1 - a1)
+    "cond_threshold": COND_THRESHOLD,
     "fund_tol": 1e-10,
     "deriv_tol": 1e-8,
     "annih_tol": 1e-6,
@@ -80,18 +81,28 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def _number(value, key: str) -> float:
-    """float(value) if it is a finite number (not a boolean), or a
-    ConfigurationError naming the config key: a NaN bound would pass every
-    comparison gate."""
-    if isinstance(value, bool):
+    """value as a float if it is a finite JSON number (an int or a float, not
+    a boolean or a string), or a ConfigurationError naming the config key: a
+    NaN bound would pass every comparison gate."""
+    if type(value) not in (int, float):
         raise ConfigurationError(f"{key} must be a number, got {value!r}")
     try:
         number = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key} must be a number, got {value!r}") from exc
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigurationError(f"{key} is out of the float range") from exc
     if not math.isfinite(number):
         raise ConfigurationError(f"{key} must be finite, got {value!r}")
     return number
+
+
+def _complex(value, key: str) -> complex:
+    """value as a complex if it is a number or a pair [re, im] of numbers,
+    each read by _number."""
+    if isinstance(value, list):
+        if len(value) != 2:
+            raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}")
+        return complex(_number(value[0], key), _number(value[1], key))
+    return complex(_number(value, key))
 
 
 def _integer(value, key: str) -> int:
@@ -99,6 +110,14 @@ def _integer(value, key: str) -> int:
     naming the config key; a fraction is never truncated."""
     if type(value) is not int:
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _boolean(value, key: str) -> bool:
+    """value if it is a JSON boolean, or a ConfigurationError naming the key:
+    the string "no" is not false."""
+    if type(value) is not bool:
+        raise ConfigurationError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -114,9 +133,10 @@ def load_config(path: str) -> dict:
             f"{exc.msg}") from exc
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
-    version = cfg.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
-        raise ConfigurationError(f"unsupported schema_version {version!r}")
+    version = _require(cfg, "schema_version")
+    if version != SCHEMA_VERSION:
+        raise ConfigurationError(
+            f"schema_version must be the string {SCHEMA_VERSION!r}, got {version!r}")
     return cfg
 
 
@@ -162,11 +182,12 @@ def _family_levels(cfg: dict, default: list, minimum: int, gated: int = 0) -> tu
 
 def _window_delta(tol: dict, domain, family: str, levels: list):
     """tolerances.window_delta, checked to leave a node of every level's rule
-    inside the window [a1 + delta, b1 - delta]; None selects 0.1 (b1 - a1),
-    which leaves one for any rule of two or more nodes."""
+    inside the window [a1 + delta, b1 - delta]; None selects
+    WINDOW_FRACTION (b1 - a1), which leaves one for any rule of two or more
+    nodes."""
     delta = tol["window_delta"]
     if delta is None:
-        return 0.1 * (domain.b1 - domain.a1)
+        return WINDOW_FRACTION * (domain.b1 - domain.a1)
     if not (delta >= 0 and all(
             np.any(window_mask(build_rule(family, n, domain.a1, domain.b1), delta))
             for n in levels)):
@@ -190,11 +211,32 @@ def _tolerances(cfg: dict) -> dict:
     return tol
 
 
-def _domain(cfg: dict):
+def _built(key: str, constructor, *args):
+    """constructor(*args), its GeometryError (the library's own check of the
+    curve or domain) raised as a ConfigurationError naming the key."""
     try:
-        domain = domain_from_config(_require(cfg, "domain"))
+        return constructor(*args)
     except GeometryError as exc:
-        raise ConfigurationError(str(exc)) from exc
+        raise ConfigurationError(f"{key}: {exc}") from exc
+
+
+def _curve(block: dict, key: str) -> CurveDescriptor:
+    """key, domain.lower or domain.upper: a curve kind and its list of numbers."""
+    curve = _object(_require(block, key), key)
+    kind = _require(curve, f"{key}.kind")
+    params = _require(curve, f"{key}.params")
+    if not isinstance(params, list):
+        raise ConfigurationError(f"{key}.params must be a list of numbers, got {params!r}")
+    params = tuple(_number(p, f"{key}.params[{i}]") for i, p in enumerate(params))
+    return _built(key, CurveDescriptor, kind, params)
+
+
+def _domain(cfg: dict) -> PlaneDomain:
+    block = _object(_require(cfg, "domain"), "domain")
+    a1 = _number(_require(block, "domain.a1"), "domain.a1")
+    b1 = _number(_require(block, "domain.b1"), "domain.b1")
+    domain = _built("domain", PlaneDomain, a1, b1,
+                    _curve(block, "domain.lower"), _curve(block, "domain.upper"))
     report = validate_domain(domain, probes=201)
     if report.convexity_violations:
         raise ConfigurationError(
@@ -234,10 +276,43 @@ def _phi_from_tabulated(path: str):
 
 
 def _alpha(block: dict, key: str) -> complex:
-    alpha = complex_from_config(_require(block, key), key)
+    alpha = _complex(_require(block, key), key)
     if alpha == 0:
         raise ConfigurationError(f"{key} must be nonzero")
     return alpha
+
+
+def _solution(block: dict) -> SolutionSpec:
+    """bc.phi.solution: a named solution alone, or coefficient lists with an
+    optional exponential scale, every entry read by _complex."""
+    known = [f.name for f in fields(SolutionSpec)]
+    for key in block:
+        if key not in known:
+            raise ConfigurationError(f"bc.phi.solution.{key}: unknown key; known: {known}")
+    name = block.get("name", "custom")
+    if not isinstance(name, str):
+        raise ConfigurationError(f"bc.phi.solution.name must be a string, got {name!r}")
+    if "name" in block and len(block) == 1:
+        table = canonical_solutions()
+        if name not in table:
+            raise ConfigurationError(f"bc.phi.solution.name: unknown solution "
+                                     f"{name!r}; known: {sorted(table)}")
+        return table[name]
+
+    def coeffs(key):
+        values = block.get(key, [])
+        if not isinstance(values, list):
+            raise ConfigurationError(
+                f"bc.phi.solution.{key} must be a list of coefficients, got {values!r}")
+        return tuple(_complex(c, f"bc.phi.solution.{key}[{i}]") for i, c in enumerate(values))
+
+    scale = block.get("f_exp_scale")
+    return SolutionSpec(
+        name=name,
+        f_coeffs=coeffs("f_coeffs"),
+        f_exp_scale=None if scale is None else _complex(scale, "bc.phi.solution.f_exp_scale"),
+        g_coeffs=coeffs("g_coeffs"),
+    )
 
 
 def _bc(cfg: dict, domain):
@@ -245,7 +320,7 @@ def _bc(cfg: dict, domain):
     alpha1, alpha2 = _alpha(block, "bc.alpha1"), _alpha(block, "bc.alpha2")
     phi_block = _object(_require(block, "bc.phi"), "bc.phi")
     if "solution" in phi_block:
-        spec = solution_from_config(_object(phi_block["solution"], "bc.phi.solution"))
+        spec = _solution(_object(phi_block["solution"], "bc.phi.solution"))
         return make_bc(spec, domain, alpha1, alpha2, None), spec
     if "tabulated" in phi_block:
         phi1, phi2 = _phi_from_tabulated(phi_block["tabulated"])
@@ -409,11 +484,12 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     if n < MIN_SOLVE_NODES:
         raise ConfigurationError(f"rule.n must be >= {MIN_SOLVE_NODES}, got {n}")
     family = _family(rule_cfg)
+    dump = _boolean(cfg.get("dump_system", False), "dump_system")
     rule = build_rule(family, n, domain.a1, domain.b1)
     report = solve_problem(domain, bc, rule, cond_threshold=tol["cond_threshold"])
     system = report.system
     probe = compactness_probe(system)
-    if cfg.get("dump_system"):
+    if dump:
         dump_system(system, outdir / "system.bin")
 
     write_csv(outdir / "traces.csv",

@@ -337,6 +337,9 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
 # Reports
 # ---------------------------------------------------------------------------
 
+WINDOW_FRACTION = 0.1  # the default window delta, as a fraction of b - a
+
+
 def window_mask(rule: QuadratureRule, delta: float) -> np.ndarray:
     return (rule.nodes >= rule.a + delta) & (rule.nodes <= rule.b - delta)
 
@@ -344,10 +347,11 @@ def window_mask(rule: QuadratureRule, delta: float) -> np.ndarray:
 def condition_report(trace: BoundaryTrace, domain: PlaneDomain, condition_id: str,
                      delta: Optional[float] = None) -> ResidualReport:
     """Evaluate one condition at all nodes and take the sup over the
-    interior window [a + delta, b - delta] (default delta = 0.1 (b - a))."""
+    interior window [a + delta, b - delta] (default delta =
+    WINDOW_FRACTION (b - a))."""
     rule = trace.rule
     if delta is None:
-        delta = 0.1 * (rule.b - rule.a)
+        delta = WINDOW_FRACTION * (rule.b - rule.a)
     vals = condition_residuals(trace, domain, (condition_id,))[condition_id]
     mags = np.abs(vals)
     mask = window_mask(rule, delta)

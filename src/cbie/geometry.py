@@ -199,24 +199,3 @@ def lens_domain(half_height: float = 1.0) -> PlaneDomain:
         upper=CurveDescriptor("lens", (half_height,)),
     )
 
-
-def domain_from_config(block: dict) -> PlaneDomain:
-    """Build a PlaneDomain from the CLI's JSON domain block; a missing key or
-    a bad value raises GeometryError naming where it sits."""
-
-    def entry(where: str, build):
-        try:
-            return build()
-        except KeyError as exc:
-            raise GeometryError(f"{where}: missing key {exc.args[0]!r}") from exc
-        except (GeometryError, TypeError, ValueError) as exc:
-            raise GeometryError(f"{where}: {exc}") from exc
-
-    def curve(side: str) -> CurveDescriptor:
-        return entry(f"domain.{side}", lambda: CurveDescriptor(
-            block[side]["kind"], tuple(block[side]["params"])))
-
-    a1 = entry("domain.a1", lambda: float(block["a1"]))
-    b1 = entry("domain.b1", lambda: float(block["b1"]))
-    lower, upper = curve("lower"), curve("upper")
-    return entry("domain", lambda: PlaneDomain(a1, b1, lower, upper))

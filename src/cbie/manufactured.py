@@ -14,8 +14,7 @@ oracle for every other module.  Closed forms:
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,57 +80,6 @@ def canonical_solutions() -> dict:
                                       g_coeffs=(0.0, 0.0, 0.0, 1.0)),
         "exp_half": SolutionSpec("exp_half", f_exp_scale=0.5),
     }
-
-
-def complex_from_config(value, key: str) -> complex:
-    """A finite config number given as a scalar or as [re, im]; a bad value,
-    a boolean among them, raises ConfigurationError naming the key."""
-    parts = value if isinstance(value, (list, tuple)) else [value]
-    if any(isinstance(v, bool) for v in parts):
-        raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}")
-    try:
-        if isinstance(value, (list, tuple)):
-            re, im = value
-            number = complex(float(re), float(im))
-        else:
-            number = complex(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{key} must be a number or [re, im], got {value!r}") from exc
-    if not cmath.isfinite(number):
-        raise ConfigurationError(f"{key} must be finite, got {value!r}")
-    return number
-
-
-def solution_from_config(block: dict) -> SolutionSpec:
-    known = [f.name for f in fields(SolutionSpec)]
-    for key in block:
-        if key not in known:
-            raise ConfigurationError(f"bc.phi.solution.{key}: unknown key; known: {known}")
-    name = block.get("name", "custom")
-    if not isinstance(name, str):
-        raise ConfigurationError(f"bc.phi.solution.name must be a string, got {name!r}")
-    if "name" in block and len(block) == 1:
-        table = canonical_solutions()
-        if name not in table:
-            raise ConfigurationError(f"bc.phi.solution.name: unknown solution "
-                                     f"{name!r}; known: {sorted(table)}")
-        return table[name]
-
-    def coeffs(key):
-        values = block.get(key, ())
-        if not isinstance(values, (list, tuple)):
-            raise ConfigurationError(
-                f"bc.phi.solution.{key} must be a list of coefficients, got {values!r}")
-        return tuple(complex_from_config(c, f"bc.phi.solution.{key}") for c in values)
-
-    scale = block.get("f_exp_scale")
-    return SolutionSpec(
-        name=name,
-        f_coeffs=coeffs("f_coeffs"),
-        f_exp_scale=(None if scale is None
-                     else complex_from_config(scale, "bc.phi.solution.f_exp_scale")),
-        g_coeffs=coeffs("g_coeffs"),
-    )
 
 
 def make_trace(spec: SolutionSpec, domain: PlaneDomain, rule: QuadratureRule) -> BoundaryTrace:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
-from .conditions import BoundaryTrace, build_operators, log_parts, window_mask
+from .conditions import WINDOW_FRACTION, BoundaryTrace, build_operators, log_parts, window_mask
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
@@ -19,6 +19,8 @@ from .quadrature import (
     partial_integral_matrix,
     sample_interpolator,
 )
+
+COND_THRESHOLD = 1e8  # a larger 1-norm condition estimate takes least squares
 
 
 @dataclass
@@ -33,7 +35,7 @@ class SolveReport:
     system: Optional[FredholmSystem] = field(default=None, repr=False)
 
 
-def solve_system(system: FredholmSystem, cond_threshold: float = 1e8) -> SolveReport:
+def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD) -> SolveReport:
     """Direct dense solve below the condition threshold, otherwise a
     minimum-norm least-squares fallback (the problem is Fredholm but not
     guaranteed uniquely solvable at every boundary-constant pair).
@@ -124,7 +126,7 @@ def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
 
 
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
-                  cond_threshold: float = 1e8) -> SolveReport:
+                  cond_threshold: float = COND_THRESHOLD) -> SolveReport:
     """Assemble, solve, and reconstruct on the interior grid."""
     system = assemble(domain, bc, rule)
     report = solve_system(system, cond_threshold)
@@ -143,7 +145,7 @@ class ConvergenceTable:
 
 def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
                       truth: SolutionSpec, family: str = "gauss-legendre",
-                      cond_threshold: float = 1e8,
+                      cond_threshold: float = COND_THRESHOLD,
                       delta: Optional[float] = None) -> ConvergenceTable:
     """Solve at each level; report residual, conditioning, and the errors
     against the exact solution `truth`: interior-window trace errors with
@@ -152,7 +154,7 @@ def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
     if sorted(levels) != levels or len(set(levels)) != len(levels):
         raise SolverError("levels must be strictly increasing")
     if delta is None:
-        delta = 0.1 * (domain.b1 - domain.a1)
+        delta = WINDOW_FRACTION * (domain.b1 - domain.a1)
     rows = []
     for n in levels:
         rule = build_rule(family, n, domain.a1, domain.b1)

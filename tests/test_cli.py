@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbie.cli import TASKS, main
+from cbie.cli import DEFAULT_TOLERANCES, TASKS, _domain, _solution, main
+from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
+from cbie.manufactured import eval_solution
 
 LENS_DOMAIN = {
     "a1": -1.0, "b1": 1.0,
@@ -139,6 +141,14 @@ def _constant_phi(tmp):
                  id="tabulated-not-a-path"),
     pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="x"),
                  id="alpha1-text"),
+    pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="1+0j"),
+                 id="alpha1-complex-text"),
+    pytest.param("solve", "domain.upper.params",
+                 lambda cfg, tmp: cfg["domain"]["upper"].update(params="2"),
+                 id="params-text"),
+    pytest.param("solve", "domain.lower.kind",
+                 lambda cfg, tmp: cfg["domain"]["lower"].pop("kind"),
+                 id="missing-curve-kind"),
     pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n="abc"), id="n-text"),
     pytest.param("solve", "domain.a1", lambda cfg, tmp: cfg["domain"].update(a1="abc"),
                  id="a1-text"),
@@ -281,10 +291,20 @@ def _leaf_paths(node, path=()):
     return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
 
 
+def _leaf(cfg, path):
+    for key in path:
+        cfg = cfg[key]
+    return cfg
+
+
+def _set_leaf(cfg, path, value):
+    _leaf(cfg, path[:-1])[path[-1]] = value
+
+
 # small values only: a large rule.n would allocate a huge matrix
 LEAF_VALUES = st.one_of(
     st.sampled_from([None, True, False, 0.5, -0.5, float("nan"), float("inf"),
-                     "x", [], [1, 2], {}]),
+                     "x", "1", "1e-3", [], [1, 2], {}]),
     st.integers(min_value=-2, max_value=40))
 
 
@@ -294,10 +314,7 @@ LEAF_VALUES = st.one_of(
        value=LEAF_VALUES)
 def test_mutated_leaf_exits_cleanly(tmp_path_factory, task, path, value):
     cfg = copy.deepcopy(SMALL_CONFIG)
-    parent = cfg
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _set_leaf(cfg, path, value)
     tmp = tmp_path_factory.mktemp("mutated")
     config = _write(tmp / "c.json", cfg)
     err = io.StringIO()
@@ -307,6 +324,87 @@ def test_mutated_leaf_exits_cleanly(tmp_path_factory, task, path, value):
     if status == 2:
         assert err.getvalue().startswith("configuration error:")
         assert path[0] in err.getvalue()
+
+
+# Every numeric leaf that solve reads: the domain, the boundary constants,
+# rule.n, each tolerance and the seed.
+NUMERIC_CFG = dict(_solve_cfg(), seed=42,
+                   tolerances=dict(DEFAULT_TOLERANCES, window_delta=0.2))
+NUMERIC_LEAVES = [path for path in _leaf_paths(NUMERIC_CFG)
+                  if type(_leaf(NUMERIC_CFG, path)) in (int, float)]
+
+
+def _run(task, cfg, tmp_path, outdir, capsys):
+    """(exit status, stderr) of task run on cfg."""
+    status = main([task, "--config", _write(tmp_path / "c.json", cfg), "--out", str(outdir)])
+    return status, capsys.readouterr().err
+
+
+def test_numeric_leaves_config_solves(tmp_path, outdir, capsys):
+    assert len(NUMERIC_LEAVES) == 18
+    assert _run("solve", NUMERIC_CFG, tmp_path, outdir, capsys)[0] == 0
+
+
+@pytest.mark.parametrize("mutate", [lambda v: True, str], ids=["boolean", "text"])
+@pytest.mark.parametrize("path", NUMERIC_LEAVES, ids=lambda p: ".".join(map(str, p)))
+def test_numeric_leaf_takes_only_json_numbers(tmp_path, outdir, capsys, path, mutate):
+    cfg = copy.deepcopy(NUMERIC_CFG)
+    _set_leaf(cfg, path, mutate(_leaf(cfg, path)))
+    status, err = _run("solve", cfg, tmp_path, outdir, capsys)
+    assert status == 2
+    assert err.startswith("configuration error:")
+    assert ".".join(k for k in path if isinstance(k, str)) in err
+
+
+@pytest.mark.parametrize("path", [("tolerances", "sup_residual"), ("bc", "alpha1"),
+                                  ("bc", "alpha2", 1), ("domain", "a1")],
+                         ids=lambda p: ".".join(map(str, p)))
+def test_huge_integer_exits_2(tmp_path, outdir, capsys, path):
+    cfg = copy.deepcopy(NUMERIC_CFG)
+    cfg["bc"]["alpha2"] = [2.0, 0.0]
+    _set_leaf(cfg, path, 10**400)  # 401 digits: beyond the float range
+    status, err = _run("solve", cfg, tmp_path, outdir, capsys)
+    assert status == 2
+    assert err.startswith("configuration error:")
+    assert ".".join(path[:2]) in err
+    assert "Traceback" not in err
+
+
+def test_dump_system_takes_only_booleans(tmp_path, outdir, capsys):
+    status, err = _run("solve", dict(_solve_cfg(), dump_system="no"), tmp_path, outdir, capsys)
+    assert status == 2
+    assert "dump_system" in err
+    assert not list(outdir.iterdir())
+
+
+@pytest.mark.parametrize("version", [None, 1], ids=["missing", "integer"])
+def test_schema_version_must_be_the_string_1(tmp_path, outdir, capsys, version):
+    cfg = {"points": 3} if version is None else {"schema_version": version, "points": 3}
+    status, err = _run("kernel-check", cfg, tmp_path, outdir, capsys)
+    assert status == 2
+    assert err.startswith("configuration error:")
+    assert "schema_version" in err
+
+
+def test_domain_reader_roundtrip():
+    dom = _domain({"domain": LENS_DOMAIN})
+    assert dom.contains(0.0, 0.5)
+    assert not dom.contains(0.0, 1.5)
+    with pytest.raises(ConfigurationError, match="domain.lower"):
+        _domain({"domain": {"a1": -1.0, "b1": 1.0}})
+
+
+def test_solution_reader_named():
+    spec = _solution({"name": "z2_plus_cubic"})
+    assert spec.name == "z2_plus_cubic"
+    with pytest.raises(ConfigurationError, match="bc.phi.solution.name"):
+        _solution({"name": "nope"})
+
+
+def test_solution_reader_custom():
+    spec = _solution({"f_coeffs": [[0.0, 0.0], [1.0, 0.5]], "g_coeffs": [2.0]})
+    u, _, _ = eval_solution(spec, 0.0, 1.0)
+    assert u == pytest.approx((1 + 0.5j) * 1.0 + 2.0)
 
 
 @pytest.mark.parametrize("task", list(TASKS))

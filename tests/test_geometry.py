@@ -5,7 +5,6 @@ from cbie.errors import DomainError, GeometryError
 from cbie.geometry import (
     CurveDescriptor,
     PlaneDomain,
-    domain_from_config,
     validate_domain,
 )
 
@@ -100,14 +99,3 @@ def test_curvature_values(lens):
     assert lens.lower.curvature(-0.4) == pytest.approx(2.0)
     poly = CurveDescriptor("polynomial", (1.0, 2.0, 3.0, 4.0))
     assert poly.curvature(0.5) == pytest.approx(6.0 + 24.0 * 0.5)
-
-
-def test_domain_from_config_roundtrip():
-    block = {"a1": -1.0, "b1": 1.0,
-             "lower": {"kind": "lens", "params": [-1.0]},
-             "upper": {"kind": "lens", "params": [1.0]}}
-    dom = domain_from_config(block)
-    assert dom.contains(0.0, 0.5)
-    assert not dom.contains(0.0, 1.5)
-    with pytest.raises(GeometryError):
-        domain_from_config({"a1": -1.0, "b1": 1.0})

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
 from cbie.manufactured import (
     SolutionSpec,
@@ -10,7 +9,6 @@ from cbie.manufactured import (
     make_bc,
     make_trace,
     pde_residual_check,
-    solution_from_config,
 )
 from cbie.quadrature import build_rule
 
@@ -135,16 +133,3 @@ def test_trace_consistency_single_source(lens):
     assert np.array_equal(tr.u_lower, u_direct)
     assert np.array_equal(tr.du_lower, du_direct)
     assert np.array_equal(tr.ux1_lower, ux1_direct)
-
-
-def test_solution_from_config_named():
-    spec = solution_from_config({"name": "z2_plus_cubic"})
-    assert spec.name == "z2_plus_cubic"
-    with pytest.raises(ConfigurationError):
-        solution_from_config({"name": "nope"})
-
-
-def test_solution_from_config_custom():
-    spec = solution_from_config({"f_coeffs": [[0.0, 0.0], [1.0, 0.5]], "g_coeffs": [2.0]})
-    u, _, _ = eval_solution(spec, 0.0, 1.0)
-    assert u == pytest.approx((1 + 0.5j) * 1.0 + 2.0)
