@@ -37,12 +37,13 @@ from .kernel import (
     heaviside_sym,
 )
 from .lcg import Lcg
-from .manufactured import SolutionSpec, canonical_solutions, make_bc, make_trace
+from .manufactured import SolutionSpec, canonical_solutions, eval_solution, make_bc, make_trace
 from .quadrature import FAMILIES, build_rule, pv_integrate
-from .solver import COND_THRESHOLD, convergence_sweep, solve_problem
+from .solver import COND_THRESHOLD, solve_problem
 
 SCHEMA_VERSION = "1"
 MIN_SOLVE_NODES = 8  # smallest rule a solve accepts, at rule.n and in rule.levels
+MAX_NODES = 4096  # largest rule, at rule.n and in rule.levels: 2N x 2N complex is 1 GiB here
 PV_GATED_NODES = 64  # pv-check gates the levels from here up
 
 DEFAULT_TOLERANCES = {
@@ -165,36 +166,38 @@ def _family(rule: dict) -> str:
 
 def _family_levels(cfg: dict, default: list, minimum: int, gated: int = 0) -> tuple:
     """(rule.family, rule.levels), the levels a non-empty, strictly increasing
-    list of integers >= minimum whose last level is >= gated, the smallest
-    level the task's gate checks."""
+    list of integers in [minimum, MAX_NODES] whose last level is >= gated,
+    the smallest level the task's gate checks."""
     rule = _object(cfg.get("rule", {}), "rule")
     levels = rule.get("levels", default)
     if not (isinstance(levels, list) and levels
-            and all(type(n) is int and n >= minimum for n in levels)
+            and all(type(n) is int and minimum <= n <= MAX_NODES for n in levels)
             and all(n0 < n1 for n0, n1 in zip(levels, levels[1:]))):
         raise ConfigurationError(f"rule.levels must be a strictly increasing list of "
-                                 f"integers >= {minimum}, got {levels!r}")
+                                 f"integers from {minimum} to {MAX_NODES}, got {levels!r}")
     if levels[-1] < gated:
         raise ConfigurationError(f"rule.levels must include a level >= {gated}, the "
                                  f"smallest the gate checks, got {levels!r}")
     return _family(rule), levels
 
 
-def _window_delta(tol: dict, domain, family: str, levels: list):
-    """tolerances.window_delta, checked to leave a node of every level's rule
-    inside the window [a1 + delta, b1 - delta]; None selects
-    WINDOW_FRACTION (b1 - a1), which leaves one for any rule of two or more
-    nodes."""
+def _ladder(tol: dict, domain, family: str, levels: list):
+    """Yield (n, rule, mask) per level: the level's rule, built once, and the
+    mask of its nodes in the window [a1 + delta, b1 - delta], delta =
+    tolerances.window_delta.  None selects WINDOW_FRACTION (b1 - a1), which
+    leaves a node in the window for any rule of two or more nodes; a delta
+    that is negative or leaves no node is a ConfigurationError."""
     delta = tol["window_delta"]
     if delta is None:
-        return WINDOW_FRACTION * (domain.b1 - domain.a1)
-    if not (delta >= 0 and all(
-            np.any(window_mask(build_rule(family, n, domain.a1, domain.b1), delta))
-            for n in levels)):
-        raise ConfigurationError(
-            f"tolerances.window_delta = {delta!r} must be >= 0 and leave a node of "
-            f"every rule inside [a1 + delta, b1 - delta]")
-    return delta
+        delta = WINDOW_FRACTION * (domain.b1 - domain.a1)
+    for n in levels:
+        rule = build_rule(family, n, domain.a1, domain.b1)
+        mask = window_mask(rule, delta)
+        if not (delta >= 0 and np.any(mask)):
+            raise ConfigurationError(
+                f"tolerances.window_delta = {delta!r} must be >= 0 and leave a node of "
+                f"every rule inside [a1 + delta, b1 - delta]")
+        yield n, rule, mask
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -447,12 +450,9 @@ def run_nc_verify(cfg: dict, outdir: Path, seed: int) -> int:
         raise ConfigurationError(f"conditions must be a non-empty list of distinct ids "
                                  f"from {list(CONDITION_IDS)}, got {conditions!r}")
     family, levels = _family_levels(cfg, [64, 128, 256], 2)
-    delta = _window_delta(tol, domain, family, levels)
 
     sups = {c: [] for c in conditions}
-    for n in levels:
-        rule = build_rule(family, n, domain.a1, domain.b1)
-        mask = window_mask(rule, delta)  # holds a node (_window_delta)
+    for n, rule, mask in _ladder(tol, domain, family, levels):
         for c, v in condition_residuals(make_trace(spec, domain, rule), domain,
                                         conditions).items():
             sups[c].append(float(np.max(np.abs(v[mask]))))
@@ -481,8 +481,9 @@ def run_solve(cfg: dict, outdir: Path, seed: int) -> int:
     bc, spec = _bc(cfg, domain)
     rule_cfg = _object(_require(cfg, "rule"), "rule")
     n = _integer(_require(rule_cfg, "rule.n"), "rule.n")
-    if n < MIN_SOLVE_NODES:
-        raise ConfigurationError(f"rule.n must be >= {MIN_SOLVE_NODES}, got {n}")
+    if not MIN_SOLVE_NODES <= n <= MAX_NODES:
+        raise ConfigurationError(
+            f"rule.n must be from {MIN_SOLVE_NODES} to {MAX_NODES}, got {n}")
     family = _family(rule_cfg)
     dump = _boolean(cfg.get("dump_system", False), "dump_system")
     rule = build_rule(family, n, domain.a1, domain.b1)
@@ -525,16 +526,32 @@ def run_convergence(cfg: dict, outdir: Path, seed: int) -> int:
         raise ConfigurationError("convergence needs bc.phi.solution: bc.phi.tabulated "
                                  "gives no exact solution to check against")
     family, levels = _family_levels(cfg, [64, 128, 256], MIN_SOLVE_NODES)
-    table = convergence_sweep(domain, bc, levels, family=family, truth=spec,
-                              cond_threshold=tol["cond_threshold"],
-                              delta=_window_delta(tol, domain, family, levels))
-    errs = [row["trace_error"] for row in table.levels]
-    ok = all(e1 <= max(e0, tol["ratio_floor"]) for e0, e1 in zip(errs, errs[1:]))
+    rows = []
+    for n, rule, mask in _ladder(tol, domain, family, levels):
+        report = solve_problem(domain, bc, rule, tol["cond_threshold"])
+        exact = make_trace(spec, domain, rule)
+        rows.append({
+            "n": n,
+            "residual_norm": report.residual_norm,
+            "condition": report.condition_estimate,
+            "method": report.method,
+            "trace_error": max(
+                float(np.max(np.abs((report.u_lower - exact.u_lower)[mask]))),
+                float(np.max(np.abs((report.u_upper - exact.u_upper)[mask])))),
+            "interior_error": max(
+                (abs(val - complex(eval_solution(spec, x1, x2)[0]))
+                 for (x1, x2), val in report.interior_samples), default=0.0),
+        })
+    errs = [row["trace_error"] for row in rows]
+    # falling errors alone do not show convergence: the last level must also
+    # meet the bound nc-verify puts on its last level
+    ok = errs[-1] <= tol["sup_residual"] and all(
+        e1 <= max(e0, tol["ratio_floor"]) for e0, e1 in zip(errs, errs[1:]))
     write_json(outdir / "convergence.json", {
         "schema_version": SCHEMA_VERSION,
         "seed": seed,
-        "levels": table.levels,
-        "ratios": table.ratios,
+        "levels": rows,
+        "ratios": [float("inf") if e1 == 0 else e0 / e1 for e0, e1 in zip(errs, errs[1:])],
         "pass": bool(ok),
     })
     return 0 if ok else 1
@@ -576,7 +593,7 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except (NumericError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except CbieError as exc:

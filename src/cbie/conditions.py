@@ -250,7 +250,10 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     cauchy[diag, diag] += -2.0 * l21 - cauchy[:n, n:] @ ones
     cauchy[n + diag, n + diag] += 2.0 * l12 - cauchy[n:, :n] @ ones
 
-    return Operators(rule, g1, g2, g1p, g2p, pv, wlog, partial, eq8, cauchy, dku21)
+    arrays = (g1, g2, g1p, g2p, pv, wlog, partial, eq8, cauchy, dku21)
+    for arr in arrays:  # the cache hands these to every caller
+        arr.flags.writeable = False
+    return Operators(rule, *arrays)
 
 
 # ---------------------------------------------------------------------------

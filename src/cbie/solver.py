@@ -1,24 +1,18 @@
-"""Dense solve, interior reconstruction, and convergence sweeps."""
+"""Dense solve and interior reconstruction."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
-from .conditions import WINDOW_FRACTION, BoundaryTrace, build_operators, log_parts, window_mask
+from .conditions import BoundaryTrace, build_operators, log_parts
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
-from .manufactured import SolutionSpec, eval_solution, make_trace
-from .quadrature import (
-    QuadratureRule,
-    build_rule,
-    partial_integral_matrix,
-    sample_interpolator,
-)
+from .quadrature import QuadratureRule, partial_integral_matrix, sample_interpolator
 
 COND_THRESHOLD = 1e8  # a larger 1-norm condition estimate takes least squares
 
@@ -136,46 +130,3 @@ def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
     report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
     return report
 
-
-@dataclass
-class ConvergenceTable:
-    levels: list          # per level: dict with n, residual_norm, condition, ...
-    ratios: list          # trace-error ratios between consecutive levels
-
-
-def convergence_sweep(domain: PlaneDomain, bc: BCSpec, levels: Sequence[int],
-                      truth: SolutionSpec, family: str = "gauss-legendre",
-                      cond_threshold: float = COND_THRESHOLD,
-                      delta: Optional[float] = None) -> ConvergenceTable:
-    """Solve at each level; report residual, conditioning, and the errors
-    against the exact solution `truth`: interior-window trace errors with
-    their between-level ratios, and the interior-sample errors."""
-    levels = list(levels)
-    if sorted(levels) != levels or len(set(levels)) != len(levels):
-        raise SolverError("levels must be strictly increasing")
-    if delta is None:
-        delta = WINDOW_FRACTION * (domain.b1 - domain.a1)
-    rows = []
-    for n in levels:
-        rule = build_rule(family, n, domain.a1, domain.b1)
-        report = solve_problem(domain, bc, rule, cond_threshold)
-        mask = window_mask(rule, delta)
-        exact = make_trace(truth, domain, rule)
-        ierr = 0.0
-        for (pt, val) in report.interior_samples:
-            ue = complex(eval_solution(truth, pt[0], pt[1])[0])
-            ierr = max(ierr, abs(val - ue))
-        rows.append({
-            "n": n,
-            "residual_norm": report.residual_norm,
-            "condition": report.condition_estimate,
-            "method": report.method,
-            "trace_error": max(
-                float(np.max(np.abs((report.u_lower - exact.u_lower)[mask]))),
-                float(np.max(np.abs((report.u_upper - exact.u_upper)[mask])))),
-            "interior_error": ierr,
-        })
-    ratios = [float("inf") if cur["trace_error"] == 0
-              else prev["trace_error"] / cur["trace_error"]
-              for prev, cur in zip(rows, rows[1:])]
-    return ConvergenceTable(rows, ratios)

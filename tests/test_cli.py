@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbie.cli import DEFAULT_TOLERANCES, TASKS, _domain, _solution, main
+from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
 from cbie.manufactured import eval_solution
@@ -30,6 +30,11 @@ CUBIC_DOMAIN = {
     "a1": -1.0, "b1": 1.0,
     "lower": {"kind": "polynomial", "params": [-0.9, -0.1, 0.9, 0.1]},
     "upper": {"kind": "polynomial", "params": [1.1, 0.3, -1.1, -0.3]},
+}
+CIRCLE_DOMAIN = {
+    "a1": -1.0, "b1": 1.0,
+    "lower": {"kind": "ellipse-graph", "params": [1.0, -1.0]},
+    "upper": {"kind": "ellipse-graph", "params": [1.0, 1.0]},
 }
 OPEN_DOMAIN = {
     "a1": -1.0, "b1": 1.0,
@@ -176,6 +181,23 @@ def _constant_phi(tmp):
     pytest.param("nc-verify", "tolerances.window_delta",
                  lambda cfg, tmp: cfg.update(tolerances={"window_delta": 1.5}),
                  id="empty-window-nc-verify"),
+    pytest.param("convergence", "tolerances.window_delta",
+                 lambda cfg, tmp: cfg.update(tolerances={"window_delta": -0.1}),
+                 id="negative-window-convergence"),
+    pytest.param("nc-verify", "tolerances.window_delta",
+                 lambda cfg, tmp: cfg.update(tolerances={"window_delta": -0.1}),
+                 id="negative-window-nc-verify"),
+    # beyond MAX_NODES the 2N x 2N system alone would take over 1 GiB
+    pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n=10**400),
+                 id="n-huge"),
+    pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n=MAX_NODES + 1),
+                 id="n-above-cap"),
+    pytest.param("convergence", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [64, 10**400]}),
+                 id="levels-huge"),
+    pytest.param("nc-verify", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"levels": [64, MAX_NODES + 1]}),
+                 id="levels-above-cap"),
     pytest.param("solve", "rule", lambda cfg, tmp: cfg.update(rule=5), id="rule-not-object"),
     pytest.param("solve", "tolerances", lambda cfg, tmp: cfg.update(tolerances=[1]),
                  id="tolerances-not-object"),
@@ -441,6 +463,36 @@ def test_non_finite_boundary_data_exits_3(tmp_path, outdir, capsys):
     assert "boundary data non-finite" in capsys.readouterr().err
 
 
+def test_memory_error_exits_3(tmp_path, outdir, capsys, monkeypatch):
+    import cbie.cli
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.00 GiB")
+
+    monkeypatch.setattr(cbie.cli, "solve_problem", no_memory)
+    status, err = _run("solve", _solve_cfg(), tmp_path, outdir, capsys)
+    assert status == 3
+    assert err.startswith("numeric failure:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task", ["nc-verify", "convergence"])
+def test_ladder_builds_each_rule_once(tmp_path, outdir, capsys, monkeypatch, task):
+    import cbie.cli
+
+    original = cbie.cli.build_rule
+    built = []
+
+    def counting(family, n, a, b):
+        built.append(n)
+        return original(family, n, a, b)
+
+    monkeypatch.setattr(cbie.cli, "build_rule", counting)
+    cfg = dict(_solve_cfg(levels=[64, 128]), tolerances={"window_delta": 0.25})
+    assert _run(task, cfg, tmp_path, outdir, capsys)[0] == 0
+    assert built == [64, 128]
+
+
 def test_solve_assembles_once(tmp_path, outdir, monkeypatch):
     import cbie.assembly
     import cbie.cli
@@ -610,6 +662,53 @@ def test_convergence_task(tmp_path, outdir):
     payload = json.loads((outdir / "convergence.json").read_text())
     assert [row["n"] for row in payload["levels"]] == [32, 64]
     assert payload["pass"] is True
+
+
+def _convergence(tmp_path, outdir, levels, solution=None, domain=LENS_DOMAIN):
+    """(exit status, convergence.json) of a convergence run with alpha = (1, 2)."""
+    cfg = _write(tmp_path / "c.json", _solve_cfg(domain, solution, levels=levels))
+    status = main(["convergence", "--config", cfg, "--out", str(outdir)])
+    return status, json.loads((outdir / "convergence.json").read_text())
+
+
+def test_convergence_quadratic(tmp_path, outdir):
+    status, payload = _convergence(tmp_path, outdir, [64, 128, 256])
+    assert status == 0
+    errs = [row["trace_error"] for row in payload["levels"]]
+    assert errs[0] >= errs[1] >= errs[2] or errs[2] <= 1e-10
+    assert all(r >= 2.0 or errs[-1] <= 1e-10 for r in payload["ratios"])
+    ints = [row["interior_error"] for row in payload["levels"]]
+    assert ints[0] >= ints[1] >= ints[2] or ints[2] <= 1e-10
+
+
+@pytest.mark.parametrize("levels", [[64], [32, 64]], ids=["single-level", "two-levels"])
+def test_convergence_zero_data(tmp_path, outdir, levels):
+    status, payload = _convergence(tmp_path, outdir, levels, {"f_coeffs": []})
+    assert status == 0
+    assert [row["n"] for row in payload["levels"]] == levels
+    assert len(payload["ratios"]) == len(levels) - 1
+    for row in payload["levels"]:
+        assert row["residual_norm"] <= 1e-12
+        assert row["trace_error"] <= 1e-12
+        assert row["interior_error"] <= 1e-12
+
+
+def test_convergence_rejects_unsorted(tmp_path, outdir, capsys):
+    cfg = _write(tmp_path / "c.json", _solve_cfg(LENS_DOMAIN, {"f_coeffs": []},
+                                                 levels=[128, 64]))
+    assert main(["convergence", "--config", cfg, "--out", str(outdir)]) == 2
+    assert "rule.levels" in capsys.readouterr().err
+    assert not (outdir / "convergence.json").exists()
+
+
+def test_circle_convergence_exits_1(tmp_path, outdir):
+    # the errors fall at every level but stay O(1): a falling ladder alone
+    # must not pass
+    status, payload = _convergence(tmp_path, outdir, [64, 128, 256], domain=CIRCLE_DOMAIN)
+    errs = [row["trace_error"] for row in payload["levels"]]
+    assert errs[0] > errs[1] > errs[2] > DEFAULT_TOLERANCES["sup_residual"]
+    assert status == 1
+    assert payload["pass"] is False
 
 
 def test_tabulated_phi_source(tmp_path, outdir):

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from cbie.conditions import (
     CONDITION_IDS,
     BoundaryTrace,
+    Operators,
     _bounded_remainder,
     build_operators,
     condition_report,
@@ -358,3 +361,12 @@ def test_operators_match_complex_formulas(lens, solutions, domain_name, family, 
 def test_operators_cached(lens):
     rule = build_rule("gauss-legendre", 32, -1, 1)
     assert build_operators(lens, rule) is build_operators(lens, rule)
+
+
+def test_cached_operators_are_read_only(lens):
+    # the cache hands the same arrays to every caller: a write would change
+    # every later residual and assembly on this (domain, rule) pair
+    ops = build_operators(lens, build_rule("gauss-legendre", 16, -1, 1))
+    for f in fields(Operators)[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(ops, f.name)[0] = 0

@@ -4,18 +4,11 @@ import pytest
 from cbie import quadrature
 from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
 from cbie.conditions import BoundaryTrace, build_operators
-from cbie.errors import DomainError, NumericError, SolverError
+from cbie.errors import DomainError, NumericError
 from cbie.geometry import lens_domain
-from cbie.manufactured import (
-    SolutionSpec,
-    canonical_solutions,
-    eval_solution,
-    make_bc,
-    make_trace,
-)
+from cbie.manufactured import canonical_solutions, eval_solution, make_bc, make_trace
 from cbie.quadrature import build_rule
 from cbie.solver import (
-    convergence_sweep,
     default_interior_grid,
     reconstruct_interior,
     solve_problem,
@@ -279,37 +272,3 @@ def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
     rule = build_rule("gauss-legendre", n, -1, 1)
     solve_problem(lens, make_bc(spec, lens, 1.0, 2.0, None), rule)
     assert kmaxes.count(n - 1) == 1
-
-
-def test_convergence_sweep_quadratic(lens, solutions):
-    spec = solutions["z2"]
-    bc = make_bc(spec, lens, 1.0, 2.0, None)
-    table = convergence_sweep(lens, bc, [64, 128, 256], truth=spec)
-    errs = [row["trace_error"] for row in table.levels]
-    assert errs[0] >= errs[1] >= errs[2] or errs[2] <= 1e-10
-    assert all(r >= 2.0 or errs[-1] <= 1e-10 for r in table.ratios)
-    ints = [row["interior_error"] for row in table.levels]
-    assert ints[0] >= ints[1] >= ints[2] or ints[2] <= 1e-10
-
-
-def test_convergence_sweep_single_level_degenerate(lens):
-    bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
-    table = convergence_sweep(lens, bc, [64], truth=SolutionSpec("zero"))
-    assert len(table.levels) == 1
-    assert table.levels[0]["trace_error"] <= 1e-12
-    assert table.ratios == []
-
-
-def test_convergence_sweep_zero_data(lens):
-    bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
-    table = convergence_sweep(lens, bc, [32, 64], truth=SolutionSpec("zero"))
-    for row in table.levels:
-        assert row["residual_norm"] <= 1e-12
-        assert row["trace_error"] <= 1e-12
-        assert row["interior_error"] <= 1e-12
-
-
-def test_convergence_sweep_rejects_unsorted(lens):
-    bc = BCSpec(1.0, 2.0, lambda x: 0 * np.asarray(x), lambda x: 0 * np.asarray(x))
-    with pytest.raises(SolverError):
-        convergence_sweep(lens, bc, [128, 64], truth=SolutionSpec("zero"))
