@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import build_operators
+from .conditions import _real_matvec, build_operators
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
 from .quadrature import QuadratureRule
@@ -111,18 +111,25 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
     diag = np.arange(n)
-    # pv is real: one real GEMM on the interleaved (re, im) columns of eq8
-    g = ((1j / np.pi) * (ops.pv @ eq8.view(float)).view(complex)
-         - cauchy[:n] / a1c - cauchy[n:] / a2c)
+    matrix = np.empty((2 * n, 2 * n), dtype=complex)
+    top, g = matrix[:n], matrix[n:]
+    # pv is real: one real GEMM on the interleaved (re, im) columns of eq8,
+    # written straight into the bottom half; the top half serves as scratch
+    # for the scaled cauchy rows until it takes eq8
+    np.matmul(ops.pv, eq8.view(float), out=g.view(float))
+    g *= 1j / np.pi
+    for rows, a in ((cauchy[:n], a1c), (cauchy[n:], a2c)):
+        np.multiply(rows, 1.0 / a, out=top)
+        g -= top
     g[diag, diag] -= 1.0 / a1c
     g[diag, n + diag] -= 1.0 / a2c
+    top[...] = eq8
 
-    matrix = np.concatenate([eq8, g])
+    rhs = -(matrix @ phi)
+    rhs[n:] -= (1j / np.pi) * _real_matvec(ops.pv, phi1 / a1c - phi2 / a2c)
     matrix *= -alpha
     matrix[diag, diag] += 1.0
     matrix[diag, n + diag] -= 1.0
-    rhs = np.concatenate([-(eq8 @ phi), -(g @ phi)
-                          - (1j / np.pi) * (ops.pv @ (phi1 / a1c - phi2 / a2c))])
     if not np.all(np.isfinite(matrix)):
         i, j = np.argwhere(~np.isfinite(matrix))[0]
         raise AssemblyError(f"non-finite system entry at row {i}, column {j} "

@@ -41,12 +41,7 @@ from .errors import (
 )
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
-from .quadrature import (
-    QuadratureRule,
-    log_weight_matrix,
-    partial_integral_matrix,
-    pv_weight_matrix,
-)
+from .quadrature import QuadratureRule, node_weight_matrices, pv_weight_matrix
 
 CONDITION_IDS = ("eq8", "eq9", "eq10", "eq11", "eq12", "eq7-boundary")
 
@@ -100,15 +95,26 @@ def _diffq(gamma_vals: np.ndarray, slope_vals: np.ndarray, x: np.ndarray) -> np.
     return m
 
 
+def _angle(re, im, lifted: bool = False):
+    """arctan2(im, re): the principal angle or, lifted, the one in [0, 2pi),
+    the branch continuous across the negative real axis, for arguments in
+    the left half-plane."""
+    ang = np.arctan2(im, re)
+    return np.where(ang < 0, ang + 2 * np.pi, ang) if lifted else ang
+
+
 def log_parts(re, im, lifted: bool = False):
     """log(re + i im) from its real and imaginary parts, with no complex
-    logarithm: (1/2) log(re^2 + im^2) + i arctan2(im, re).  The angle is the
-    principal one, or, lifted, the one in [0, 2pi): the branch continuous
-    across the negative real axis, for arguments in the left half-plane."""
-    ang = np.arctan2(im, re)
-    if lifted:
-        ang = np.where(ang < 0, ang + 2 * np.pi, ang)
-    return 0.5 * np.log(re * re + im * im) + 1j * ang
+    logarithm: (1/2) log(re^2 + im^2) + i arctan2(im, re), on the branch
+    `_angle` picks."""
+    return 0.5 * np.log(re * re + im * im) + 1j * _angle(re, im, lifted)
+
+
+def _real_matvec(a, v):
+    """a @ v for a real matrix and a complex vector, as one real product on
+    the (re, im) columns of v."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return (a @ v.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -137,30 +143,46 @@ class Operators:
     dku21: np.ndarray = field(repr=False)       # half the eq8 corner correction on du_1
 
 
-def _bounded_remainder(x, gv, gp, gpp, w):
-    """w_j [ (1 - i g'(x_j)) dU/dx2(x_j - x_i, g(x_j) - g(x_i)) + (i/2pi)/(x_j - x_i) ],
+def _fill(out, re, im, gp):
+    """out = (re + i im)(1 - i gp), gp the slope at each column: the column
+    factor [1 - i g'] applied in real arithmetic, (re + gp im) + i (im - gp re).
+    Each part of out is written once, from a contiguous real temporary."""
+    t = np.multiply(im, gp)
+    np.add(re, t, out=out.real)
+    np.multiply(re, gp, out=t)
+    np.subtract(im, t, out=out.imag)
+
+
+def _bounded_remainder(out, x, gv, gp, gpp, w):
+    """out = w_j [ (1 - i g'(x_j)) dU/dx2(x_j - x_i, g(x_j) - g(x_i)) + (i/2pi)/(x_j - x_i) ],
     with the continuous diagonal limit -(i/4pi) g''(x_i)/(g'(x_i) + i).
 
     The algebraic form (i/2pi)(dg - g'(x_j) dx) / (dx (dg + i dx)) already
     carries the (1 - i g') column factor; with 1/(dg + i dx) =
-    (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real."""
+    (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real.  Signed
+    weights w scale the block."""
     dx = x[None, :] - x[:, None]
     dg = gv[None, :] - gv[:, None]
     np.fill_diagonal(dx, 1.0)
-    q = (dg - gp[None, :] * dx) / (TWO_PI * dx * (dg * dg + dx * dx))
-    core = q * dx + 1j * (q * dg)
-    np.fill_diagonal(core, -(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
-    return w[None, :] * core
-
-
-def _sign_weights(rule: QuadratureRule, partial: np.ndarray) -> np.ndarray:
-    """Weights of int f(x) (-(i/4)) sign(x - x_i) dx at the nodes, through the
-    running integral: -(i/4) (int_a^b f - 2 int_a^{x_i} f)."""
-    return -0.25j * (rule.weights[None, :] - 2.0 * partial)
+    den = dg * dg
+    q = np.multiply(dx, dx)
+    den += q
+    den *= dx
+    den *= TWO_PI
+    np.multiply(dx, gp, out=q)
+    np.subtract(dg, q, out=q)
+    q /= den
+    q *= w
+    np.multiply(q, dx, out=out.real)
+    np.multiply(q, dg, out=out.imag)
+    np.fill_diagonal(out, w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j)))
 
 
 @lru_cache(maxsize=8)
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
+    """The operator bundle of one (domain, rule) pair.  Every N x N kernel
+    block is written into its slice of `eq8` or `cauchy` from real arrays,
+    the column factor [1 - i g'] included (`_fill`)."""
     x, w = rule.nodes, rule.weights
     g1 = np.asarray(domain.lower.value(x), dtype=float)
     g2 = np.asarray(domain.upper.value(x), dtype=float)
@@ -178,44 +200,61 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
             f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
 
     n = rule.n
-    f1col = 1.0 - 1j * g1p
-    f2col = 1.0 - 1j * g2p
-    dx = x[None, :] - x[:, None]
-
     pv = pv_weight_matrix(rule)
-    wlog = log_weight_matrix(rule)
-    partial = partial_integral_matrix(rule, x)
+    wlog, partial = node_weight_matrices(rule)
+    eq8 = np.empty((n, 2 * n), dtype=complex)
+    cauchy = np.empty((2 * n, 2 * n), dtype=complex)
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
     # into (1/2pi) log|x - xi| plus the smooth part
     # (1/2pi)[log|m| + i(Arg m - pi/2)], m = d + i with d = diffq real, that
     # is (1/2pi)[(1/2) log1p(d^2) - i arctan d].
-    eq8 = np.empty((n, 2 * n), dtype=complex)
     d = _diffq(g1, g1p, x)
-    r1 = (0.5 * np.log1p(d * d) - 1j * np.arctan(d)) / TWO_PI
-    eq8[:, :n] = (w[None, :] * r1 + wlog / TWO_PI) * (-2.0 * f1col)[None, :]
-    del d, r1  # not read again: keeps them out of the build's memory peak
+    re = np.multiply(d, d)
+    np.log1p(re, out=re)
+    re *= 0.5 * w
+    re += wlog
+    re *= -2.0 / TWO_PI
+    im = np.arctan(d, out=d)
+    im *= (2.0 / TWO_PI) * w
+    _fill(eq8[:, :n], re, im, g1p)
+
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
-    # exactly through the running-integral weights.
+    # exactly through the running-integral weights,
+    # -(i/4)(w_j - 2 int_a^{x_i}).
+    dx = x[None, :] - x[:, None]
     gap21 = g2[None, :] - g1[:, None]
-    eq8[:, n:] = (w[None, :] * (log_parts(gap21, dx) / TWO_PI)
-                  + _sign_weights(rule, partial)) * (2.0 * f2col)[None, :]
+    rho = np.multiply(gap21, gap21)
+    np.multiply(dx, dx, out=re)
+    rho += re
+    np.log(rho, out=re)
+    re *= w / TWO_PI
+    np.arctan2(dx, gap21, out=im)
+    im *= (2.0 / TWO_PI) * w
+    im += partial
+    im -= 0.5 * w
+    _fill(eq8[:, n:], re, im, g2p)
 
     # [eq10; eq12] carries +-2 x the bounded remainders of the diagonal
     # pairs and -+2 x the dU/dx2 cross kernels (smooth: the vertical gap
     # never closes at nodes), 1/(gap + i dx) = (gap - i dx)/(gap^2 + dx^2).
-    def _inverse(gap):
-        r = 1.0 / (gap * gap + dx * dx)
-        return gap * r - 1j * (dx * r)
-
-    cauchy = np.empty((2 * n, 2 * n), dtype=complex)
-    cauchy[:n, :n] = 2.0 * _bounded_remainder(x, g1, g1p, g1pp, w)
-    cauchy[:n, n:] = w[None, :] * ((-2.0 / TWO_PI) * _inverse(gap21)) * f2col[None, :]
-    cauchy[n:, :n] = (w[None, :] * ((2.0 / TWO_PI) * _inverse(g1[None, :] - g2[:, None]))
-                      * f1col[None, :])
-    cauchy[n:, n:] = -2.0 * _bounded_remainder(x, g2, g2p, g2pp, w)
+    # Seen from curve 2 the gap and dx of the pair (i, j) are minus those
+    # of (j, i) seen from curve 1, so the lower-left block reads the
+    # transposes of gap / rho and dx / rho.
+    np.reciprocal(rho, out=rho)
+    gap21 *= rho
+    dx *= rho
+    np.multiply(gap21, (-2.0 / TWO_PI) * w, out=re)
+    np.multiply(dx, (2.0 / TWO_PI) * w, out=im)
+    _fill(cauchy[:n, n:], re, im, g2p)
+    np.multiply(gap21.T, (-2.0 / TWO_PI) * w, out=re)
+    np.multiply(dx.T, (2.0 / TWO_PI) * w, out=im)
+    _fill(cauchy[n:, :n], re, im, g1p)
+    del d, re, im, dx, gap21, rho  # not read again: out of the remainders' peak
+    _bounded_remainder(cauchy[:n, :n], x, g1, g1p, g1pp, 2.0 * w)
+    _bounded_remainder(cauchy[n:, n:], x, g2, g2p, g2pp, -2.0 * w)
 
     # Corner corrections: the opposite curve's trace at the target continues
     # the cross-pair density analytically, so subtracting it removes the
@@ -277,27 +316,32 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     carry the half-trace, the anchor term the other half).
     """
     ops = build_operators(domain, trace.rule)
-    du1, du2 = trace.du_lower, trace.du_upper
-    f1col = 1.0 - 1j * ops.g1p
-    f2col = 1.0 - 1j * ops.g2p
+    x, w = trace.rule.nodes, trace.rule.weights
+    v1 = (1.0 - 1j * ops.g1p) * trace.du_lower  # densities [1 - i g'] du
+    v2 = (1.0 - 1j * ops.g2p) * trace.du_upper
     if side == "lower":
         # The eq7 kernels on this curve are half the eq8 kernels, without
         # their corner correction and their -(i/4) sign(x - xi) term (see
-        # docs/method.md section 6).
-        flux = (0.5 * (ops.eq8 @ np.concatenate([du1, du2])) - ops.dku21 * du1
-                - _sign_weights(trace.rule, ops.partial) @ (f2col * du2 - f1col * du1))
+        # docs/method.md section 6), applied as -(i/4)(int f - 2 int_a^{xi} f).
+        v = v2 - v1
+        sign = -0.25j * (w @ v - 2.0 * _real_matvec(ops.partial, v))
+        flux = (0.5 * (ops.eq8 @ np.concatenate([trace.du_lower, trace.du_upper]))
+                - ops.dku21 * trace.du_lower - sign)
     elif side == "upper":
         # Curve 2: diagonal log split as on curve 1, with the half-weighted
         # jump -(i/2) int_a^{xi}; curve 1: smooth in the (0, 2pi) branch plus
-        # the full jump correction -i int_a^{xi}.
-        x, w = trace.rule.nodes, trace.rule.weights
+        # the full jump correction -i int_a^{xi}.  Each real kernel array
+        # acts on the weighted density u = w v.
+        u1, u2 = w * v1, w * v2
         d = _diffq(ops.g2, ops.g2p, x)  # m = d + i, Arg m = pi/2 - arctan d
-        sm2 = (0.5 * np.log1p(d * d) + 1j * (np.pi / 2 - np.arctan(d))) / TWO_PI
-        kv22 = (w[None, :] * sm2 + ops.wlog / TWO_PI - 0.5j * ops.partial) * f2col[None, :]
-        lg12 = log_parts(ops.g1[None, :] - ops.g2[:, None], x[None, :] - x[:, None],
-                         lifted=True)
-        kv12 = (w[None, :] * (lg12 / TWO_PI) - 1j * ops.partial) * f1col[None, :]
-        flux = kv22 @ du2 - kv12 @ du1
+        flux = (0.5 * _real_matvec(np.log1p(d * d), u2)
+                + 1j * (0.5 * np.pi * np.sum(u2) - _real_matvec(np.arctan(d, out=d), u2)))
+        gap = ops.g1[None, :] - ops.g2[:, None]
+        dx = x[None, :] - x[:, None]
+        flux -= (0.5 * _real_matvec(np.log(gap * gap + dx * dx), u1)
+                 + 1j * _real_matvec(_angle(gap, dx, lifted=True), u1))
+        flux = ((flux + _real_matvec(ops.wlog, v2)) / TWO_PI
+                - 1j * _real_matvec(ops.partial, 0.5 * v2 - v1))
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     return trace.u_lower - flux

@@ -7,7 +7,8 @@ Two families:
                    Legendre basis (exact log moments via Legendre Q
                    functions on the cut); one three-term recurrence gives
                    the nodes, the rule's Legendre transform and the Q
-                   moments
+                   moments, and runs over the nodes once per operator
+                   build
   midpoint-uniform composite midpoint; PV by the same subtraction with a
                    finite-difference diagonal, log kernels by product
                    integration of the cell-wise constant samples (exact
@@ -53,10 +54,11 @@ class QuadratureRule:
         """Gauss rules: the map from node samples to Legendre coefficients
         (exact for degree < n), c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j.
         Computed once per rule object; operator builds and interior
-        reconstruction on the same rule share it."""
+        reconstruction on the same rule share it.  `_node_rows` fills it
+        from its own P rows, so a rule whose node matrices were built
+        runs no recurrence here."""
         t = self.reference_nodes()
-        pk = _legendre_recurrence(t, 1.0, t, self.n - 1)  # (k, j)
-        return ((2 * np.arange(self.n) + 1) / 2.0)[:, None] * pk * (self.weights / self.scale)
+        return _transform(self, _legendre_recurrence(t, 1.0, t, self.n - 1))
 
 
 def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
@@ -80,8 +82,9 @@ def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
     (k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1}, started from y0 and y1:
     the Legendre P_k from 1 and t, the Legendre Q_k on the cut |t| < 1
     from arctanh t and t arctanh t - 1 (forward recurrence is stable
-    there, where both solutions oscillate)."""
-    y = np.empty((kmax + 1,) + np.shape(t))
+    there, where both solutions oscillate).  Starts stacked over a leading
+    axis run side by side, each with the arithmetic of its own run."""
+    y = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1)))
     y[0] = y0
     if kmax >= 1:
         y[1] = y1
@@ -207,8 +210,27 @@ def pv_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     return p + w[:, None] * diff_matrix(rule)
 
 
-def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
-    """Global product integration of f(x) log|x - x_i| on Gauss nodes.
+def _transform(rule: QuadratureRule, p) -> np.ndarray:
+    """The Legendre transform from the rows P_0..P_{n-1} at the nodes."""
+    return ((2 * np.arange(rule.n) + 1) / 2.0)[:, None] * p[:rule.n] * (rule.weights / rule.scale)
+
+
+def _node_rows(rule: QuadratureRule) -> np.ndarray:
+    """rows[k] = (P_k, Q_k) at a Gauss rule's reference nodes, k <= n, from
+    one run of the recurrence.  The rule's Legendre transform takes its P
+    rows from here when it is not cached yet."""
+    t = rule.reference_nodes()
+    q0 = np.arctanh(t)
+    rows = _legendre_recurrence(t, np.stack([np.ones_like(t), q0]),
+                                np.stack([t, t * q0 - 1.0]), rule.n)
+    if "legendre" not in rule.__dict__:  # where cached_property keeps it
+        rule.__dict__["legendre"] = _transform(rule, rows[:, 0])
+    return rows
+
+
+def _log_weights_gauss(rule: QuadratureRule, q) -> np.ndarray:
+    """Global product integration of f(x) log|x - x_i| on Gauss nodes, from
+    the rows Q_0..Q_n at the nodes.
 
     Expands the sampled f in Legendre polynomials (the transform is exact
     for degree < n) and integrates each mode against the log kernel with
@@ -220,16 +242,26 @@ def _log_weight_matrix_gauss(rule: QuadratureRule) -> np.ndarray:
     """
     n = rule.n
     t = rule.reference_nodes()
-    q0 = np.arctanh(t)
-    qk = _legendre_recurrence(t, q0, t * q0 - 1.0, n)  # qk[k, i] = Q_k(t_i), k <= n
-
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
-    moments[1:] = 2.0 * (qk[2:] - qk[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
+    moments[1:] = 2.0 * (q[2:] - q[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
 
     wref_log = moments.T @ rule.legendre  # (i, j)
     s = rule.scale
     return s * wref_log + np.log(s) * rule.weights[None, :]
+
+
+def _running_integral_gauss(rule: QuadratureRule, p) -> np.ndarray:
+    """Running-integral rows at the points where the rows p = P_0..P_n were
+    taken: the Legendre expansion (exact for degree < n) integrated through
+    the antiderivatives from -1, int P_0 = P_1 + 1 and
+    int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
+    latter because P_{k+1}(-1) = P_{k-1}(-1)."""
+    n = rule.n
+    anti = np.empty((n,) + p.shape[1:])  # anti[k, m] = int_-1^{t_m} P_k
+    anti[0] = p[1] + 1.0
+    anti[1:] = (p[2:] - p[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
+    return rule.scale * (anti.T @ rule.legendre)
 
 
 def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
@@ -247,7 +279,7 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
 def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
     if rule.family == "gauss-legendre":
-        return _log_weight_matrix_gauss(rule)
+        return _log_weights_gauss(rule, _node_rows(rule)[:, 1])
     return _log_weight_matrix_midpoint(rule)
 
 
@@ -256,26 +288,30 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     points x in [a, b]; the rows at x = rule.nodes are the running integral
     at the nodes.
 
-    Gauss: integrate the Legendre expansion (exact for degree < n) through
-    the antiderivatives from -1, int P_0 = P_1 + 1 and
-    int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
-    latter because P_{k+1}(-1) = P_{k-1}(-1).
+    Gauss: integrate the Legendre expansion (`_running_integral_gauss`).
     Midpoint: whole cells left of x_m plus the covered part of its cell.
     """
     n = rule.n
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
         t = (x - rule.center) / rule.scale
-        p = _legendre_recurrence(t, 1.0, t, n)
-        anti = np.empty((n, len(x)))  # anti[k, m] = int_-1^{t_m} P_k
-        anti[0] = p[1] + 1.0
-        anti[1:] = (p[2:] - p[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
-        return rule.scale * (anti.T @ rule.legendre)
+        return _running_integral_gauss(rule, _legendre_recurrence(t, 1.0, t, n))
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
     m[np.arange(len(x)), k] = x - edges[k]
     return m
+
+
+def node_weight_matrices(rule: QuadratureRule) -> tuple:
+    """(log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)),
+    the pair the operator build needs.  On Gauss rules one recurrence over
+    the nodes gives both, with the P_k rows shared by the running integral
+    and the rule's Legendre transform and the Q_k rows by the log moments."""
+    if rule.family == "gauss-legendre":
+        rows = _node_rows(rule)
+        return _log_weights_gauss(rule, rows[:, 1]), _running_integral_gauss(rule, rows[:, 0])
+    return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
 
 
 def barycentric_weights(rule: QuadratureRule) -> np.ndarray:

@@ -54,7 +54,12 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
             raise SolverError(f"both solve strategies failed: {exc}") from exc
     resid = float(np.max(np.abs(m @ sol - b)))
     u1, u2 = system.split(sol)
-    return SolveReport(u1, u2, resid, cond, method, [], list(system.warnings), system)
+    warnings = list(system.warnings)
+    if method != "direct":
+        warnings.append(f"least-squares fallback: condition estimate {cond:.3g} exceeds "
+                        f"cond_threshold {cond_threshold:.3g}; the traces may be wrong "
+                        "although the residual is small")
+    return SolveReport(u1, u2, resid, cond, method, [], warnings, system)
 
 
 def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):

@@ -453,6 +453,20 @@ def test_closed_contours_accepted(tmp_path, outdir, domain):
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
 
 
+def test_least_squares_fallback_is_named_in_warnings(tmp_path, outdir):
+    # equal boundary constants are resonant: the solve falls back to least
+    # squares and still exits 0, but its report says so
+    cfg = _solve_cfg(n=128)
+    cfg["bc"]["alpha2"] = 1.0
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg),
+                 "--out", str(outdir)]) == 0
+    report = json.loads((outdir / "solve_report.json").read_text())
+    assert report["method"] == "least-squares-fallback"
+    (warning,) = [w for w in report["warnings"] if "least-squares fallback" in w]
+    assert f"{report['condition_estimate']:.3g}" in warning
+    assert f"cond_threshold {DEFAULT_TOLERANCES['cond_threshold']:.3g}" in warning
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_non_finite_boundary_data_exits_3(tmp_path, outdir, capsys):

@@ -62,8 +62,9 @@ def _remainder(domain, side, n=32):
     """The rule and the remainder per unit weight, B[i, j] / w_j, on one curve."""
     rule = build_rule("gauss-legendre", n, domain.a1, domain.b1)
     curve, x = domain.curve(side), rule.nodes
-    rem = _bounded_remainder(x, curve.value(x), curve.slope(x), curve.curvature(x),
-                             rule.weights)
+    rem = np.empty((n, n), dtype=complex)
+    _bounded_remainder(rem, x, curve.value(x), curve.slope(x), curve.curvature(x),
+                       rule.weights)
     return rule, rem / rule.weights[None, :]
 
 
@@ -345,7 +346,8 @@ def _complex_formulas(domain, rule, trace):
     return eq8, cauchy, lower, upper
 
 
-@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("midpoint-uniform", 48)])
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("gauss-legendre", 256),
+                                      ("midpoint-uniform", 48)])
 @pytest.mark.parametrize("domain_name", ["lens", "cubic"])
 def test_operators_match_complex_formulas(lens, solutions, domain_name, family, n):
     domain = lens if domain_name == "lens" else CLOSING_CUBIC

@@ -8,6 +8,7 @@ from cbie.quadrature import (
     build_rule,
     diff_matrix,
     log_weight_matrix,
+    node_weight_matrices,
     partial_integral_matrix,
     pv_integrate,
     pv_integrate_excluded_node,
@@ -92,6 +93,52 @@ def test_rule_legendre_transform_cached_and_identity_free():
     # exact for degree < n: the coefficients of P_3 on the reference interval
     coeffs = rule.legendre @ np.polynomial.legendre.legval(rule.reference_nodes(), [0, 0, 0, 1])
     assert np.max(np.abs(coeffs - np.eye(16)[3])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 257])
+@pytest.mark.parametrize("first", ["legendre", "log", "partial", "both"])
+def test_node_matrices_share_rows_bit_for_bit(n, first):
+    # P_k and Q_k from separate recurrences, then the transform, the log
+    # weights and the running integral with the arithmetic of their
+    # docstrings: the shared run must give the same bits, whichever of the
+    # three a fresh rule computes first
+    rule = build_rule("gauss-legendre", n, -0.5, 2.0)
+    t, s, w = rule.reference_nodes(), rule.scale, rule.weights
+    p = _legendre_recurrence(t, 1.0, t, n)
+    q0 = np.arctanh(t)
+    q = _legendre_recurrence(t, q0, t * q0 - 1.0, n)
+    legendre = ((2 * np.arange(n) + 1) / 2.0)[:, None] * p[:n] * (w / s)
+    odd = (2 * np.arange(1, n) + 1)[:, None]
+    moments = np.empty((n, n))
+    moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
+    moments[1:] = 2.0 * (q[2:] - q[:-2]) / odd
+    log_w = s * (moments.T @ legendre) + np.log(s) * w[None, :]
+    anti = np.empty((n, n))
+    anti[0] = p[1] + 1.0
+    anti[1:] = (p[2:] - p[:-2]) / odd
+    partial = s * (anti.T @ legendre)
+
+    if first == "legendre":
+        assert np.array_equal(rule.legendre, legendre)
+    if first == "log":
+        assert np.array_equal(log_weight_matrix(rule), log_w)
+    if first == "partial":
+        assert np.array_equal(partial_integral_matrix(rule, rule.nodes), partial)
+    if first == "both":
+        got_log, got_partial = node_weight_matrices(rule)
+        assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
+    assert np.array_equal(rule.legendre, legendre)
+    assert np.array_equal(log_weight_matrix(rule), log_w)
+    assert np.array_equal(partial_integral_matrix(rule, rule.nodes), partial)
+    got_log, got_partial = node_weight_matrices(rule)
+    assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
+
+
+def test_node_weight_matrices_midpoint():
+    rule = build_rule("midpoint-uniform", 40, -1, 1)
+    got_log, got_partial = node_weight_matrices(rule)
+    assert np.array_equal(got_log, log_weight_matrix(rule))
+    assert np.array_equal(got_partial, partial_integral_matrix(rule, rule.nodes))
 
 
 @pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
