@@ -148,8 +148,14 @@ def lu_condition(matrix: np.ndarray) -> tuple:
     with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
         warnings.simplefilter("ignore", LinAlgWarning)
         factors = lu_factor(matrix, check_finite=False)
+    # ||A||_1 adds |A| row by row, in the order np.linalg.norm(matrix, 1) adds
+    # it (the same bits), without forming |A| beside the LU copy; LAPACK's
+    # lange would too, but its scalar complex modulus is several times slower
+    colsum, row = np.zeros(matrix.shape[1]), np.empty(matrix.shape[1])
+    for r in matrix:
+        colsum += np.abs(r, out=row)
     gecon = get_lapack_funcs("gecon", (factors[0],))
-    rcond, _ = gecon(factors[0], np.linalg.norm(matrix, 1), norm="1")
+    rcond, _ = gecon(factors[0], colsum.max(), norm="1")
     return factors, (1.0 / rcond if rcond > 0 else np.inf)
 
 

@@ -178,7 +178,7 @@ def _bounded_remainder(out, x, gv, gp, gpp, w):
     np.fill_diagonal(out, w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j)))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)  # each solve and ladder level reads only its own bundle
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     """The operator bundle of one (domain, rule) pair.  Every N x N kernel
     block is written into its slice of `eq8` or `cauchy` from real arrays,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from cbie.assembly import (
     du_from_bc,
     dump_system,
     load_system,
+    lu_condition,
 )
 from cbie.conditions import BoundaryTrace, condition_residuals, eq8_residuals
 from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
@@ -250,6 +253,25 @@ def test_condition_estimate_within_norm_equivalence(lens, solutions):
         estimate = compactness_probe(system).condition_estimate
         cond2 = np.linalg.cond(system.matrix)
         assert 1.0 / (2 * n) <= estimate / cond2 <= 2 * n
+
+
+def test_lu_condition_allocates_only_the_lu_copy(lens, solutions):
+    # the 1-norm is summed row by row: no |A| temporary beside the LU copy,
+    # and the same estimate as from numpy's 1-norm, bit for bit
+    from scipy.linalg import get_lapack_funcs
+
+    rule = build_rule("gauss-legendre", 128, -1, 1)
+    m = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule).matrix
+    factors, cond = lu_condition(m)  # warm-up: imports and LAPACK lookups
+    tracemalloc.start()
+    try:
+        lu_condition(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.nbytes
+    gecon = get_lapack_funcs("gecon", (factors[0],))
+    assert cond == 1.0 / gecon(factors[0], np.linalg.norm(m, 1), norm="1")[0]
 
 
 def test_probe_singular_value_decay_stable(lens, solutions):

@@ -303,6 +303,31 @@ SMALL_CONFIG = {
 }
 
 
+@pytest.mark.parametrize("task,spoil", [
+    pytest.param("kernel-check", {"annih_tol": 1e-300}, id="kernel-check"),
+    pytest.param("pv-check", {"pv_analytic_tol": 1e-300, "pv_exp_tol": 1e-300}, id="pv-check"),
+    pytest.param("nc-verify", {"sup_residual": 1e-300}, id="nc-verify"),
+    # a condition estimate above cond_threshold takes the least-squares fallback
+    pytest.param("solve", {"cond_threshold": 1.0}, id="solve"),
+    pytest.param("convergence", {"cond_threshold": 1.0}, id="convergence"),
+])
+@pytest.mark.parametrize("passing,seed_args,seed", [(True, [], 3), (False, ["--seed", "7"], 7)],
+                         ids=["passing", "failing"])
+def test_exit_status_is_the_report_gate(tmp_path, outdir, task, spoil, passing, seed_args,
+                                        seed):
+    cfg = copy.deepcopy(SMALL_CONFIG)
+    if not passing:
+        cfg["tolerances"].update(spoil)
+    status = main([task, "--config", _write(tmp_path / "c.json", cfg),
+                   "--out", str(outdir), *seed_args])
+    (report,) = outdir.glob("*.json")
+    payload = json.loads(report.read_text())
+    assert payload["schema_version"] == "1"
+    assert payload["seed"] == seed
+    assert payload["pass"] is passing
+    assert status == (0 if payload["pass"] else 1)
+
+
 def _leaf_paths(node, path=()):
     if isinstance(node, dict):
         items = node.items()
@@ -455,12 +480,13 @@ def test_closed_contours_accepted(tmp_path, outdir, domain):
 
 def test_least_squares_fallback_is_named_in_warnings(tmp_path, outdir):
     # equal boundary constants are resonant: the solve falls back to least
-    # squares and still exits 0, but its report says so
+    # squares, whose traces can be wrong, so it exits 1 and its report says why
     cfg = _solve_cfg(n=128)
     cfg["bc"]["alpha2"] = 1.0
     assert main(["solve", "--config", _write(tmp_path / "c.json", cfg),
-                 "--out", str(outdir)]) == 0
+                 "--out", str(outdir)]) == 1
     report = json.loads((outdir / "solve_report.json").read_text())
+    assert report["pass"] is False
     assert report["method"] == "least-squares-fallback"
     (warning,) = [w for w in report["warnings"] if "least-squares fallback" in w]
     assert f"{report['condition_estimate']:.3g}" in warning
@@ -763,6 +789,12 @@ def test_tabulated_phi_source(tmp_path, outdir):
         "domain": LENS_DOMAIN,
         "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
         "rule": {"n": 32},
+    }),
+    ("pv-check", {}),
+    ("convergence", {
+        "domain": LENS_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
+        "rule": {"levels": [32, 64]},
     }),
 ])
 def test_byte_identical_reruns(tmp_path, task, extra):

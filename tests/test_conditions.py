@@ -365,6 +365,14 @@ def test_operators_cached(lens):
     assert build_operators(lens, rule) is build_operators(lens, rule)
 
 
+def test_operator_cache_keeps_one_bundle(lens):
+    # a ladder's earlier levels are never read again: only the latest bundle
+    # stays alive while the next level builds
+    for n in (16, 32):
+        build_operators(lens, build_rule("gauss-legendre", n, -1, 1))
+    assert build_operators.cache_info().currsize == 1
+
+
 def test_cached_operators_are_read_only(lens):
     # the cache hands the same arrays to every caller: a write would change
     # every later residual and assembly on this (domain, rule) pair
