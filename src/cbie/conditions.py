@@ -178,21 +178,28 @@ def _bounded_remainder(out, x, gv, gp, gpp, w):
     np.fill_diagonal(out, w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j)))
 
 
+def curve_samples(domain: PlaneDomain, x) -> tuple:
+    """(gamma_1, gamma_2, gamma_1', gamma_2') at the quadrature nodes x; a
+    non-finite value is a NumericError naming the curve."""
+    g1 = np.asarray(domain.lower.value(x), dtype=float)
+    g2 = np.asarray(domain.upper.value(x), dtype=float)
+    g1p = np.asarray(domain.lower.slope(x), dtype=float)
+    g2p = np.asarray(domain.upper.slope(x), dtype=float)
+    for arr, nm in ((g1, "gamma_1"), (g2, "gamma_2"), (g1p, "gamma_1'"), (g2p, "gamma_2'")):
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"{nm} non-finite at a quadrature node")
+    return g1, g2, g1p, g2p
+
+
 @lru_cache(maxsize=1)  # each solve and ladder level reads only its own bundle
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     """The operator bundle of one (domain, rule) pair.  Every N x N kernel
     block is written into its slice of `eq8` or `cauchy` from real arrays,
     the column factor [1 - i g'] included (`_fill`)."""
     x, w = rule.nodes, rule.weights
-    g1 = np.asarray(domain.lower.value(x), dtype=float)
-    g2 = np.asarray(domain.upper.value(x), dtype=float)
-    g1p = np.asarray(domain.lower.slope(x), dtype=float)
-    g2p = np.asarray(domain.upper.slope(x), dtype=float)
+    g1, g2, g1p, g2p = curve_samples(domain, x)
     g1pp = np.asarray(domain.lower.curvature(x), dtype=float)
     g2pp = np.asarray(domain.upper.curvature(x), dtype=float)
-    for arr, nm in ((g1, "gamma_1"), (g2, "gamma_2"), (g1p, "gamma_1'"), (g2p, "gamma_2'")):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"{nm} non-finite at a quadrature node")
     gap = g2 - g1
     if np.any(gap <= 0):
         j = int(np.argmin(gap))
@@ -293,6 +300,12 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     for arr in arrays:  # the cache hands these to every caller
         arr.flags.writeable = False
     return Operators(rule, *arrays)
+
+
+# Drops the cached bundle once its last reader is done.  Bound here, to the
+# cache itself, so that a caller that has rebound `build_operators` (a tracing
+# wrapper) still releases the real cache.
+release_operators = build_operators.cache_clear
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbie import conditions
 from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
@@ -655,6 +657,33 @@ def test_nc_verify_quadratic(tmp_path, outdir):
     for rec in payload["records"]:
         if rec["N"] == 128:
             assert rec["sup_residual"] <= 1e-3
+
+
+def test_nc_verify_ladder_holds_one_bundle(tmp_path, outdir, monkeypatch):
+    # each level releases the last level's bundle before building its own,
+    # so no two bundles are ever alive together
+    build = conditions.build_operators
+    bundles, overlaps = [], []
+
+    def watched(domain, rule):
+        overlaps.extend(n for n, ref in bundles if n != rule.n and ref() is not None)
+        ops = build(domain, rule)
+        if not bundles or bundles[-1][0] != rule.n:
+            bundles.append((rule.n, weakref.ref(ops)))
+        return ops
+
+    monkeypatch.setattr(conditions, "build_operators", watched)
+    cfg = _write(tmp_path / "c.json", {
+        "schema_version": "1",
+        "domain": CUBIC_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
+        "rule": {"levels": [16, 32, 64]},
+        "conditions": ["eq8", "eq10", "eq7-boundary"],
+        "tolerances": {"sup_residual": 1.0},
+    })
+    main(["nc-verify", "--config", cfg, "--out", str(outdir)])
+    assert [n for n, _ in bundles] == [16, 32, 64]
+    assert overlaps == []
 
 
 def test_nc_verify_exact_zero_residual_passes(tmp_path, outdir):

@@ -366,8 +366,8 @@ def test_operators_cached(lens):
 
 
 def test_operator_cache_keeps_one_bundle(lens):
-    # a ladder's earlier levels are never read again: only the latest bundle
-    # stays alive while the next level builds
+    # a caller that does not release the cache still holds only the latest
+    # bundle: an earlier rule's is never read again
     for n in (16, 32):
         build_operators(lens, build_rule("gauss-legendre", n, -1, 1))
     assert build_operators.cache_info().currsize == 1

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cbie import quadrature
+from cbie import quadrature, solver
 from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
 from cbie.conditions import BoundaryTrace, build_operators
 from cbie.errors import DomainError, NumericError
@@ -257,8 +259,10 @@ def test_midpoint_solve_interior_samples(solutions):
 
 
 def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
-    # the log moments, the running integral and the Legendre transform that
-    # build_operators and reconstruct_interior share come from one run
+    # one recurrence over the nodes serves the whole solve: build_operators'
+    # log moments and running integral, and the rule's Legendre transform,
+    # which reconstruct_interior's running integral reads again after the
+    # operator bundle is released
     n = 64
     rule = build_rule("gauss-legendre", n, -1, 1)
     t_nodes = rule.reference_nodes()
@@ -274,3 +278,41 @@ def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
     spec = solutions["z2"]
     solve_problem(lens, make_bc(spec, lens, 1.0, 2.0, None), rule)
     assert over_nodes.count(True) == 1
+
+
+def test_solve_releases_the_operator_bundle(lens, solutions):
+    # assemble is the bundle's last reader: the interior reconstruction
+    # samples the curves itself and builds no bundle
+    rule = build_rule("gauss-legendre", 32, -1, 1)
+    bc = make_bc(solutions["z2"], lens, 1.0, 2.0, None)
+    report = solve_problem(lens, bc, rule)
+    assert build_operators.cache_info().currsize == 0
+    build_operators.cache_clear()  # zeroes the hit and miss counts too
+    reconstruct_interior(lens, trace_from_solution(rule, bc, report), (0.0, 0.2))
+    info = build_operators.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+
+def test_solve_holds_only_the_matrix_and_its_lu_after_assembly(lens, solutions, monkeypatch):
+    # past assembly a solve needs the matrix and the LU copy; the operator
+    # bundle (about 1.9 matrices at this N) is no longer held
+    rule = build_rule("gauss-legendre", 128, -1, 1)
+    bc = make_bc(solutions["z2"], lens, 1.0, 2.0, None)
+    solve_problem(lens, bc, rule)  # warm-up: imports, LAPACK lookups, the transform
+    build_operators.cache_clear()
+    sizes = []
+    solve_system = solver.solve_system
+
+    def after_assembly(system, *args):
+        sizes.append(system.matrix.nbytes)
+        tracemalloc.reset_peak()
+        return solve_system(system, *args)
+
+    monkeypatch.setattr(solver, "solve_system", after_assembly)
+    tracemalloc.start()
+    try:
+        solve_problem(lens, bc, rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * sizes[0]  # 2.02 here, 3.9 with the bundle held
