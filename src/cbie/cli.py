@@ -29,7 +29,6 @@ from .conditions import (
     CONDITION_IDS,
     WINDOW_FRACTION,
     condition_residuals,
-    release_operators,
     window_mask,
 )
 from .errors import CbieError, ConfigurationError, GeometryError, NumericError
@@ -197,7 +196,6 @@ def _ladder(tol: dict, domain, family: str, levels: list):
     if delta is None:
         delta = WINDOW_FRACTION * (domain.b1 - domain.a1)
     for n in levels:
-        release_operators()  # the last level's bundle is not read again
         rule = build_rule(family, n, domain.a1, domain.b1)
         mask = window_mask(rule, delta)
         if not (delta >= 0 and np.any(mask)):

@@ -146,23 +146,29 @@ class Operators:
 def _fill(out, re, im, gp):
     """out = (re + i im)(1 - i gp), gp the slope at each column: the column
     factor [1 - i g'] applied in real arithmetic, (re + gp im) + i (im - gp re).
-    Each part of out is written once, from a contiguous real temporary."""
+    Each part of out is written once, from a contiguous real temporary.  With
+    gp None the block already carries its factor: out = re + i im."""
+    if gp is None:
+        out.real, out.imag = re, im
+        return
     t = np.multiply(im, gp)
     np.add(re, t, out=out.real)
     np.multiply(re, gp, out=t)
     np.subtract(im, t, out=out.imag)
 
 
-def _bounded_remainder(out, x, gv, gp, gpp, w):
-    """out = w_j [ (1 - i g'(x_j)) dU/dx2(x_j - x_i, g(x_j) - g(x_i)) + (i/2pi)/(x_j - x_i) ],
-    with the continuous diagonal limit -(i/4pi) g''(x_i)/(g'(x_i) + i).
+def _bounded_remainder(parts, x, gv, gp, gpp, w):
+    """parts = (re, im) of w_j [ (1 - i g'(x_j)) dU/dx2(x_j - x_i, g(x_j) - g(x_i))
+    + (i/2pi)/(x_j - x_i) ], with the continuous diagonal limit
+    -(i/4pi) g''(x_i)/(g'(x_i) + i).
 
     The algebraic form (i/2pi)(dg - g'(x_j) dx) / (dx (dg + i dx)) already
     carries the (1 - i g') column factor; with 1/(dg + i dx) =
-    (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real.  Signed
-    weights w scale the block."""
-    dx = x[None, :] - x[:, None]
-    dg = gv[None, :] - gv[:, None]
+    (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real.  dx and dg are
+    built in parts itself.  Signed weights w scale the block."""
+    dx, dg = parts
+    np.subtract(x[None, :], x[:, None], out=dx)
+    np.subtract(gv[None, :], gv[:, None], out=dg)
     np.fill_diagonal(dx, 1.0)
     den = dg * dg
     q = np.multiply(dx, dx)
@@ -173,9 +179,11 @@ def _bounded_remainder(out, x, gv, gp, gpp, w):
     np.subtract(dg, q, out=q)
     q /= den
     q *= w
-    np.multiply(q, dx, out=out.real)
-    np.multiply(q, dg, out=out.imag)
-    np.fill_diagonal(out, w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j)))
+    dx *= q
+    dg *= q
+    diag = w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
+    np.fill_diagonal(dx, diag.real)
+    np.fill_diagonal(dg, diag.imag)
 
 
 def curve_samples(domain: PlaneDomain, x) -> tuple:
@@ -191,13 +199,21 @@ def curve_samples(domain: PlaneDomain, x) -> tuple:
     return g1, g2, g1p, g2p
 
 
-@lru_cache(maxsize=1)  # each solve and ladder level reads only its own bundle
-def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
-    """The operator bundle of one (domain, rule) pair.  Every N x N kernel
-    block is written into its slice of `eq8` or `cauchy` from real arrays,
-    the column factor [1 - i g'] included (`_fill`)."""
+# The kernel blocks of the stacked condition operator [eq8; cauchy], 3N x 2N:
+# row block 0 is eq8 (targets on curve 1), 1 and 2 the eq10 and eq12 rows;
+# column block c acts on du of curve c + 1.  The corner corrections read the
+# row sums of the three cross blocks and sit on the diagonals of three others.
+_CROSS_BLOCKS = ((0, 1), (1, 1), (2, 0))
+
+
+def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, partial):
+    """Yield (r, c, parts, gp) for each N x N kernel block of [eq8; cauchy]:
+    the block is (parts[0] + i parts[1])(1 - i gp) with gp the slope at each
+    column, or parts[0] + i parts[1] when gp is None (the bounded remainders
+    carry their factor).  parts is one (2, N, N) real array, overwritten by
+    the next block: a reader that keeps a block copies it."""
     x, w = rule.nodes, rule.weights
-    g1, g2, g1p, g2p = curve_samples(domain, x)
+    g1, g2, g1p, g2p = curves
     g1pp = np.asarray(domain.lower.curvature(x), dtype=float)
     g2pp = np.asarray(domain.upper.curvature(x), dtype=float)
     gap = g2 - g1
@@ -205,12 +221,8 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
         j = int(np.argmin(gap))
         raise AssemblyError(
             f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
-
-    n = rule.n
-    pv = pv_weight_matrix(rule)
-    wlog, partial = node_weight_matrices(rule)
-    eq8 = np.empty((n, 2 * n), dtype=complex)
-    cauchy = np.empty((2 * n, 2 * n), dtype=complex)
+    parts = np.empty((2, rule.n, rule.n))
+    re, im = parts
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
@@ -218,14 +230,15 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     # (1/2pi)[log|m| + i(Arg m - pi/2)], m = d + i with d = diffq real, that
     # is (1/2pi)[(1/2) log1p(d^2) - i arctan d].
     d = _diffq(g1, g1p, x)
-    re = np.multiply(d, d)
+    np.multiply(d, d, out=re)
     np.log1p(re, out=re)
     re *= 0.5 * w
     re += wlog
     re *= -2.0 / TWO_PI
-    im = np.arctan(d, out=d)
+    np.arctan(d, out=im)
     im *= (2.0 / TWO_PI) * w
-    _fill(eq8[:, :n], re, im, g1p)
+    del d
+    yield 0, 0, parts, g1p
 
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
@@ -242,7 +255,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     im *= (2.0 / TWO_PI) * w
     im += partial
     im -= 0.5 * w
-    _fill(eq8[:, n:], re, im, g2p)
+    yield 0, 1, parts, g2p
 
     # [eq10; eq12] carries +-2 x the bounded remainders of the diagonal
     # pairs and -+2 x the dU/dx2 cross kernels (smooth: the vertical gap
@@ -255,22 +268,31 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     dx *= rho
     np.multiply(gap21, (-2.0 / TWO_PI) * w, out=re)
     np.multiply(dx, (2.0 / TWO_PI) * w, out=im)
-    _fill(cauchy[:n, n:], re, im, g2p)
+    yield 1, 1, parts, g2p
     np.multiply(gap21.T, (-2.0 / TWO_PI) * w, out=re)
     np.multiply(dx.T, (2.0 / TWO_PI) * w, out=im)
-    _fill(cauchy[n:, :n], re, im, g1p)
-    del d, re, im, dx, gap21, rho  # not read again: out of the remainders' peak
-    _bounded_remainder(cauchy[:n, :n], x, g1, g1p, g1pp, 2.0 * w)
-    _bounded_remainder(cauchy[n:, n:], x, g2, g2p, g2pp, -2.0 * w)
+    yield 2, 0, parts, g1p
+    del dx, gap21, rho  # not read again: out of the remainders' peak
+    _bounded_remainder(parts, x, g1, g1p, g1pp, 2.0 * w)
+    yield 1, 0, parts, None
+    _bounded_remainder(parts, x, g2, g2p, g2pp, -2.0 * w)
+    yield 2, 1, parts, None
 
-    # Corner corrections: the opposite curve's trace at the target continues
-    # the cross-pair density analytically, so subtracting it removes the
-    # corner quasi-singularity; the kernel's exact zeroth moment (contour
-    # antiderivatives) restores the total.  Each correction, moment minus
-    # discrete row sum, sits on the diagonal of the target curve's own block.
-    # Curve-2 kernels seen from curve 1 stay in the right half-plane
-    # (principal branch), curve-1 kernels seen from curve 2 in the left one
-    # (branch continuous there: angles lifted to (0, 2pi)).
+
+def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tuple:
+    """(dku21, {(r, c): diagonal correction of that block}) from the row sums
+    of the _CROSS_BLOCKS (each with its column factor).
+
+    The opposite curve's trace at the target continues the cross-pair density
+    analytically, so subtracting it removes the corner quasi-singularity; the
+    kernel's exact zeroth moment (contour antiderivatives) restores the
+    total.  Each correction, moment minus discrete row sum, sits on the
+    diagonal of the target curve's own block.  Curve-2 kernels seen from
+    curve 1 stay in the right half-plane (principal branch), curve-1 kernels
+    seen from curve 2 in the left one (branch continuous there: angles lifted
+    to (0, 2pi))."""
+    x = rule.nodes
+    g1, g2 = curves[:2]
     a1, b1 = rule.a, rule.b
     zeta1 = g1 + 1j * x
     d_lo = complex(domain.upper.value(a1)) + 1j * a1
@@ -290,21 +312,42 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     m21 = (-1j / TWO_PI) * (_anti(d_hi - zeta1) - _anti(d_lo - zeta1))
     m21 += -0.25j * ((b1 - x) - 1j * (g2_b - g2) - (x - a1) + 1j * (g2 - g2_a))
 
-    ones, diag = np.ones(n), np.arange(n)
-    dku21 = m21 - 0.5 * (eq8[:, n:] @ ones)
-    eq8[diag, diag] += 2.0 * dku21
-    cauchy[diag, diag] += -2.0 * l21 - cauchy[:n, n:] @ ones
-    cauchy[n + diag, n + diag] += 2.0 * l12 - cauchy[n:, :n] @ ones
+    dku21 = m21 - 0.5 * sums[0, 1]
+    return dku21, {(0, 0): 2.0 * dku21, (1, 0): -2.0 * l21 - sums[1, 1],
+                   (2, 1): 2.0 * l12 - sums[2, 0]}
 
-    arrays = (g1, g2, g1p, g2p, pv, wlog, partial, eq8, cauchy, dku21)
+
+@lru_cache(maxsize=1)  # each solve reads only its own bundle
+def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
+    """The dense operator bundle of one (domain, rule) pair, which assembly
+    reads.  Every N x N kernel block is written into its slice of `eq8` or
+    `cauchy` from real arrays, the column factor [1 - i g'] included (`_fill`)."""
+    n = rule.n
+    curves = curve_samples(domain, rule.nodes)
+    pv = pv_weight_matrix(rule)
+    wlog, partial = node_weight_matrices(rule)
+    stack = np.empty((3 * n, 2 * n), dtype=complex)  # [eq8; cauchy]
+
+    def block(r, c):
+        return stack[r * n:(r + 1) * n, c * n:(c + 1) * n]
+
+    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, wlog, partial):
+        _fill(block(r, c), parts[0], parts[1], gp)
+    ones, diag = np.ones(n), np.arange(n)
+    dku21, corners = _corner_terms(domain, rule, curves,
+                                   {rc: block(*rc) @ ones for rc in _CROSS_BLOCKS})
+    for (r, c), v in corners.items():
+        stack[r * n + diag, c * n + diag] += v
+
+    arrays = (*curves, pv, wlog, partial, stack[:n], stack[n:], dku21)
     for arr in arrays:  # the cache hands these to every caller
         arr.flags.writeable = False
     return Operators(rule, *arrays)
 
 
-# Drops the cached bundle once its last reader is done.  Bound here, to the
-# cache itself, so that a caller that has rebound `build_operators` (a tracing
-# wrapper) still releases the real cache.
+# Drops the cached bundle once assembly, its only reader, is done.  Bound
+# here, to the cache itself, so that a caller that has rebound
+# `build_operators` (a tracing wrapper) still releases the real cache.
 release_operators = build_operators.cache_clear
 
 
@@ -312,12 +355,53 @@ release_operators = build_operators.cache_clear
 # Residual sweeps (vectorized over all target nodes)
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class TraceProducts:
+    """The kernel blocks of one (domain, rule) pair applied to one trace's
+    D = [du_1; du_2], with the node samples the residuals also read:
+    eq8 = Operators.eq8 @ D, cauchy = Operators.cauchy @ D, and dku21 as in
+    Operators."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    g1p: np.ndarray
+    g2p: np.ndarray
+    wlog: np.ndarray
+    partial: np.ndarray
+    eq8: np.ndarray
+    cauchy: np.ndarray
+    dku21: np.ndarray
+
+
+def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
+    """Apply each kernel block to the trace as `_kernel_blocks` builds it,
+    storing none: one real GEMM per block on the interleaved (re, im)
+    columns of the scaled density [1 - i g'] du, with the column factor
+    stacked as two more columns, so the corner row sums come from the same
+    pass."""
+    rule, n = trace.rule, trace.rule.n
+    curves = curve_samples(domain, rule.nodes)
+    wlog, partial = node_weight_matrices(rule)
+    du = (trace.du_lower, trace.du_upper)
+    out = np.zeros((3, n), dtype=complex)
+    sums = {}
+    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, wlog, partial):
+        cols = [du[c]] if gp is None else [(1.0 - 1j * gp) * du[c], 1.0 - 1j * gp]
+        p = parts.reshape(2 * n, n) @ np.stack(cols, axis=1).view(float)
+        prod = (p[:n, 0::2] - p[n:, 1::2]) + 1j * (p[:n, 1::2] + p[n:, 0::2])
+        out[r] += prod[:, 0]
+        if gp is not None:
+            sums[r, c] = prod[:, 1]
+    dku21, corners = _corner_terms(domain, rule, curves, sums)
+    for (r, c), v in corners.items():
+        out[r] += v * du[c]
+    return TraceProducts(*curves, wlog, partial, out[0], out[1:].ravel(), dku21)
+
+
 def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
     """u_1 - u_2 + 2 int du_2 U [1-i g2'] - 2 int du_1 U [1-i g1'] at every node,
     with U the symmetric-angle kernel (docs/method.md section 3)."""
-    ops = build_operators(domain, trace.rule)
-    d = np.concatenate([trace.du_lower, trace.du_upper])
-    return trace.u_lower - trace.u_upper + ops.eq8 @ d
+    return condition_residuals(trace, domain, ("eq8",))["eq8"]
 
 
 def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
@@ -328,33 +412,35 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     for exact traces these equal the trace itself (the raw layer integrals
     carry the half-trace, the anchor term the other half).
     """
-    ops = build_operators(domain, trace.rule)
+    return _representation(trace, trace_products(trace, domain), side)
+
+
+def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np.ndarray:
     x, w = trace.rule.nodes, trace.rule.weights
-    v1 = (1.0 - 1j * ops.g1p) * trace.du_lower  # densities [1 - i g'] du
-    v2 = (1.0 - 1j * ops.g2p) * trace.du_upper
+    v1 = (1.0 - 1j * prods.g1p) * trace.du_lower  # densities [1 - i g'] du
+    v2 = (1.0 - 1j * prods.g2p) * trace.du_upper
     if side == "lower":
         # The eq7 kernels on this curve are half the eq8 kernels, without
         # their corner correction and their -(i/4) sign(x - xi) term (see
         # docs/method.md section 6), applied as -(i/4)(int f - 2 int_a^{xi} f).
         v = v2 - v1
-        sign = -0.25j * (w @ v - 2.0 * _real_matvec(ops.partial, v))
-        flux = (0.5 * (ops.eq8 @ np.concatenate([trace.du_lower, trace.du_upper]))
-                - ops.dku21 * trace.du_lower - sign)
+        sign = -0.25j * (w @ v - 2.0 * _real_matvec(prods.partial, v))
+        flux = 0.5 * prods.eq8 - prods.dku21 * trace.du_lower - sign
     elif side == "upper":
         # Curve 2: diagonal log split as on curve 1, with the half-weighted
         # jump -(i/2) int_a^{xi}; curve 1: smooth in the (0, 2pi) branch plus
         # the full jump correction -i int_a^{xi}.  Each real kernel array
         # acts on the weighted density u = w v.
         u1, u2 = w * v1, w * v2
-        d = _diffq(ops.g2, ops.g2p, x)  # m = d + i, Arg m = pi/2 - arctan d
+        d = _diffq(prods.g2, prods.g2p, x)  # m = d + i, Arg m = pi/2 - arctan d
         flux = (0.5 * _real_matvec(np.log1p(d * d), u2)
                 + 1j * (0.5 * np.pi * np.sum(u2) - _real_matvec(np.arctan(d, out=d), u2)))
-        gap = ops.g1[None, :] - ops.g2[:, None]
+        gap = prods.g1[None, :] - prods.g2[:, None]
         dx = x[None, :] - x[:, None]
         flux -= (0.5 * _real_matvec(np.log(gap * gap + dx * dx), u1)
                  + 1j * _real_matvec(_angle(gap, dx, lifted=True), u1))
-        flux = ((flux + _real_matvec(ops.wlog, v2)) / TWO_PI
-                - 1j * _real_matvec(ops.partial, 0.5 * v2 - v1))
+        flux = ((flux + _real_matvec(prods.wlog, v2)) / TWO_PI
+                - 1j * _real_matvec(prods.partial, 0.5 * v2 - v1))
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     return trace.u_lower - flux
@@ -364,22 +450,21 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
                         condition_ids) -> dict:
     """Residual vectors at every node, keyed by the requested condition ids.
 
-    eq9..eq12 share one evaluation of the Cauchy formula; eq9 and eq11
-    restate eq10 and eq12 through the tangential traces.  eq7-boundary is
-    the representation on each curve minus its trace (the half-trace
-    identity as a residual), the larger of the two at each node."""
+    One `trace_products` serves every condition; eq9 and eq11 restate eq10
+    and eq12 through the tangential traces.  eq7-boundary is the
+    representation on each curve minus its trace (the half-trace identity as
+    a residual), the larger of the two at each node."""
     ids = set(condition_ids)
     if ids - set(CONDITION_IDS):
         raise DataError(f"unknown condition ids {sorted(ids - set(CONDITION_IDS))}")
-    out = {}
-    if "eq8" in ids:
-        out["eq8"] = eq8_residuals(trace, domain)
+    prods = trace_products(trace, domain)
+    out = {"eq8": trace.u_lower - trace.u_upper + prods.eq8}
     if ids & {"eq9", "eq10", "eq11", "eq12"}:
-        ops = build_operators(domain, trace.rule)
+        pv = pv_weight_matrix(trace.rule)
         du1, du2 = trace.du_lower, trace.du_upper
-        d = np.concatenate([du1, du2])
-        cauchy_pv = (1j / np.pi) * np.concatenate([-(ops.pv @ du1), ops.pv @ du2])
-        eq10, eq12 = np.split(d + cauchy_pv + ops.cauchy @ d, 2)
+        cauchy_pv = (1j / np.pi) * np.concatenate([-_real_matvec(pv, du1),
+                                                   _real_matvec(pv, du2)])
+        eq10, eq12 = np.split(np.concatenate([du1, du2]) + cauchy_pv + prods.cauchy, 2)
         out.update(eq10=eq10, eq12=eq12)
         if ids & {"eq9", "eq11"}:
             if trace.ux1_lower is None or trace.ux1_upper is None:
@@ -387,8 +472,8 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
             jump = trace.ux1_lower - trace.ux1_upper + 1j * (du2 - du1)
             out.update(eq9=jump + 1j * eq10, eq11=1j * eq12 - jump)
     if "eq7-boundary" in ids:
-        lo = representation_boundary(trace, domain, "lower") - trace.u_lower
-        up = representation_boundary(trace, domain, "upper") - trace.u_upper
+        lo = _representation(trace, prods, "lower") - trace.u_lower
+        up = _representation(trace, prods, "upper") - trace.u_upper
         out["eq7-boundary"] = np.where(np.abs(lo) >= np.abs(up), lo, up)
     return {c: out[c] for c in condition_ids}
 

@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -659,20 +658,13 @@ def test_nc_verify_quadratic(tmp_path, outdir):
             assert rec["sup_residual"] <= 1e-3
 
 
-def test_nc_verify_ladder_holds_one_bundle(tmp_path, outdir, monkeypatch):
-    # each level releases the last level's bundle before building its own,
-    # so no two bundles are ever alive together
-    build = conditions.build_operators
-    bundles, overlaps = [], []
+def test_nc_verify_builds_no_bundle(tmp_path, outdir, monkeypatch):
+    # the residuals apply each kernel block to the trace as it is built, so
+    # no level stores the dense operator bundle that assembly reads
+    def refuse(domain, rule):
+        raise AssertionError(f"operator bundle built at N={rule.n}")
 
-    def watched(domain, rule):
-        overlaps.extend(n for n, ref in bundles if n != rule.n and ref() is not None)
-        ops = build(domain, rule)
-        if not bundles or bundles[-1][0] != rule.n:
-            bundles.append((rule.n, weakref.ref(ops)))
-        return ops
-
-    monkeypatch.setattr(conditions, "build_operators", watched)
+    monkeypatch.setattr(conditions, "build_operators", refuse)
     cfg = _write(tmp_path / "c.json", {
         "schema_version": "1",
         "domain": CUBIC_DOMAIN,
@@ -681,9 +673,26 @@ def test_nc_verify_ladder_holds_one_bundle(tmp_path, outdir, monkeypatch):
         "conditions": ["eq8", "eq10", "eq7-boundary"],
         "tolerances": {"sup_residual": 1.0},
     })
-    main(["nc-verify", "--config", cfg, "--out", str(outdir)])
-    assert [n for n, _ in bundles] == [16, 32, 64]
-    assert overlaps == []
+    assert main(["nc-verify", "--config", cfg, "--out", str(outdir)]) == 0
+    records = json.loads((outdir / "nc_verify.json").read_text())["records"]
+    assert sorted((r["condition"], r["N"]) for r in records) == sorted(
+        (c, n) for c in ("eq8", "eq10", "eq7-boundary") for n in (16, 32, 64))
+
+
+def test_nc_verify_output_is_byte_identical_between_runs(tmp_path):
+    cfg = _write(tmp_path / "c.json", {
+        "schema_version": "1",
+        "domain": CUBIC_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
+        "rule": {"levels": [32, 64]},
+    })
+    outputs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        out.mkdir()
+        assert main(["nc-verify", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append((out / "nc_verify.json").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_nc_verify_exact_zero_residual_passes(tmp_path, outdir):

@@ -13,6 +13,7 @@ from cbie.conditions import (
     condition_residuals,
     eq8_residuals,
     representation_boundary,
+    trace_products,
     window_mask,
 )
 from cbie.errors import DataError, DomainError, NumericError, ShapeError
@@ -62,10 +63,10 @@ def _remainder(domain, side, n=32):
     """The rule and the remainder per unit weight, B[i, j] / w_j, on one curve."""
     rule = build_rule("gauss-legendre", n, domain.a1, domain.b1)
     curve, x = domain.curve(side), rule.nodes
-    rem = np.empty((n, n), dtype=complex)
-    _bounded_remainder(rem, x, curve.value(x), curve.slope(x), curve.curvature(x),
+    parts = np.empty((2, n, n))
+    _bounded_remainder(parts, x, curve.value(x), curve.slope(x), curve.curvature(x),
                        rule.weights)
-    return rule, rem / rule.weights[None, :]
+    return rule, (parts[0] + 1j * parts[1]) / rule.weights[None, :]
 
 
 def test_singular_factor_reconstructs_kernel(lens):
@@ -358,6 +359,28 @@ def test_operators_match_complex_formulas(lens, solutions, domain_name, family, 
            representation_boundary(trace, domain, "upper"))
     for actual, expected in zip(got, _complex_formulas(domain, rule, trace)):
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("gauss-legendre", 256),
+                                      ("midpoint-uniform", 48)])
+@pytest.mark.parametrize("domain_name", ["lens", "cubic"])
+def test_trace_products_match_dense_bundle(lens, domain_name, family, n):
+    # the residual path applies each kernel block to the trace as it is
+    # built; the products equal those of the bundle that assembly reads,
+    # relative to the sum of their terms' magnitudes (dku21 is a moment
+    # minus half a row sum, which nearly cancel)
+    domain = lens if domain_name == "lens" else CLOSING_CUBIC
+    rule = build_rule(family, n, domain.a1, domain.b1)
+    rng = np.random.default_rng(17)
+    u = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
+    prods = trace_products(BoundaryTrace(rule, *u), domain)
+    ops = build_operators(domain, rule)
+    d = np.concatenate(u[2:])
+    for actual, expected, terms in (
+            (prods.eq8, ops.eq8 @ d, np.abs(ops.eq8) @ np.abs(d)),
+            (prods.cauchy, ops.cauchy @ d, np.abs(ops.cauchy) @ np.abs(d)),
+            (prods.dku21, ops.dku21, 0.5 * np.abs(ops.eq8[:, n:]) @ np.ones(n))):
+        assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(terms)
 
 
 def test_operators_cached(lens):
