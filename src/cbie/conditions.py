@@ -41,7 +41,12 @@ from .errors import (
 )
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
-from .quadrature import QuadratureRule, node_weight_matrices, pv_weight_matrix
+from .quadrature import (
+    QuadratureRule,
+    node_weight_matrices,
+    node_weight_products,
+    pv_weight_matrix,
+)
 
 CONDITION_IDS = ("eq8", "eq9", "eq10", "eq11", "eq12", "eq7-boundary")
 
@@ -136,8 +141,6 @@ class Operators:
     g1p: np.ndarray = field(repr=False)
     g2p: np.ndarray = field(repr=False)
     pv: np.ndarray = field(repr=False)          # discrete PV of a sample vector
-    wlog: np.ndarray = field(repr=False)        # weights for int f log|x - x_i|
-    partial: np.ndarray = field(repr=False)     # weights for int_a^{x_i} f
     eq8: np.ndarray = field(repr=False)         # N x 2N, log kernels of both curves
     cauchy: np.ndarray = field(repr=False)      # 2N x 2N, bounded dU/dx2 parts
     dku21: np.ndarray = field(repr=False)       # half the eq8 corner correction on du_1
@@ -211,7 +214,12 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
     the block is (parts[0] + i parts[1])(1 - i gp) with gp the slope at each
     column, or parts[0] + i parts[1] when gp is None (the bounded remainders
     carry their factor).  parts is one (2, N, N) real array, overwritten by
-    the next block: a reader that keeps a block copies it."""
+    the next block: a reader that keeps a block copies it.
+
+    The weight matrices wlog and partial (`node_weight_matrices`) enter
+    blocks (0, 0) and (0, 1) only, and are dropped once those are built.
+    With both None those blocks leave out the (-2/2pi) wlog and i partial
+    terms, which a reader then applies itself (`trace_products`)."""
     x, w = rule.nodes, rule.weights
     g1, g2, g1p, g2p = curves
     g1pp = np.asarray(domain.lower.curvature(x), dtype=float)
@@ -233,7 +241,9 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
     np.multiply(d, d, out=re)
     np.log1p(re, out=re)
     re *= 0.5 * w
-    re += wlog
+    if wlog is not None:
+        re += wlog
+    del wlog
     re *= -2.0 / TWO_PI
     np.arctan(d, out=im)
     im *= (2.0 / TWO_PI) * w
@@ -253,7 +263,9 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
     re *= w / TWO_PI
     np.arctan2(dx, gap21, out=im)
     im *= (2.0 / TWO_PI) * w
-    im += partial
+    if partial is not None:
+        im += partial
+    del partial
     im -= 0.5 * w
     yield 0, 1, parts, g2p
 
@@ -325,13 +337,14 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     n = rule.n
     curves = curve_samples(domain, rule.nodes)
     pv = pv_weight_matrix(rule)
-    wlog, partial = node_weight_matrices(rule)
     stack = np.empty((3 * n, 2 * n), dtype=complex)  # [eq8; cauchy]
 
     def block(r, c):
         return stack[r * n:(r + 1) * n, c * n:(c + 1) * n]
 
-    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, wlog, partial):
+    # the weight matrices live in the block generator only, until it has
+    # built the two blocks that read them
+    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, *node_weight_matrices(rule)):
         _fill(block(r, c), parts[0], parts[1], gp)
     ones, diag = np.ones(n), np.arange(n)
     dku21, corners = _corner_terms(domain, rule, curves,
@@ -339,7 +352,7 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     for (r, c), v in corners.items():
         stack[r * n + diag, c * n + diag] += v
 
-    arrays = (*curves, pv, wlog, partial, stack[:n], stack[n:], dku21)
+    arrays = (*curves, pv, stack[:n], stack[n:], dku21)
     for arr in arrays:  # the cache hands these to every caller
         arr.flags.writeable = False
     return Operators(rule, *arrays)
@@ -360,12 +373,15 @@ class TraceProducts:
     """The kernel blocks of one (domain, rule) pair applied to one trace's
     D = [du_1; du_2], with the node samples the residuals also read:
     eq8 = Operators.eq8 @ D, cauchy = Operators.cauchy @ D, and dku21 as in
-    Operators."""
+    Operators.  v holds the scaled densities [v_1, v_2], v_k = [1 - i g_k'] du_k,
+    as columns; wlog and partial are the node weight matrices
+    (`node_weight_matrices`) applied to them."""
 
     g1: np.ndarray
     g2: np.ndarray
     g1p: np.ndarray
     g2p: np.ndarray
+    v: np.ndarray
     wlog: np.ndarray
     partial: np.ndarray
     eq8: np.ndarray
@@ -378,24 +394,32 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
     storing none: one real GEMM per block on the interleaved (re, im)
     columns of the scaled density [1 - i g'] du, with the column factor
     stacked as two more columns, so the corner row sums come from the same
-    pass."""
+    pass.  The log-weight and running-integral terms of the eq8 blocks go
+    through `node_weight_products` instead, on the columns
+    [v_1, v_2, 1 - i g_2'], once per trace and before the blocks, in
+    O(N^2): no weight matrix is formed."""
     rule, n = trace.rule, trace.rule.n
     curves = curve_samples(domain, rule.nodes)
-    wlog, partial = node_weight_matrices(rule)
     du = (trace.du_lower, trace.du_upper)
+    factor = (1.0 - 1j * curves[2], 1.0 - 1j * curves[3])
+    cols = np.stack([factor[0] * du[0], factor[1] * du[1], factor[1]], axis=1)
+    wlog, partial = node_weight_products(rule, cols)
     out = np.zeros((3, n), dtype=complex)
     sums = {}
-    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, wlog, partial):
-        cols = [du[c]] if gp is None else [(1.0 - 1j * gp) * du[c], 1.0 - 1j * gp]
-        p = parts.reshape(2 * n, n) @ np.stack(cols, axis=1).view(float)
+    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, None, None):
+        block_cols = [du[c]] if gp is None else [cols[:, c], factor[c]]
+        p = parts.reshape(2 * n, n) @ np.stack(block_cols, axis=1).view(float)
         prod = (p[:n, 0::2] - p[n:, 1::2]) + 1j * (p[:n, 1::2] + p[n:, 0::2])
         out[r] += prod[:, 0]
         if gp is not None:
             sums[r, c] = prod[:, 1]
+    out[0] += (-2.0 / TWO_PI) * wlog[:, 0] + 1j * partial[:, 1]
+    sums[0, 1] += 1j * partial[:, 2]
     dku21, corners = _corner_terms(domain, rule, curves, sums)
     for (r, c), v in corners.items():
         out[r] += v * du[c]
-    return TraceProducts(*curves, wlog, partial, out[0], out[1:].ravel(), dku21)
+    return TraceProducts(*curves, cols[:, :2], wlog[:, :2], partial[:, :2],
+                         out[0], out[1:].ravel(), dku21)
 
 
 def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
@@ -417,14 +441,12 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
 
 def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np.ndarray:
     x, w = trace.rule.nodes, trace.rule.weights
-    v1 = (1.0 - 1j * prods.g1p) * trace.du_lower  # densities [1 - i g'] du
-    v2 = (1.0 - 1j * prods.g2p) * trace.du_upper
+    v1, v2 = prods.v.T  # densities [1 - i g'] du
     if side == "lower":
         # The eq7 kernels on this curve are half the eq8 kernels, without
         # their corner correction and their -(i/4) sign(x - xi) term (see
         # docs/method.md section 6), applied as -(i/4)(int f - 2 int_a^{xi} f).
-        v = v2 - v1
-        sign = -0.25j * (w @ v - 2.0 * _real_matvec(prods.partial, v))
+        sign = -0.25j * (w @ (v2 - v1) - 2.0 * (prods.partial[:, 1] - prods.partial[:, 0]))
         flux = 0.5 * prods.eq8 - prods.dku21 * trace.du_lower - sign
     elif side == "upper":
         # Curve 2: diagonal log split as on curve 1, with the half-weighted
@@ -439,8 +461,8 @@ def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np
         dx = x[None, :] - x[:, None]
         flux -= (0.5 * _real_matvec(np.log(gap * gap + dx * dx), u1)
                  + 1j * _real_matvec(_angle(gap, dx, lifted=True), u1))
-        flux = ((flux + _real_matvec(prods.wlog, v2)) / TWO_PI
-                - 1j * _real_matvec(prods.partial, 0.5 * v2 - v1))
+        flux = ((flux + prods.wlog[:, 1]) / TWO_PI
+                - 1j * (0.5 * prods.partial[:, 1] - prods.partial[:, 0]))
     else:
         raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
     return trace.u_lower - flux

@@ -5,10 +5,14 @@ Two families:
   gauss-legendre   open Gauss rule; PV by singularity subtraction, log
                    kernels by global product integration against the
                    Legendre basis (exact log moments via Legendre Q
-                   functions on the cut); one three-term recurrence gives
-                   the nodes, the rule's Legendre transform and the Q
-                   moments, and runs over the nodes once per operator
-                   build
+                   functions on the cut); one three-term recurrence,
+                   written in place row by row, gives the nodes (Newton
+                   keeps its last two rows), the rule's Legendre transform
+                   and the Q moments, and runs over the nodes once per
+                   operator build.  The residual path applies the log and
+                   running-integral weights to a few sample columns through
+                   their Legendre coefficients (`node_weight_products`),
+                   O(n^2) with no n x n product and no weight matrix
   midpoint-uniform composite midpoint; PV by the same subtraction with a
                    finite-difference diagonal, log kernels by product
                    integration of the cell-wise constant samples (exact
@@ -54,9 +58,11 @@ class QuadratureRule:
         """Gauss rules: the map from node samples to Legendre coefficients
         (exact for degree < n), c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j.
         Computed once per rule object; operator builds and interior
-        reconstruction on the same rule share it.  `_node_rows` fills it
-        from its own P rows, so a rule whose node matrices were built
-        runs no recurrence here."""
+        reconstruction on the same rule share it.  The dense node matrices
+        fill it from the P rows of their own recurrence, so a rule whose
+        node matrices were built runs no recurrence here.  The residual
+        path (`node_weight_products`) never forms it: it applies
+        ((2k+1)/2) P (w/s f) to the samples instead."""
         t = self.reference_nodes()
         return _transform(self, _legendre_recurrence(t, 1.0, t, self.n - 1))
 
@@ -77,6 +83,22 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     raise ConfigurationError(f"unknown quadrature family {family!r}")
 
 
+def _run_recurrence(t, rows, kmax: int) -> None:
+    """(k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1} for k < kmax, in place on
+    the row arrays `rows` (rows[0] and rows[1] set), y_k kept in
+    rows[k % len(rows)]: with kmax + 1 rows every y_k stays, with two the
+    last two.  Each step is ty + (k/(k+1))(ty - y_{k-1}), ty = t y_k,
+    written with out= ufuncs into the row it replaces and one scratch row."""
+    r = len(rows)
+    ty = np.empty_like(rows[0])
+    for k in range(1, kmax):
+        nxt = rows[(k + 1) % r]
+        np.multiply(t, rows[k % r], out=ty)
+        np.subtract(ty, rows[(k - 1) % r], out=nxt)
+        nxt *= k / (k + 1)
+        nxt += ty
+
+
 def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
     """Rows y_0..y_kmax (k-major, shape (kmax + 1,) + t.shape) of
     (k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1}, started from y0 and y1:
@@ -88,9 +110,7 @@ def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
     y[0] = y0
     if kmax >= 1:
         y[1] = y1
-    for k in range(1, kmax):
-        ty = t * y[k]
-        y[k + 1] = ty + (k / (k + 1)) * (ty - y[k - 1])
+    _run_recurrence(t, list(y), kmax)
     return y
 
 
@@ -99,8 +119,10 @@ def _gauss_legendre(n: int) -> tuple:
     [-1, 1] in O(n^2): Newton on P_n over the non-negative half of the
     rule, started from Tricomi's asymptotic nodes, then
     w = 2 / ((1 - t^2) P_n'(t)^2); the other half mirrors it."""
-    def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1
-        p0, p1 = _legendre_recurrence(t, 1.0, t, n)[n - 1:]
+    def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1, from the last two rows only
+        rows = [np.ones_like(t), t.copy()]
+        _run_recurrence(t, rows, n)
+        p0, p1 = rows[(n - 1) % 2], rows[n % 2]
         return p1, n * (t * p1 - p0) / (t * t - 1.0)
 
     k = np.arange(1, (n + 1) // 2 + 1)
@@ -217,24 +239,30 @@ def _transform(rule: QuadratureRule, p) -> np.ndarray:
 
 def _node_rows(rule: QuadratureRule) -> np.ndarray:
     """rows[k] = (P_k, Q_k) at a Gauss rule's reference nodes, k <= n, from
-    one run of the recurrence.  The rule's Legendre transform takes its P
-    rows from here when it is not cached yet."""
+    one run of the recurrence."""
     t = rule.reference_nodes()
     q0 = np.arctanh(t)
-    rows = _legendre_recurrence(t, np.stack([np.ones_like(t), q0]),
+    return _legendre_recurrence(t, np.stack([np.ones_like(t), q0]),
                                 np.stack([t, t * q0 - 1.0]), rule.n)
+
+
+def _node_legendre(rule: QuadratureRule, rows) -> np.ndarray:
+    """rule.legendre, taken from the P rows of `_node_rows` when it is not
+    cached yet."""
     if "legendre" not in rule.__dict__:  # where cached_property keeps it
         rule.__dict__["legendre"] = _transform(rule, rows[:, 0])
-    return rows
+    return rule.legendre
 
 
-def _log_weights_gauss(rule: QuadratureRule, q) -> np.ndarray:
+def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums) -> np.ndarray:
     """Global product integration of f(x) log|x - x_i| on Gauss nodes, from
-    the rows Q_0..Q_n at the nodes.
+    the rows Q_0..Q_n at the nodes, applied to the Legendre coefficients
+    `coeffs` of the samples and their plain rule sums `sums`: rule.legendre
+    and rule.weights give the weight matrix, L F and w @ F its product with
+    the samples F.
 
-    Expands the sampled f in Legendre polynomials (the transform is exact
-    for degree < n) and integrates each mode against the log kernel with
-    the closed-form moments
+    The Legendre expansion (exact for degree < n) is integrated mode by
+    mode against the log kernel with the closed-form moments
 
         int_-1^1 P_k(t) log|t - tau| dt = 2 (Q_{k+1} - Q_{k-1}) / (2k + 1)
 
@@ -245,23 +273,22 @@ def _log_weights_gauss(rule: QuadratureRule, q) -> np.ndarray:
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
     moments[1:] = 2.0 * (q[2:] - q[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
-
-    wref_log = moments.T @ rule.legendre  # (i, j)
     s = rule.scale
-    return s * wref_log + np.log(s) * rule.weights[None, :]
+    return s * (moments.T @ coeffs) + np.log(s) * sums
 
 
-def _running_integral_gauss(rule: QuadratureRule, p) -> np.ndarray:
+def _running_integral_gauss(rule: QuadratureRule, p, coeffs) -> np.ndarray:
     """Running-integral rows at the points where the rows p = P_0..P_n were
-    taken: the Legendre expansion (exact for degree < n) integrated through
-    the antiderivatives from -1, int P_0 = P_1 + 1 and
+    taken, applied to the Legendre coefficients `coeffs` (rule.legendre for
+    the matrix): the Legendre expansion (exact for degree < n) integrated
+    through the antiderivatives from -1, int P_0 = P_1 + 1 and
     int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
     latter because P_{k+1}(-1) = P_{k-1}(-1)."""
     n = rule.n
     anti = np.empty((n,) + p.shape[1:])  # anti[k, m] = int_-1^{t_m} P_k
     anti[0] = p[1] + 1.0
     anti[1:] = (p[2:] - p[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
-    return rule.scale * (anti.T @ rule.legendre)
+    return rule.scale * (anti.T @ coeffs)
 
 
 def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
@@ -279,7 +306,9 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
 def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
     if rule.family == "gauss-legendre":
-        return _log_weights_gauss(rule, _node_rows(rule)[:, 1])
+        rows = _node_rows(rule)
+        return _log_weights_gauss(rule, rows[:, 1], _node_legendre(rule, rows),
+                                  rule.weights[None, :])
     return _log_weight_matrix_midpoint(rule)
 
 
@@ -295,7 +324,7 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
         t = (x - rule.center) / rule.scale
-        return _running_integral_gauss(rule, _legendre_recurrence(t, 1.0, t, n))
+        return _running_integral_gauss(rule, _legendre_recurrence(t, 1.0, t, n), rule.legendre)
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
@@ -310,8 +339,31 @@ def node_weight_matrices(rule: QuadratureRule) -> tuple:
     and the rule's Legendre transform and the Q_k rows by the log moments."""
     if rule.family == "gauss-legendre":
         rows = _node_rows(rule)
-        return _log_weights_gauss(rule, rows[:, 1]), _running_integral_gauss(rule, rows[:, 0])
+        legendre = _node_legendre(rule, rows)
+        return (_log_weights_gauss(rule, rows[:, 1], legendre, rule.weights[None, :]),
+                _running_integral_gauss(rule, rows[:, 0], legendre))
     return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
+
+
+def node_weight_products(rule: QuadratureRule, f) -> tuple:
+    """(W f, R f) for the complex node samples f (n x m) with
+    (W, R) = node_weight_matrices(rule), in real arithmetic on the (re, im)
+    columns.  Gauss rules form neither matrix nor the transform L: the
+    coefficients L f = ((2k+1)/2) P (w/s f) come from the P rows of one
+    recurrence over the nodes and go through the log moments and the
+    antiderivatives, O(n^2 m) in all.  Midpoint rules apply their matrices."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    fr = f.view(float)
+    if rule.family == "gauss-legendre":
+        rows = _node_rows(rule)
+        n, p = rule.n, rows[:, 0]
+        coeffs = p[:n] @ ((rule.weights / rule.scale)[:, None] * fr)
+        coeffs *= ((2 * np.arange(n) + 1) / 2.0)[:, None]
+        log_f = _log_weights_gauss(rule, rows[:, 1], coeffs, rule.weights @ fr)
+        partial_f = _running_integral_gauss(rule, p, coeffs)
+    else:
+        log_f, partial_f = (a @ fr for a in node_weight_matrices(rule))
+    return log_f.view(complex), partial_f.view(complex)
 
 
 def barycentric_weights(rule: QuadratureRule) -> np.ndarray:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbie import conditions
+from cbie import conditions, quadrature
 from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
@@ -677,6 +677,31 @@ def test_nc_verify_builds_no_bundle(tmp_path, outdir, monkeypatch):
     records = json.loads((outdir / "nc_verify.json").read_text())["records"]
     assert sorted((r["condition"], r["N"]) for r in records) == sorted(
         (c, n) for c in ("eq8", "eq10", "eq7-boundary") for n in (16, 32, 64))
+
+
+def test_nc_verify_forms_no_weight_matrix(tmp_path, outdir, monkeypatch):
+    # the residuals apply the Gauss log and running-integral weights through
+    # the Legendre coefficients of the densities: no level forms either
+    # weight matrix or the rule's Legendre transform
+    def refuse(*args):
+        raise AssertionError("dense weight matrix formed on the residual path")
+
+    monkeypatch.setattr(quadrature, "node_weight_matrices", refuse)
+    monkeypatch.setattr(conditions, "node_weight_matrices", refuse)
+    monkeypatch.setattr(quadrature.QuadratureRule, "legendre", property(refuse))
+    conds = list(conditions.CONDITION_IDS)
+    cfg = _write(tmp_path / "c.json", {
+        "schema_version": "1",
+        "domain": CUBIC_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
+        "rule": {"family": "gauss-legendre", "levels": [16, 32, 64]},
+        "conditions": conds,
+        "tolerances": {"sup_residual": 1.0},
+    })
+    assert main(["nc-verify", "--config", cfg, "--out", str(outdir)]) == 0
+    records = json.loads((outdir / "nc_verify.json").read_text())["records"]
+    assert sorted((r["condition"], r["N"]) for r in records) == sorted(
+        (c, n) for c in conds for n in (16, 32, 64))
 
 
 def test_nc_verify_output_is_byte_identical_between_runs(tmp_path):

@@ -20,7 +20,7 @@ from cbie.errors import DataError, DomainError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain, lens_domain
 from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_trace
-from cbie.quadrature import build_rule
+from cbie.quadrature import build_rule, node_weight_matrices
 
 LEVELS = (64, 128, 256)
 ALL_CONDITIONS = ("eq8", "eq9", "eq10", "eq11", "eq12")
@@ -285,9 +285,10 @@ CLOSING_CUBIC = PlaneDomain(-1.0, 1.0,
 
 def _complex_formulas(domain, rule, trace):
     """eq8, cauchy and both boundary representations, rebuilt from the
-    bundle's wlog and partial with the complex logarithm, np.angle, complex
-    division and the angle lift of the complex argument."""
+    rule's node weight matrices with the complex logarithm, np.angle,
+    complex division and the angle lift of the complex argument."""
     ops = build_operators(domain, rule)
+    wlog, partial = node_weight_matrices(rule)
     x, w, n = rule.nodes, rule.weights, rule.n
     g1, g2, f1col, f2col = ops.g1, ops.g2, 1 - 1j * ops.g1p, 1 - 1j * ops.g2p
     dx = x[None, :] - x[:, None]
@@ -309,12 +310,12 @@ def _complex_formulas(domain, rule, trace):
         np.fill_diagonal(core, -(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
         return w[None, :] * core
 
-    sign = -0.25j * (w[None, :] - 2.0 * ops.partial)
+    sign = -0.25j * (w[None, :] - 2.0 * partial)
     m1 = m(g1, ops.g1p)
     r1 = (np.log(np.abs(m1)) + 1j * (np.angle(m1) - np.pi / 2)) / TWO_PI
     den21 = (g2[None, :] - g1[:, None]) + 1j * dx
     den12 = (g1[None, :] - g2[:, None]) + 1j * dx
-    eq8 = np.concatenate([(w * r1 + ops.wlog / TWO_PI) * (-2.0 * f1col),
+    eq8 = np.concatenate([(w * r1 + wlog / TWO_PI) * (-2.0 * f1col),
                           (w * np.log(den21) / TWO_PI + sign) * (2.0 * f2col)], axis=1)
     cauchy = np.block([
         [2.0 * remainder(domain.lower, g1), w * ((-2.0 / TWO_PI) / den21) * f2col],
@@ -340,9 +341,9 @@ def _complex_formulas(domain, rule, trace):
     lower = trace.u_lower - (0.5 * (eq8 @ np.concatenate([du1, du2])) - dku21 * du1
                              - sign @ (f2col * du2 - f1col * du1))
     m2 = m(g2, ops.g2p)
-    kv22 = (w * (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI + ops.wlog / TWO_PI
-            - 0.5j * ops.partial) * f2col
-    kv12 = (w * lifted(den12) / TWO_PI - 1j * ops.partial) * f1col
+    kv22 = (w * (np.log(np.abs(m2)) + 1j * np.angle(m2)) / TWO_PI + wlog / TWO_PI
+            - 0.5j * partial) * f2col
+    kv12 = (w * lifted(den12) / TWO_PI - 1j * partial) * f1col
     upper = trace.u_lower - (kv22 @ du2 - kv12 @ du1)
     return eq8, cauchy, lower, upper
 

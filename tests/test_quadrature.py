@@ -4,11 +4,14 @@ from scipy.integrate import quad
 
 from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
+    _gauss_legendre,
     _legendre_recurrence,
+    _node_rows,
     build_rule,
     diff_matrix,
     log_weight_matrix,
     node_weight_matrices,
+    node_weight_products,
     partial_integral_matrix,
     pv_integrate,
     pv_integrate_excluded_node,
@@ -84,6 +87,56 @@ def test_legendre_recurrence_q_rows_match_textbook_form(n):
     assert np.max(np.abs(q - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _recurrence_allocating(t, y0, y1, kmax):
+    # the recurrence as first written: every step allocates its temporaries
+    # and copies the new row into place
+    y = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1)))
+    y[0] = y0
+    if kmax >= 1:
+        y[1] = y1
+    for k in range(1, kmax):
+        ty = t * y[k]
+        y[k + 1] = ty + (k / (k + 1)) * (ty - y[k - 1])
+    return y
+
+
+def _gauss_legendre_all_rows(n):
+    # the rule as first written: each of the four evaluations of P_n runs a
+    # recurrence that stores all n + 1 rows
+    def pn(t):
+        p0, p1 = _recurrence_allocating(t, 1.0, t, n)[n - 1:]
+        return p1, n * (t * p1 - p0) / (t * t - 1.0)
+
+    k = np.arange(1, (n + 1) // 2 + 1)
+    t = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(np.pi * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):
+        p, dp = pn(t)
+        t = t - p / dp
+    if n % 2:
+        t[-1] = 0.0
+    dp = pn(t)[1]
+    w = 2.0 / ((1.0 - t * t) * dp * dp)
+    m = len(t) - n % 2
+    return np.concatenate([-t[:m], t[::-1]]), np.concatenate([w[:m], w[::-1]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 127, 512, 1023, 1024])
+def test_in_place_recurrence_is_bit_identical(n):
+    # the recurrence writes each row in place and Newton keeps two rows, with
+    # the step arithmetic unchanged: nodes, weights and rows keep their bits
+    t, w = _gauss_legendre(n)
+    ref_t, ref_w = _gauss_legendre_all_rows(n)
+    assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
+    q0 = np.arctanh(t)
+    assert np.array_equal(_legendre_recurrence(t, 1.0, t, n),
+                          _recurrence_allocating(t, 1.0, t, n))
+    assert np.array_equal(_legendre_recurrence(t, q0, t * q0 - 1.0, n),
+                          _recurrence_allocating(t, q0, t * q0 - 1.0, n))
+    rows = _node_rows(build_rule("gauss-legendre", n, -1, 1))
+    assert np.array_equal(rows[:, 0], _recurrence_allocating(t, 1.0, t, n))
+    assert np.array_equal(rows[:, 1], _recurrence_allocating(t, q0, t * q0 - 1.0, n))
+
+
 def test_rule_legendre_transform_cached_and_identity_free():
     rule = build_rule("gauss-legendre", 16, -1, 2)
     assert rule.legendre is rule.legendre
@@ -139,6 +192,22 @@ def test_node_weight_matrices_midpoint():
     got_log, got_partial = node_weight_matrices(rule)
     assert np.array_equal(got_log, log_weight_matrix(rule))
     assert np.array_equal(got_partial, partial_integral_matrix(rule, rule.nodes))
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 2), ("gauss-legendre", 3),
+                                      ("gauss-legendre", 64), ("gauss-legendre", 257),
+                                      ("gauss-legendre", 1024), ("midpoint-uniform", 40)])
+def test_node_weight_products_match_dense_matrices(family, n):
+    # on [-0.5, 2] the scale is not 1, so the log(s) term of the log weights
+    # counts; the products equal the dense matrices' within round-off of the
+    # sum of their terms' magnitudes
+    rule = build_rule(family, n, -0.5, 2.0)
+    rng = np.random.default_rng(n)
+    f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+    for got, dense in zip(node_weight_products(rule, f), node_weight_matrices(rule)):
+        assert got.shape == (n, 3)
+        terms = np.abs(dense) @ np.abs(f)
+        assert np.max(np.abs(got - dense @ f)) <= 1e-13 * np.max(terms)
 
 
 @pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
