@@ -22,6 +22,13 @@ The Cauchy-singular kernels are split as
 the principal-value part going through the discrete PV operator and the
 remainder through the plain rule; the remainder's diagonal limit is
 -(i/4pi) g''(xi) / (g'(xi) + i).
+
+Every N x N kernel block is built in row tiles of at most _TILE_ROWS rows,
+each entry with the arithmetic of the whole block.  The operator bundle
+(`build_operators`) writes the tiles into its dense matrices; the residual
+path (`trace_products`, `condition_residuals`) applies each tile, the PV
+rows and the upper representation's diagonal pair to the trace as they are
+built, and forms no N x N kernel, PV or representation array.
 """
 
 from __future__ import annotations
@@ -43,6 +50,8 @@ from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .quadrature import (
     QuadratureRule,
+    _diagonal,
+    _pv_rows,
     node_weight_matrices,
     node_weight_products,
     pv_weight_matrix,
@@ -90,36 +99,36 @@ class ResidualReport:
     window_delta: float
 
 
-def _diffq(gamma_vals: np.ndarray, slope_vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m[i, j] = (gamma(x_j) - gamma(x_i)) / (x_j - x_i), slope on the diagonal."""
-    dx = x[None, :] - x[:, None]
-    dg = gamma_vals[None, :] - gamma_vals[:, None]
-    np.fill_diagonal(dx, 1.0)
+def _diffq(gamma_vals: np.ndarray, slope_vals: np.ndarray, x: np.ndarray,
+           lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of m[i, j] = (gamma(x_j) - gamma(x_i)) / (x_j - x_i), the
+    slope on the diagonal (k, lo + k)."""
+    diag = _diagonal(lo, hi)
+    dx = x[None, :] - x[lo:hi, None]
+    dg = gamma_vals[None, :] - gamma_vals[lo:hi, None]
+    dx[diag] = 1.0
     m = dg / dx
-    np.fill_diagonal(m, slope_vals)
+    m[diag] = slope_vals[lo:hi]
     return m
-
-
-def _angle(re, im, lifted: bool = False):
-    """arctan2(im, re): the principal angle or, lifted, the one in [0, 2pi),
-    the branch continuous across the negative real axis, for arguments in
-    the left half-plane."""
-    ang = np.arctan2(im, re)
-    return np.where(ang < 0, ang + 2 * np.pi, ang) if lifted else ang
 
 
 def log_parts(re, im, lifted: bool = False):
     """log(re + i im) from its real and imaginary parts, with no complex
-    logarithm: (1/2) log(re^2 + im^2) + i arctan2(im, re), on the branch
-    `_angle` picks."""
-    return 0.5 * np.log(re * re + im * im) + 1j * _angle(re, im, lifted)
+    logarithm: (1/2) log(re^2 + im^2) + i arctan2(im, re), with the
+    principal angle or, lifted, the one in [0, 2pi), the branch continuous
+    across the negative real axis, for arguments in the left half-plane."""
+    ang = np.arctan2(im, re)
+    if lifted:
+        ang = np.where(ang < 0, ang + 2 * np.pi, ang)
+    return 0.5 * np.log(re * re + im * im) + 1j * ang
 
 
 def _real_matvec(a, v):
-    """a @ v for a real matrix and a complex vector, as one real product on
-    the (re, im) columns of v."""
+    """a @ v for a real matrix and a complex vector or matrix, as one real
+    product on the (re, im) columns of v."""
     v = np.ascontiguousarray(v, dtype=complex)
-    return (a @ v.view(float).reshape(-1, 2)).view(complex)[:, 0]
+    p = a @ v.reshape(len(v), -1).view(float)
+    return p.view(complex).reshape(p.shape[:1] + v.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -160,7 +169,7 @@ def _fill(out, re, im, gp):
     np.subtract(im, t, out=out.imag)
 
 
-def _bounded_remainder(parts, x, gv, gp, gpp, w):
+def _bounded_remainder(parts, x, gv, gp, gpp, w, lo):
     """parts = (re, im) of w_j [ (1 - i g'(x_j)) dU/dx2(x_j - x_i, g(x_j) - g(x_i))
     + (i/2pi)/(x_j - x_i) ], with the continuous diagonal limit
     -(i/4pi) g''(x_i)/(g'(x_i) + i).
@@ -168,11 +177,15 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w):
     The algebraic form (i/2pi)(dg - g'(x_j) dx) / (dx (dg + i dx)) already
     carries the (1 - i g') column factor; with 1/(dg + i dx) =
     (dg - i dx)/(dg^2 + dx^2) it is q (dx + i dg), q real.  dx and dg are
-    built in parts itself.  Signed weights w scale the block."""
+    built in parts itself, the rows lo:lo + h of the block for parts of
+    shape (2, h, n), with the diagonal at (k, lo + k).  Signed weights w
+    scale the block."""
     dx, dg = parts
-    np.subtract(x[None, :], x[:, None], out=dx)
-    np.subtract(gv[None, :], gv[:, None], out=dg)
-    np.fill_diagonal(dx, 1.0)
+    hi = lo + dx.shape[0]
+    diag = _diagonal(lo, hi)
+    np.subtract(x[None, :], x[lo:hi, None], out=dx)
+    np.subtract(gv[None, :], gv[lo:hi, None], out=dg)
+    dx[diag] = 1.0
     den = dg * dg
     q = np.multiply(dx, dx)
     den += q
@@ -184,9 +197,9 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w):
     q *= w
     dx *= q
     dg *= q
-    diag = w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
-    np.fill_diagonal(dx, diag.real)
-    np.fill_diagonal(dg, diag.imag)
+    limit = w[lo:hi] * (-(1j / (2 * TWO_PI)) * gpp[lo:hi] / (gp[lo:hi] + 1j))
+    dx[diag] = limit.real
+    dg[diag] = limit.imag
 
 
 def curve_samples(domain: PlaneDomain, x) -> tuple:
@@ -208,19 +221,33 @@ def curve_samples(domain: PlaneDomain, x) -> tuple:
 # row sums of the three cross blocks and sit on the diagonals of three others.
 _CROSS_BLOCKS = ((0, 1), (1, 1), (2, 0))
 
+# Rows per kernel tile: 256 KB per real N-column array at N = 512, the
+# whole block up to N = 64.
+_TILE_ROWS = 64
+
+
+def _row_tiles(n: int) -> list:
+    """(lo, hi) of each row tile of an n-row block."""
+    return [(lo, min(lo + _TILE_ROWS, n)) for lo in range(0, n, _TILE_ROWS)]
+
 
 def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, partial):
-    """Yield (r, c, parts, gp) for each N x N kernel block of [eq8; cauchy]:
-    the block is (parts[0] + i parts[1])(1 - i gp) with gp the slope at each
-    column, or parts[0] + i parts[1] when gp is None (the bounded remainders
-    carry their factor).  parts is one (2, N, N) real array, overwritten by
-    the next block: a reader that keeps a block copies it.
+    """Yield (r, c, lo, parts, gp) for each row tile of each N x N kernel
+    block of [eq8; cauchy]: rows lo:lo + h of the block are
+    (parts[0] + i parts[1])(1 - i gp) with gp the slope at each column, or
+    parts[0] + i parts[1] when gp is None (the bounded remainders carry
+    their factor).  parts is one contiguous (2, h, N) real array of at most
+    _TILE_ROWS rows, overwritten by the next tile: a reader that keeps a
+    tile copies it.  Every entry has the arithmetic of the untiled block.
+    The blocks come in the order (0, 0), (0, 1) and (1, 1) tile by tile,
+    (2, 0), (1, 0), (2, 1): each row block meets its column blocks in one
+    order, whatever the tile height.
 
     The weight matrices wlog and partial (`node_weight_matrices`) enter
     blocks (0, 0) and (0, 1) only, and are dropped once those are built.
     With both None those blocks leave out the (-2/2pi) wlog and i partial
     terms, which a reader then applies itself (`trace_products`)."""
-    x, w = rule.nodes, rule.weights
+    x, w, n = rule.nodes, rule.weights, rule.n
     g1, g2, g1p, g2p = curves
     g1pp = np.asarray(domain.lower.curvature(x), dtype=float)
     g2pp = np.asarray(domain.upper.curvature(x), dtype=float)
@@ -229,66 +256,89 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
         j = int(np.argmin(gap))
         raise AssemblyError(
             f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
-    parts = np.empty((2, rule.n, rule.n))
-    re, im = parts
+    tiles = _row_tiles(n)
+    buf = np.empty(2 * min(n, _TILE_ROWS) * n)
+
+    def tile(lo, hi):
+        return buf[:2 * (hi - lo) * n].reshape(2, hi - lo, n)
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
     # into (1/2pi) log|x - xi| plus the smooth part
     # (1/2pi)[log|m| + i(Arg m - pi/2)], m = d + i with d = diffq real, that
     # is (1/2pi)[(1/2) log1p(d^2) - i arctan d].
-    d = _diffq(g1, g1p, x)
-    np.multiply(d, d, out=re)
-    np.log1p(re, out=re)
-    re *= 0.5 * w
-    if wlog is not None:
-        re += wlog
+    for lo, hi in tiles:
+        parts = tile(lo, hi)
+        re, im = parts
+        d = _diffq(g1, g1p, x, lo, hi)
+        np.multiply(d, d, out=re)
+        np.log1p(re, out=re)
+        re *= 0.5 * w
+        if wlog is not None:
+            re += wlog[lo:hi]
+        re *= -2.0 / TWO_PI
+        np.arctan(d, out=im)
+        im *= (2.0 / TWO_PI) * w
+        yield 0, 0, lo, parts, g1p
     del wlog
-    re *= -2.0 / TWO_PI
-    np.arctan(d, out=im)
-    im *= (2.0 / TWO_PI) * w
-    del d
-    yield 0, 0, parts, g1p
 
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
     # exactly through the running-integral weights,
-    # -(i/4)(w_j - 2 int_a^{x_i}).
-    dx = x[None, :] - x[:, None]
-    gap21 = g2[None, :] - g1[:, None]
-    rho = np.multiply(gap21, gap21)
-    np.multiply(dx, dx, out=re)
-    rho += re
-    np.log(rho, out=re)
-    re *= w / TWO_PI
-    np.arctan2(dx, gap21, out=im)
-    im *= (2.0 / TWO_PI) * w
-    if partial is not None:
-        im += partial
+    # -(i/4)(w_j - 2 int_a^{x_i}).  [eq10; eq12] carries -+2 x the dU/dx2
+    # cross kernels (smooth: the vertical gap never closes at nodes),
+    # 1/(gap + i dx) = (gap - i dx)/(gap^2 + dx^2); the eq10 one reads the
+    # same gap, dx and rho as the eq8 one.
+    for lo, hi in tiles:
+        parts = tile(lo, hi)
+        re, im = parts
+        dx = x[None, :] - x[lo:hi, None]
+        gap21 = g2[None, :] - g1[lo:hi, None]
+        rho = np.multiply(gap21, gap21)
+        np.multiply(dx, dx, out=re)
+        rho += re
+        np.log(rho, out=re)
+        re *= w / TWO_PI
+        np.arctan2(dx, gap21, out=im)
+        im *= (2.0 / TWO_PI) * w
+        if partial is not None:
+            im += partial[lo:hi]
+        im -= 0.5 * w
+        yield 0, 1, lo, parts, g2p
+        _cauchy_cross(parts, gap21, dx, rho, w)
+        yield 1, 1, lo, parts, g2p
     del partial
-    im -= 0.5 * w
-    yield 0, 1, parts, g2p
 
-    # [eq10; eq12] carries +-2 x the bounded remainders of the diagonal
-    # pairs and -+2 x the dU/dx2 cross kernels (smooth: the vertical gap
-    # never closes at nodes), 1/(gap + i dx) = (gap - i dx)/(gap^2 + dx^2).
-    # Seen from curve 2 the gap and dx of the pair (i, j) are minus those
-    # of (j, i) seen from curve 1, so the lower-left block reads the
-    # transposes of gap / rho and dx / rho.
+    # Seen from curve 2 the pair (i, j) has the gap g2(x_i) - g1(x_j) and
+    # dx = x_i - x_j: the (j, i) entries of the eq10 block's operands, built
+    # for this block's own rows.
+    for lo, hi in tiles:
+        parts = tile(lo, hi)
+        gap12 = g2[lo:hi, None] - g1[None, :]
+        dx = x[lo:hi, None] - x[None, :]
+        rho = np.multiply(gap12, gap12)
+        np.multiply(dx, dx, out=parts[0])
+        rho += parts[0]
+        _cauchy_cross(parts, gap12, dx, rho, w)
+        yield 2, 0, lo, parts, g1p
+
+    # the bounded remainders of the diagonal pairs, +-2 x
+    for r, c, g, gp, gpp, ws in ((1, 0, g1, g1p, g1pp, 2.0 * w),
+                                 (2, 1, g2, g2p, g2pp, -2.0 * w)):
+        for lo, hi in tiles:
+            parts = tile(lo, hi)
+            _bounded_remainder(parts, x, g, gp, gpp, ws, lo)
+            yield r, c, lo, parts, None
+
+
+def _cauchy_cross(parts, gap, dx, rho, w):
+    """parts = (re, im) of (-2/2pi) w_j / (gap + i dx), rho = gap^2 + dx^2,
+    as (-2/2pi) w_j (gap - i dx) / rho; gap, dx and rho are overwritten."""
     np.reciprocal(rho, out=rho)
-    gap21 *= rho
+    gap *= rho
     dx *= rho
-    np.multiply(gap21, (-2.0 / TWO_PI) * w, out=re)
-    np.multiply(dx, (2.0 / TWO_PI) * w, out=im)
-    yield 1, 1, parts, g2p
-    np.multiply(gap21.T, (-2.0 / TWO_PI) * w, out=re)
-    np.multiply(dx.T, (2.0 / TWO_PI) * w, out=im)
-    yield 2, 0, parts, g1p
-    del dx, gap21, rho  # not read again: out of the remainders' peak
-    _bounded_remainder(parts, x, g1, g1p, g1pp, 2.0 * w)
-    yield 1, 0, parts, None
-    _bounded_remainder(parts, x, g2, g2p, g2pp, -2.0 * w)
-    yield 2, 1, parts, None
+    np.multiply(gap, (-2.0 / TWO_PI) * w, out=parts[0])
+    np.multiply(dx, (2.0 / TWO_PI) * w, out=parts[1])
 
 
 def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tuple:
@@ -332,8 +382,9 @@ def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tu
 @lru_cache(maxsize=1)  # each solve reads only its own bundle
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     """The dense operator bundle of one (domain, rule) pair, which assembly
-    reads.  Every N x N kernel block is written into its slice of `eq8` or
-    `cauchy` from real arrays, the column factor [1 - i g'] included (`_fill`)."""
+    reads.  Every row tile of every N x N kernel block is written into its
+    slice of `eq8` or `cauchy` from real arrays, the column factor
+    [1 - i g'] included (`_fill`)."""
     n = rule.n
     curves = curve_samples(domain, rule.nodes)
     pv = pv_weight_matrix(rule)
@@ -344,8 +395,8 @@ def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
 
     # the weight matrices live in the block generator only, until it has
     # built the two blocks that read them
-    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, *node_weight_matrices(rule)):
-        _fill(block(r, c), parts[0], parts[1], gp)
+    for r, c, lo, parts, gp in _kernel_blocks(domain, rule, curves, *node_weight_matrices(rule)):
+        _fill(block(r, c)[lo:lo + parts.shape[1]], parts[0], parts[1], gp)
     ones, diag = np.ones(n), np.arange(n)
     dku21, corners = _corner_terms(domain, rule, curves,
                                    {rc: block(*rc) @ ones for rc in _CROSS_BLOCKS})
@@ -375,7 +426,10 @@ class TraceProducts:
     eq8 = Operators.eq8 @ D, cauchy = Operators.cauchy @ D, and dku21 as in
     Operators.  v holds the scaled densities [v_1, v_2], v_k = [1 - i g_k'] du_k,
     as columns; wlog and partial are the node weight matrices
-    (`node_weight_matrices`) applied to them."""
+    (`node_weight_matrices`) applied to them.  cross is the upper boundary
+    representation's cross pair: the curve-1 kernel seen from curve 2,
+    (1/2) log(gap^2 + dx^2) + i (A + pi), applied to u_1 = w v_1, with
+    A = arctan2(dx, gap) the angle of block (0, 1) at the transposed pair."""
 
     g1: np.ndarray
     g2: np.ndarray
@@ -387,39 +441,52 @@ class TraceProducts:
     eq8: np.ndarray
     cauchy: np.ndarray
     dku21: np.ndarray
+    cross: np.ndarray
 
 
 def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
-    """Apply each kernel block to the trace as `_kernel_blocks` builds it,
-    storing none: one real GEMM per block on the interleaved (re, im)
+    """Apply each kernel tile to the trace as `_kernel_blocks` builds it,
+    storing none: one real GEMM per tile on the interleaved (re, im)
     columns of the scaled density [1 - i g'] du, with the column factor
     stacked as two more columns, so the corner row sums come from the same
-    pass.  The log-weight and running-integral terms of the eq8 blocks go
-    through `node_weight_products` instead, on the columns
-    [v_1, v_2, 1 - i g_2'], once per trace and before the blocks, in
-    O(N^2): no weight matrix is formed."""
-    rule, n = trace.rule, trace.rule.n
+    pass.  While a tile of block (0, 1) is live its transposed product with
+    u_1 = w v_1 accumulates too: the block's entry (i, j) is
+    (w_j/2pi) log rho + i (w_j/pi) A - (i/2) w_j, so
+    (pi/w) (u_1 @ block) + (3 pi i/2) sum u_1 is the cross pair.  The
+    log-weight and running-integral terms of the eq8 blocks go through
+    `node_weight_products` instead, on the columns [v_1, v_2, 1 - i g_2'],
+    once per trace and before the blocks, in O(N^2): no weight matrix and
+    no N x N kernel array is formed."""
+    rule, n, w = trace.rule, trace.rule.n, trace.rule.weights
     curves = curve_samples(domain, rule.nodes)
     du = (trace.du_lower, trace.du_upper)
     factor = (1.0 - 1j * curves[2], 1.0 - 1j * curves[3])
     cols = np.stack([factor[0] * du[0], factor[1] * du[1], factor[1]], axis=1)
     wlog, partial = node_weight_products(rule, cols)
+    u1 = w * cols[:, 0]
+    u1r = u1.view(float).reshape(n, 2)
     out = np.zeros((3, n), dtype=complex)
-    sums = {}
-    for r, c, parts, gp in _kernel_blocks(domain, rule, curves, None, None):
+    sums = {rc: np.empty(n, dtype=complex) for rc in _CROSS_BLOCKS}
+    cross = np.zeros((2, 2, n))  # part k of block (0, 1), transposed, @ part m of u_1
+    for r, c, lo, parts, gp in _kernel_blocks(domain, rule, curves, None, None):
+        h = parts.shape[1]
         block_cols = [du[c]] if gp is None else [cols[:, c], factor[c]]
-        p = parts.reshape(2 * n, n) @ np.stack(block_cols, axis=1).view(float)
-        prod = (p[:n, 0::2] - p[n:, 1::2]) + 1j * (p[:n, 1::2] + p[n:, 0::2])
-        out[r] += prod[:, 0]
-        if gp is not None:
-            sums[r, c] = prod[:, 1]
+        p = parts.reshape(2 * h, n) @ np.stack(block_cols, axis=1).view(float)
+        prod = (p[:h, 0::2] - p[h:, 1::2]) + 1j * (p[:h, 1::2] + p[h:, 0::2])
+        out[r, lo:lo + h] += prod[:, 0]
+        if (r, c) in sums:
+            sums[r, c][lo:lo + h] = prod[:, 1]
+        if (r, c) == (0, 1):
+            cross += u1r[lo:lo + h].T @ parts
     out[0] += (-2.0 / TWO_PI) * wlog[:, 0] + 1j * partial[:, 1]
     sums[0, 1] += 1j * partial[:, 2]
     dku21, corners = _corner_terms(domain, rule, curves, sums)
     for (r, c), v in corners.items():
         out[r] += v * du[c]
+    cross = ((np.pi / w) * ((cross[0, 0] - cross[1, 1]) + 1j * (cross[0, 1] + cross[1, 0]))
+             + 1.5j * np.pi * np.sum(u1))
     return TraceProducts(*curves, cols[:, :2], wlog[:, :2], partial[:, :2],
-                         out[0], out[1:].ravel(), dku21)
+                         out[0], out[1:].ravel(), dku21, cross)
 
 
 def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
@@ -450,17 +517,17 @@ def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np
         flux = 0.5 * prods.eq8 - prods.dku21 * trace.du_lower - sign
     elif side == "upper":
         # Curve 2: diagonal log split as on curve 1, with the half-weighted
-        # jump -(i/2) int_a^{xi}; curve 1: smooth in the (0, 2pi) branch plus
-        # the full jump correction -i int_a^{xi}.  Each real kernel array
-        # acts on the weighted density u = w v.
-        u1, u2 = w * v1, w * v2
-        d = _diffq(prods.g2, prods.g2p, x)  # m = d + i, Arg m = pi/2 - arctan d
-        flux = (0.5 * _real_matvec(np.log1p(d * d), u2)
-                + 1j * (0.5 * np.pi * np.sum(u2) - _real_matvec(np.arctan(d, out=d), u2)))
-        gap = prods.g1[None, :] - prods.g2[:, None]
-        dx = x[None, :] - x[:, None]
-        flux -= (0.5 * _real_matvec(np.log(gap * gap + dx * dx), u1)
-                 + 1j * _real_matvec(_angle(gap, dx, lifted=True), u1))
+        # jump -(i/2) int_a^{xi}, applied one row tile at a time to the
+        # weighted density u_2 = w v_2; curve 1: smooth in the (0, 2pi)
+        # branch (`TraceProducts.cross`) plus the full jump correction
+        # -i int_a^{xi}.
+        u2 = w * v2
+        flux = np.empty(trace.rule.n, dtype=complex)
+        for lo, hi in _row_tiles(trace.rule.n):
+            d = _diffq(prods.g2, prods.g2p, x, lo, hi)  # m = d + i, Arg m = pi/2 - arctan d
+            flux[lo:hi] = (0.5 * _real_matvec(np.log1p(d * d), u2)
+                           - 1j * _real_matvec(np.arctan(d, out=d), u2))
+        flux += 0.5j * np.pi * np.sum(u2) - prods.cross
         flux = ((flux + prods.wlog[:, 1]) / TWO_PI
                 - 1j * (0.5 * prods.partial[:, 1] - prods.partial[:, 0]))
     else:
@@ -482,10 +549,12 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
     prods = trace_products(trace, domain)
     out = {"eq8": trace.u_lower - trace.u_upper + prods.eq8}
     if ids & {"eq9", "eq10", "eq11", "eq12"}:
-        pv = pv_weight_matrix(trace.rule)
         du1, du2 = trace.du_lower, trace.du_upper
-        cauchy_pv = (1j / np.pi) * np.concatenate([-_real_matvec(pv, du1),
-                                                   _real_matvec(pv, du2)])
+        du = np.stack([du1, du2], axis=1)
+        pv = np.empty_like(du)  # the PV of [du_1, du_2], one row tile at a time
+        for lo, hi in _row_tiles(trace.rule.n):
+            pv[lo:hi] = _real_matvec(_pv_rows(trace.rule, lo, hi), du)
+        cauchy_pv = (1j / np.pi) * np.concatenate([-pv[:, 0], pv[:, 1]])
         eq10, eq12 = np.split(np.concatenate([du1, du2]) + cauchy_pv + prods.cauchy, 2)
         out.update(eq10=eq10, eq12=eq12)
         if ids & {"eq9", "eq11"}:

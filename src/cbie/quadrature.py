@@ -18,6 +18,10 @@ Two families:
                    integration of the cell-wise constant samples (exact
                    cell log moments); serves as the cross-check oracle
                    for the Gauss paths
+
+On both families each row of the PV matrix depends on that row alone: the
+matrix is the all-rows call of `_pv_rows`, and the residual path applies it
+one row tile at a time, with the matrix's bits and no n x n array.
 """
 
 from __future__ import annotations
@@ -189,26 +193,41 @@ def pv_integrate_excluded_node(f: Callable, xi: float, rule: QuadratureRule) -> 
     return complex(np.sum(rule.weights[keep] * vals / (x[keep] - xi)))
 
 
+def _diagonal(lo: int, hi: int) -> tuple:
+    """Index of the diagonal entries (k, lo + k) of the rows lo:hi of a
+    square matrix, held as a (hi - lo) x n tile."""
+    k = np.arange(hi - lo)
+    return k, lo + k
+
+
 def diff_matrix(rule: QuadratureRule) -> np.ndarray:
     """Differentiation matrix on the rule's nodes.
 
     Gauss: barycentric spectral differentiation (weights (-1)^j sqrt((1-t^2) w)).
     Midpoint: second-order finite differences (uniform grid).
     """
-    n = rule.n
+    return _diff_rows(rule, 0, rule.n)
+
+
+def _diff_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of `diff_matrix`, each with the arithmetic of the whole
+    matrix's row."""
+    n, diag = rule.n, _diagonal(lo, hi)
     if rule.family == "gauss-legendre":
         t = rule.reference_nodes()
         beta = barycentric_weights(rule)
-        dt = t[:, None] - t[None, :]
-        np.fill_diagonal(dt, 1.0)
-        d = (beta[None, :] / beta[:, None]) / dt
-        np.fill_diagonal(d, 0.0)
-        np.fill_diagonal(d, -np.sum(d, axis=1))
+        dt = t[lo:hi, None] - t[None, :]
+        dt[diag] = 1.0
+        d = (beta[None, :] / beta[lo:hi, None]) / dt
+        d[diag] = 0.0
+        d[diag] = -np.sum(d, axis=1)
         return d / rule.scale
     h = rule.weights[0]
-    d = (np.eye(n, k=1) - np.eye(n, k=-1)) * (0.5 / h)
-    d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-    d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    d = (np.eye(hi - lo, n, lo + 1) - np.eye(hi - lo, n, lo - 1)) * (0.5 / h)
+    if lo == 0:
+        d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+    if hi == n:
+        d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return d
 
 
@@ -219,17 +238,23 @@ def pv_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     Columnwise subtraction (w_j/(x_j - x_i) off the diagonal, the
     compensating sum and endpoint log on the diagonal) plus the w_i g'(x_i)
     term of the subtracted integrand, realized through the differentiation
-    matrix.
+    matrix.  The matrix is the all-rows call of `_pv_rows`, which the
+    residual path calls one row tile at a time.
     """
+    return _pv_rows(rule, 0, rule.n)
+
+
+def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of `pv_weight_matrix`, bit for bit: every entry, the
+    diagonal's row sum included, depends on its own row only."""
     x, w = rule.nodes, rule.weights
-    a, b = rule.a, rule.b
-    dx = x[None, :] - x[:, None]
-    np.fill_diagonal(dx, 1.0)
+    diag = _diagonal(lo, hi)
+    dx = x[None, :] - x[lo:hi, None]
+    dx[diag] = 1.0
     p = w[None, :] / dx
-    np.fill_diagonal(p, 0.0)
-    diag = np.log((b - x) / (x - a)) - np.sum(p, axis=1)
-    p[np.arange(rule.n), np.arange(rule.n)] += diag
-    return p + w[:, None] * diff_matrix(rule)
+    p[diag] = 0.0
+    p[diag] += np.log((rule.b - x[lo:hi]) / (x[lo:hi] - rule.a)) - np.sum(p, axis=1)
+    return p + w[lo:hi, None] * _diff_rows(rule, lo, hi)
 
 
 def _transform(rule: QuadratureRule, p) -> np.ndarray:
@@ -254,12 +279,13 @@ def _node_legendre(rule: QuadratureRule, rows) -> np.ndarray:
     return rule.legendre
 
 
-def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums) -> np.ndarray:
+def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums, out) -> np.ndarray:
     """Global product integration of f(x) log|x - x_i| on Gauss nodes, from
     the rows Q_0..Q_n at the nodes, applied to the Legendre coefficients
     `coeffs` of the samples and their plain rule sums `sums`: rule.legendre
     and rule.weights give the weight matrix, L F and w @ F its product with
-    the samples F.
+    the samples F.  Written into out (None: a new array), as are the
+    moments, with no n x n temporary.
 
     The Legendre expansion (exact for degree < n) is integrated mode by
     mode against the log kernel with the closed-form moments
@@ -272,23 +298,32 @@ def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums) -> np.ndarray:
     t = rule.reference_nodes()
     moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
     moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
-    moments[1:] = 2.0 * (q[2:] - q[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
+    np.subtract(q[2:], q[:-2], out=moments[1:])
+    moments[1:] *= 2.0
+    moments[1:] /= (2 * np.arange(1, n) + 1)[:, None]
     s = rule.scale
-    return s * (moments.T @ coeffs) + np.log(s) * sums
+    out = np.matmul(moments.T, coeffs, out=out)
+    out *= s
+    out += np.log(s) * sums
+    return out
 
 
-def _running_integral_gauss(rule: QuadratureRule, p, coeffs) -> np.ndarray:
+def _running_integral_gauss(rule: QuadratureRule, p, coeffs, out) -> np.ndarray:
     """Running-integral rows at the points where the rows p = P_0..P_n were
     taken, applied to the Legendre coefficients `coeffs` (rule.legendre for
     the matrix): the Legendre expansion (exact for degree < n) integrated
     through the antiderivatives from -1, int P_0 = P_1 + 1 and
     int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
-    latter because P_{k+1}(-1) = P_{k-1}(-1)."""
+    latter because P_{k+1}(-1) = P_{k-1}(-1).  Written into out (None: a
+    new array), as are the antiderivatives, with no n x n temporary."""
     n = rule.n
     anti = np.empty((n,) + p.shape[1:])  # anti[k, m] = int_-1^{t_m} P_k
     anti[0] = p[1] + 1.0
-    anti[1:] = (p[2:] - p[:-2]) / (2 * np.arange(1, n) + 1)[:, None]
-    return rule.scale * (anti.T @ coeffs)
+    np.subtract(p[2:], p[:-2], out=anti[1:])
+    anti[1:] /= (2 * np.arange(1, n) + 1)[:, None]
+    out = np.matmul(anti.T, coeffs, out=out)
+    out *= rule.scale
+    return out
 
 
 def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
@@ -308,7 +343,7 @@ def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     if rule.family == "gauss-legendre":
         rows = _node_rows(rule)
         return _log_weights_gauss(rule, rows[:, 1], _node_legendre(rule, rows),
-                                  rule.weights[None, :])
+                                  rule.weights[None, :], None)
     return _log_weight_matrix_midpoint(rule)
 
 
@@ -324,7 +359,8 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
         t = (x - rule.center) / rule.scale
-        return _running_integral_gauss(rule, _legendre_recurrence(t, 1.0, t, n), rule.legendre)
+        p = _legendre_recurrence(t, 1.0, t, n)
+        return _running_integral_gauss(rule, p, rule.legendre, None)
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
@@ -336,12 +372,17 @@ def node_weight_matrices(rule: QuadratureRule) -> tuple:
     """(log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)),
     the pair the operator build needs.  On Gauss rules one recurrence over
     the nodes gives both, with the P_k rows shared by the running integral
-    and the rule's Legendre transform and the Q_k rows by the log moments."""
+    and the rule's Legendre transform and the Q_k rows by the log moments.
+    The pair shares one (2, n, n) allocation, so that the allocator can hand
+    it back whole once the build drops both: two n x n arrays can stay
+    behind as heap holes (16 MB of a cold N = 1024 solve's peak)."""
     if rule.family == "gauss-legendre":
         rows = _node_rows(rule)
         legendre = _node_legendre(rule, rows)
-        return (_log_weights_gauss(rule, rows[:, 1], legendre, rule.weights[None, :]),
-                _running_integral_gauss(rule, rows[:, 0], legendre))
+        pair = np.empty((2, rule.n, rule.n))
+        _log_weights_gauss(rule, rows[:, 1], legendre, rule.weights[None, :], pair[0])
+        _running_integral_gauss(rule, rows[:, 0], legendre, pair[1])
+        return pair[0], pair[1]
     return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
 
 
@@ -359,8 +400,8 @@ def node_weight_products(rule: QuadratureRule, f) -> tuple:
         n, p = rule.n, rows[:, 0]
         coeffs = p[:n] @ ((rule.weights / rule.scale)[:, None] * fr)
         coeffs *= ((2 * np.arange(n) + 1) / 2.0)[:, None]
-        log_f = _log_weights_gauss(rule, rows[:, 1], coeffs, rule.weights @ fr)
-        partial_f = _running_integral_gauss(rule, p, coeffs)
+        log_f = _log_weights_gauss(rule, rows[:, 1], coeffs, rule.weights @ fr, None)
+        partial_f = _running_integral_gauss(rule, p, coeffs, None)
     else:
         log_f, partial_f = (a @ fr for a in node_weight_matrices(rule))
     return log_f.view(complex), partial_f.view(complex)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -8,9 +9,12 @@ from cbie.conditions import (
     BoundaryTrace,
     Operators,
     _bounded_remainder,
+    _corner_terms,
+    _fill,
     build_operators,
     condition_report,
     condition_residuals,
+    curve_samples,
     eq8_residuals,
     representation_boundary,
     trace_products,
@@ -20,7 +24,13 @@ from cbie.errors import DataError, DomainError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain, lens_domain
 from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_trace
-from cbie.quadrature import build_rule, node_weight_matrices
+from cbie.quadrature import (
+    _pv_rows,
+    barycentric_weights,
+    build_rule,
+    node_weight_matrices,
+    pv_weight_matrix,
+)
 
 LEVELS = (64, 128, 256)
 ALL_CONDITIONS = ("eq8", "eq9", "eq10", "eq11", "eq12")
@@ -65,7 +75,7 @@ def _remainder(domain, side, n=32):
     curve, x = domain.curve(side), rule.nodes
     parts = np.empty((2, n, n))
     _bounded_remainder(parts, x, curve.value(x), curve.slope(x), curve.curvature(x),
-                       rule.weights)
+                       rule.weights, 0)
     return rule, (parts[0] + 1j * parts[1]) / rule.weights[None, :]
 
 
@@ -382,6 +392,207 @@ def test_trace_products_match_dense_bundle(lens, domain_name, family, n):
             (prods.cauchy, ops.cauchy @ d, np.abs(ops.cauchy) @ np.abs(d)),
             (prods.dku21, ops.dku21, 0.5 * np.abs(ops.eq8[:, n:]) @ np.ones(n))):
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(terms)
+
+
+# ---------------------------------------------------------------------------
+# row tiles: the untiled kernel blocks, kept as the reference the tiled
+# generator must reproduce bit for bit
+# ---------------------------------------------------------------------------
+
+def _untiled_diffq(g, gp, x):
+    dx = x[None, :] - x[:, None]
+    dg = g[None, :] - g[:, None]
+    np.fill_diagonal(dx, 1.0)
+    m = dg / dx
+    np.fill_diagonal(m, gp)
+    return m
+
+
+def _untiled_bounded_remainder(parts, x, gv, gp, gpp, w):
+    dx, dg = parts
+    np.subtract(x[None, :], x[:, None], out=dx)
+    np.subtract(gv[None, :], gv[:, None], out=dg)
+    np.fill_diagonal(dx, 1.0)
+    den = dg * dg
+    q = np.multiply(dx, dx)
+    den += q
+    den *= dx
+    den *= TWO_PI
+    np.multiply(dx, gp, out=q)
+    np.subtract(dg, q, out=q)
+    q /= den
+    q *= w
+    dx *= q
+    dg *= q
+    diag = w * (-(1j / (2 * TWO_PI)) * gpp / (gp + 1j))
+    np.fill_diagonal(dx, diag.real)
+    np.fill_diagonal(dg, diag.imag)
+
+
+def _untiled_kernel_blocks(domain, rule, curves, wlog, partial):
+    """(r, c, parts, gp) for each whole N x N block, the lower-left cross
+    block read as the transpose of the eq10 one's operands."""
+    x, w = rule.nodes, rule.weights
+    g1, g2, g1p, g2p = curves
+    parts = np.empty((2, rule.n, rule.n))
+    re, im = parts
+    d = _untiled_diffq(g1, g1p, x)
+    np.multiply(d, d, out=re)
+    np.log1p(re, out=re)
+    re *= 0.5 * w
+    re += wlog
+    re *= -2.0 / TWO_PI
+    np.arctan(d, out=im)
+    im *= (2.0 / TWO_PI) * w
+    yield 0, 0, parts, g1p
+    dx = x[None, :] - x[:, None]
+    gap21 = g2[None, :] - g1[:, None]
+    rho = np.multiply(gap21, gap21)
+    np.multiply(dx, dx, out=re)
+    rho += re
+    np.log(rho, out=re)
+    re *= w / TWO_PI
+    np.arctan2(dx, gap21, out=im)
+    im *= (2.0 / TWO_PI) * w
+    im += partial
+    im -= 0.5 * w
+    yield 0, 1, parts, g2p
+    np.reciprocal(rho, out=rho)
+    gap21 *= rho
+    dx *= rho
+    np.multiply(gap21, (-2.0 / TWO_PI) * w, out=re)
+    np.multiply(dx, (2.0 / TWO_PI) * w, out=im)
+    yield 1, 1, parts, g2p
+    np.multiply(gap21.T, (-2.0 / TWO_PI) * w, out=re)
+    np.multiply(dx.T, (2.0 / TWO_PI) * w, out=im)
+    yield 2, 0, parts, g1p
+    _untiled_bounded_remainder(parts, x, g1, g1p, domain.lower.curvature(x), 2.0 * w)
+    yield 1, 0, parts, None
+    _untiled_bounded_remainder(parts, x, g2, g2p, domain.upper.curvature(x), -2.0 * w)
+    yield 2, 1, parts, None
+
+
+def _untiled_pv_weight_matrix(rule):
+    x, w, n = rule.nodes, rule.weights, rule.n
+    if rule.family == "gauss-legendre":
+        t, beta = rule.reference_nodes(), barycentric_weights(rule)
+        dt = t[:, None] - t[None, :]
+        np.fill_diagonal(dt, 1.0)
+        dmat = (beta[None, :] / beta[:, None]) / dt
+        np.fill_diagonal(dmat, 0.0)
+        np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
+        dmat = dmat / rule.scale
+    else:
+        h = w[0]
+        dmat = (np.eye(n, k=1) - np.eye(n, k=-1)) * (0.5 / h)
+        dmat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+        dmat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    dx = x[None, :] - x[:, None]
+    np.fill_diagonal(dx, 1.0)
+    p = w[None, :] / dx
+    np.fill_diagonal(p, 0.0)
+    diag = np.log((rule.b - x) / (x - rule.a)) - np.sum(p, axis=1)
+    p[np.arange(n), np.arange(n)] += diag
+    return p + w[:, None] * dmat
+
+
+def _untiled_bundle(domain, rule):
+    """(eq8, cauchy, pv, dku21) as the untiled build wrote them."""
+    n = rule.n
+    curves = curve_samples(domain, rule.nodes)
+    stack = np.empty((3 * n, 2 * n), dtype=complex)
+
+    def block(r, c):
+        return stack[r * n:(r + 1) * n, c * n:(c + 1) * n]
+
+    for r, c, parts, gp in _untiled_kernel_blocks(domain, rule, curves,
+                                                  *node_weight_matrices(rule)):
+        _fill(block(r, c), parts[0], parts[1], gp)
+    sums = {rc: block(*rc) @ np.ones(n) for rc in ((0, 1), (1, 1), (2, 0))}
+    dku21, corners = _corner_terms(domain, rule, curves, sums)
+    diag = np.arange(n)
+    for (r, c), v in corners.items():
+        stack[r * n + diag, c * n + diag] += v
+    return stack[:n], stack[n:], _untiled_pv_weight_matrix(rule), dku21
+
+
+# below, at and across the 64-row tile edges; the midpoint PV's one-sided
+# end stencils need three nodes, so its ladder starts at 3
+@pytest.mark.parametrize("family,n", [("gauss-legendre", n) for n in (2, 3, 63, 64, 65, 133, 512)]
+                         + [("midpoint-uniform", n) for n in (3, 63, 64, 65, 133, 512)])
+def test_tiled_bundle_is_bit_identical(family, n):
+    rule = build_rule(family, n, -1.0, 1.0)
+    ops = build_operators(CLOSING_CUBIC, rule)
+    for got, ref in zip((ops.eq8, ops.cauchy, ops.pv, ops.dku21),
+                        _untiled_bundle(CLOSING_CUBIC, rule)):
+        assert np.array_equal(got, ref)
+
+
+def test_residual_path_forms_no_square_kernel_array(solutions):
+    # the residual path's peak is the Legendre P and Q rows plus one n x n
+    # moment array, about 3 n^2 doubles; one more n x n kernel, PV or
+    # representation array with its temporaries would exceed 3.5 n^2
+    n = 512
+    rule = build_rule("gauss-legendre", n, -1.0, 1.0)
+    trace = make_trace(solutions["z2"], CLOSING_CUBIC, rule)
+    condition_residuals(trace, CLOSING_CUBIC, CONDITION_IDS)  # first-call costs
+    tracemalloc.start()
+    try:
+        condition_residuals(trace, CLOSING_CUBIC, CONDITION_IDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
+
+
+def _direct_upper_representation(trace, domain):
+    """The upper boundary representation from whole n x n kernel arrays and
+    the dense node weight matrices: the curve-1 kernel seen from curve 2
+    evaluated on its own grid, with the angle lifted to [0, 2pi)."""
+    rule = trace.rule
+    x, w = rule.nodes, rule.weights
+    g1, g2, g1p, g2p = curve_samples(domain, x)
+    v1 = (1 - 1j * g1p) * trace.du_lower
+    v2 = (1 - 1j * g2p) * trace.du_upper
+    wlog, partial = node_weight_matrices(rule)
+    u1, u2 = w * v1, w * v2
+    d = _untiled_diffq(g2, g2p, x)
+    flux = 0.5 * np.log1p(d * d) @ u2 + 1j * (0.5 * np.pi * np.sum(u2) - np.arctan(d) @ u2)
+    gap = g1[None, :] - g2[:, None]
+    dx = x[None, :] - x[:, None]
+    ang = np.arctan2(dx, gap)
+    ang = np.where(ang < 0, ang + 2 * np.pi, ang)
+    flux -= 0.5 * np.log(gap * gap + dx * dx) @ u1 + 1j * ang @ u1
+    flux = (flux + wlog @ v2) / TWO_PI - 1j * (0.5 * partial @ v2 - partial @ v1)
+    return trace.u_lower - flux
+
+
+# on [-0.5, 2] the curves do not close: gap 1.3 + 0.2 x - 0.3 x^2 > 0
+OPEN_DOMAIN = PlaneDomain(-0.5, 2.0,
+                          lower=CurveDescriptor("polynomial", (-0.6, -0.1, 0.2)),
+                          upper=CurveDescriptor("polynomial", (0.7, 0.1, -0.1)))
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("gauss-legendre", 257),
+                                      ("midpoint-uniform", 40)])
+def test_upper_representation_matches_direct_formula(solutions, family, n):
+    rule = build_rule(family, n, OPEN_DOMAIN.a1, OPEN_DOMAIN.b1)
+    trace = make_trace(solutions["exp_half"], OPEN_DOMAIN, rule)
+    got = representation_boundary(trace, OPEN_DOMAIN, "upper")
+    expected = _direct_upper_representation(trace, OPEN_DOMAIN)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(trace.u_upper))
+
+
+@pytest.mark.parametrize("family,n", [("gauss-legendre", 64), ("gauss-legendre", 257),
+                                      ("midpoint-uniform", 40)])
+def test_pv_rows_are_the_matrix_rows(family, n):
+    rule = build_rule(family, n, OPEN_DOMAIN.a1, OPEN_DOMAIN.b1)
+    pv = pv_weight_matrix(rule)
+    for lo, hi in ((0, 1), (0, min(n, 64)), (5, 38), (n - 1, n), (n - 3, n), (0, n)):
+        assert np.array_equal(_pv_rows(rule, lo, hi), pv[lo:hi])
+    if n > 64:
+        for lo in range(0, n, 64):
+            assert np.array_equal(_pv_rows(rule, lo, min(lo + 64, n)), pv[lo:lo + 64])
 
 
 def test_operators_cached(lens):
