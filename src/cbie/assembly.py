@@ -22,10 +22,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .conditions import _real_matvec, build_operators
+from .conditions import (
+    _CORNERS,
+    _corner_moments,
+    _fill,
+    _kernel_blocks,
+    _real_matvec,
+    build_operators,
+)
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
-from .quadrature import QuadratureRule
+from .quadrature import QuadratureRule, node_weight_matrices, pv_weight_matrix
 
 MAGIC = b"CBIE1"
 
@@ -106,27 +113,53 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     # is eq8 and block B is (i/pi) PV eq8 - (eq10/alpha1 + eq12/alpha2), in
     # which the principal value of u_1 - u_2 cancels:
     # B = G D + (i/pi) PV[phi_1/alpha1 - phi_2/alpha2] with
-    # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2.
-    eq8, cauchy = ops.eq8, ops.cauchy
+    # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2
+    # (docs/method.md section 6 for eq8 and cauchy).
+
+    # One block of cauchy at a time, allocated first: freeing the N x N
+    # temporaries of pv and the weight matrices raises glibc's mmap threshold
+    # to their size, and a buffer allocated after them came from the heap and
+    # stayed resident under the LU copy (cold lens solve at N = 1024:
+    # 228.7 MB against 212.7 MB).
+    block = np.empty((n, n), dtype=complex)
+    pv = pv_weight_matrix(rule)
+    moments = _corner_moments(domain, ops)
+    tiles = _kernel_blocks(ops, *node_weight_matrices(rule))
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
-    diag = np.arange(n)
+    ones, diag = np.ones(n), np.arange(n)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
-    # pv is real: one real GEMM on the interleaved (re, im) columns of eq8,
-    # written straight into the bottom half; the top half serves as scratch
-    # for the scaled cauchy rows until it takes eq8
-    np.matmul(ops.pv, eq8.view(float), out=g.view(float))
-    g *= 1j / np.pi
-    for rows, a in ((cauchy[:n], a1c), (cauchy[n:], a2c)):
-        np.multiply(rows, 1.0 / a, out=top)
-        g -= top
+    sums = {}
+    # The eq8 tiles go straight into the top half.  Each block of cauchy is
+    # gathered in `block` and, once complete, subtracted from the bottom
+    # half, scaled by 1/alpha of its row block, after (i/pi) PV eq8: that
+    # product runs when block (1, 1) is complete, since its tiles come with
+    # the last of eq8's.
+    for r, c, lo, parts, gp in tiles:
+        hi = lo + parts.shape[1]
+        _fill(top[lo:hi, c * n:(c + 1) * n] if r == 0 else block[lo:hi],
+              parts[0], parts[1], gp)
+        if r == 0 or hi < n:
+            continue
+        if (r, c) == (1, 1):
+            sums[0, 1] = top[:, n:] @ ones
+            top[diag, diag] += moments[0, 0] - sums[0, 1]
+            # pv is real: one real GEMM on the interleaved (re, im) columns
+            np.matmul(pv, top.view(float), out=g.view(float))
+            g *= 1j / np.pi
+        if (r, c) in _CORNERS.values():
+            sums[r, c] = block @ ones
+        if (r, c) in _CORNERS:
+            block[diag, diag] += moments[r, c] - sums[_CORNERS[r, c]]
+        block *= 1.0 / (a1c if r == 1 else a2c)
+        g[:, c * n:(c + 1) * n] -= block
+    del block
     g[diag, diag] -= 1.0 / a1c
     g[diag, n + diag] -= 1.0 / a2c
-    top[...] = eq8
 
     rhs = -(matrix @ phi)
-    rhs[n:] -= (1j / np.pi) * _real_matvec(ops.pv, phi1 / a1c - phi2 / a2c)
+    rhs[n:] -= (1j / np.pi) * _real_matvec(pv, phi1 / a1c - phi2 / a2c)
     matrix *= -alpha
     matrix[diag, diag] += 1.0
     matrix[diag, n + diag] -= 1.0

@@ -43,7 +43,7 @@ from .kernel import (
 )
 from .lcg import Lcg
 from .manufactured import SolutionSpec, canonical_solutions, eval_solution, make_bc, make_trace
-from .quadrature import FAMILIES, build_rule, pv_integrate
+from .quadrature import DIFF_MIN_NODES, FAMILIES, build_rule, pv_integrate
 from .solver import COND_THRESHOLD, solve_problem
 
 SCHEMA_VERSION = "1"
@@ -442,6 +442,9 @@ def run_nc_verify(cfg: dict, tol: dict, outdir: Path, seed: int) -> tuple:
         raise ConfigurationError(f"conditions must be a non-empty list of distinct ids "
                                  f"from {list(CONDITION_IDS)}, got {conditions!r}")
     family, levels = _family_levels(cfg, [64, 128, 256], 2)
+    if levels[0] < DIFF_MIN_NODES[family]:  # the PV rows' end stencils
+        raise ConfigurationError(f"rule.levels of {family} must start from "
+                                 f"{DIFF_MIN_NODES[family]}, got {levels!r}")
 
     sups = {c: [] for c in conditions}
     for n, rule, mask in _ladder(tol, domain, family, levels):

@@ -24,11 +24,13 @@ remainder through the plain rule; the remainder's diagonal limit is
 -(i/4pi) g''(xi) / (g'(xi) + i).
 
 Every N x N kernel block is built in row tiles of at most _TILE_ROWS rows,
-each entry with the arithmetic of the whole block.  The operator bundle
-(`build_operators`) writes the tiles into its dense matrices; the residual
+each entry with the arithmetic of the whole block, and no reader stores the
+blocks as one operator: `assemble` writes each tile into the system matrix
+(or, for the Cauchy blocks, one N x N block at a time), and the residual
 path (`trace_products`, `condition_residuals`) applies each tile, the PV
 rows and the upper representation's diagonal pair to the trace as they are
-built, and forms no N x N kernel, PV or representation array.
+built.  What the readers share is cached: the curve samples at the nodes
+(`build_operators`).
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ from .quadrature import (
     QuadratureRule,
     _diagonal,
     _pv_rows,
-    node_weight_matrices,
     node_weight_products,
-    pv_weight_matrix,
 )
 
 CONDITION_IDS = ("eq8", "eq9", "eq10", "eq11", "eq12", "eq7-boundary")
@@ -133,26 +133,16 @@ def _real_matvec(a, v):
 
 @dataclass(frozen=True)
 class Operators:
-    """Dense operator matrices for one (domain, rule) pair.
-
-    All matrices act on raw trace sample vectors (the quadrature weights
-    and the [1 - i gamma'] factors are folded into the entries).  Target
-    rows are the rule nodes; with D = [du_1; du_2] the stacked condition
-    operators give
-
-        eq8          = u_1 - u_2 + eq8 @ D
-        [eq10; eq12] = D + (i/pi) [-pv @ du_1; pv @ du_2] + cauchy @ D.
-    """
+    """The node samples of one (domain, rule) pair that every kernel tile
+    reads, gamma_k, gamma_k' and gamma_k'' at the rule nodes: O(N) each."""
 
     rule: QuadratureRule
     g1: np.ndarray = field(repr=False)
     g2: np.ndarray = field(repr=False)
     g1p: np.ndarray = field(repr=False)
     g2p: np.ndarray = field(repr=False)
-    pv: np.ndarray = field(repr=False)          # discrete PV of a sample vector
-    eq8: np.ndarray = field(repr=False)         # N x 2N, log kernels of both curves
-    cauchy: np.ndarray = field(repr=False)      # 2N x 2N, bounded dU/dx2 parts
-    dku21: np.ndarray = field(repr=False)       # half the eq8 corner correction on du_1
+    g1pp: np.ndarray = field(repr=False)
+    g2pp: np.ndarray = field(repr=False)
 
 
 def _fill(out, re, im, gp):
@@ -202,24 +192,12 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w, lo):
     dg[diag] = limit.imag
 
 
-def curve_samples(domain: PlaneDomain, x) -> tuple:
-    """(gamma_1, gamma_2, gamma_1', gamma_2') at the quadrature nodes x; a
-    non-finite value is a NumericError naming the curve."""
-    g1 = np.asarray(domain.lower.value(x), dtype=float)
-    g2 = np.asarray(domain.upper.value(x), dtype=float)
-    g1p = np.asarray(domain.lower.slope(x), dtype=float)
-    g2p = np.asarray(domain.upper.slope(x), dtype=float)
-    for arr, nm in ((g1, "gamma_1"), (g2, "gamma_2"), (g1p, "gamma_1'"), (g2p, "gamma_2'")):
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"{nm} non-finite at a quadrature node")
-    return g1, g2, g1p, g2p
-
-
 # The kernel blocks of the stacked condition operator [eq8; cauchy], 3N x 2N:
 # row block 0 is eq8 (targets on curve 1), 1 and 2 the eq10 and eq12 rows;
-# column block c acts on du of curve c + 1.  The corner corrections read the
-# row sums of the three cross blocks and sit on the diagonals of three others.
-_CROSS_BLOCKS = ((0, 1), (1, 1), (2, 0))
+# column block c acts on du of curve c + 1.  The corner correction on the
+# diagonal of each key block is its moment (`_corner_moments`) minus the row
+# sums of the value, a cross block.
+_CORNERS = {(0, 0): (0, 1), (1, 0): (1, 1), (2, 1): (2, 0)}
 
 # Rows per kernel tile: 256 KB per real N-column array at N = 512, the
 # whole block up to N = 64.
@@ -231,7 +209,7 @@ def _row_tiles(n: int) -> list:
     return [(lo, min(lo + _TILE_ROWS, n)) for lo in range(0, n, _TILE_ROWS)]
 
 
-def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, partial):
+def _kernel_blocks(ops: Operators, wlog, partial):
     """Yield (r, c, lo, parts, gp) for each row tile of each N x N kernel
     block of [eq8; cauchy]: rows lo:lo + h of the block are
     (parts[0] + i parts[1])(1 - i gp) with gp the slope at each column, or
@@ -240,22 +218,18 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
     _TILE_ROWS rows, overwritten by the next tile: a reader that keeps a
     tile copies it.  Every entry has the arithmetic of the untiled block.
     The blocks come in the order (0, 0), (0, 1) and (1, 1) tile by tile,
-    (2, 0), (1, 0), (2, 1): each row block meets its column blocks in one
-    order, whatever the tile height.
+    (1, 0), (2, 0), (2, 1): each row block meets its column blocks in one
+    order, whatever the tile height, and each column block meets the eq10
+    rows before the eq12 rows, the order in which `assemble` subtracts
+    them.
 
     The weight matrices wlog and partial (`node_weight_matrices`) enter
     blocks (0, 0) and (0, 1) only, and are dropped once those are built.
     With both None those blocks leave out the (-2/2pi) wlog and i partial
     terms, which a reader then applies itself (`trace_products`)."""
+    rule = ops.rule
     x, w, n = rule.nodes, rule.weights, rule.n
-    g1, g2, g1p, g2p = curves
-    g1pp = np.asarray(domain.lower.curvature(x), dtype=float)
-    g2pp = np.asarray(domain.upper.curvature(x), dtype=float)
-    gap = g2 - g1
-    if np.any(gap <= 0):
-        j = int(np.argmin(gap))
-        raise AssemblyError(
-            f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
+    g1, g2, g1p, g2p = ops.g1, ops.g2, ops.g1p, ops.g2p
     tiles = _row_tiles(n)
     buf = np.empty(2 * min(n, _TILE_ROWS) * n)
 
@@ -309,6 +283,13 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
         yield 1, 1, lo, parts, g2p
     del partial
 
+    def remainder(r, c, g, gp, gpp, ws):  # a diagonal pair's bounded remainder, +-2 x
+        for lo, hi in tiles:
+            parts = tile(lo, hi)
+            _bounded_remainder(parts, x, g, gp, gpp, ws, lo)
+            yield r, c, lo, parts, None
+
+    yield from remainder(1, 0, g1, g1p, ops.g1pp, 2.0 * w)
     # Seen from curve 2 the pair (i, j) has the gap g2(x_i) - g1(x_j) and
     # dx = x_i - x_j: the (j, i) entries of the eq10 block's operands, built
     # for this block's own rows.
@@ -321,14 +302,7 @@ def _kernel_blocks(domain: PlaneDomain, rule: QuadratureRule, curves, wlog, part
         rho += parts[0]
         _cauchy_cross(parts, gap12, dx, rho, w)
         yield 2, 0, lo, parts, g1p
-
-    # the bounded remainders of the diagonal pairs, +-2 x
-    for r, c, g, gp, gpp, ws in ((1, 0, g1, g1p, g1pp, 2.0 * w),
-                                 (2, 1, g2, g2p, g2pp, -2.0 * w)):
-        for lo, hi in tiles:
-            parts = tile(lo, hi)
-            _bounded_remainder(parts, x, g, gp, gpp, ws, lo)
-            yield r, c, lo, parts, None
+    yield from remainder(2, 1, g2, g2p, ops.g2pp, -2.0 * w)
 
 
 def _cauchy_cross(parts, gap, dx, rho, w):
@@ -341,9 +315,10 @@ def _cauchy_cross(parts, gap, dx, rho, w):
     np.multiply(dx, (2.0 / TWO_PI) * w, out=parts[1])
 
 
-def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tuple:
-    """(dku21, {(r, c): diagonal correction of that block}) from the row sums
-    of the _CROSS_BLOCKS (each with its column factor).
+def _corner_moments(domain: PlaneDomain, ops: Operators) -> dict:
+    """{(r, c): moment} for each key of _CORNERS: the correction on the
+    diagonal of block (r, c) is this moment minus the row sums of the cross
+    block _CORNERS[r, c] (each with its column factor).
 
     The opposite curve's trace at the target continues the cross-pair density
     analytically, so subtracting it removes the corner quasi-singularity; the
@@ -352,9 +327,12 @@ def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tu
     diagonal of the target curve's own block.  Curve-2 kernels seen from
     curve 1 stay in the right half-plane (principal branch), curve-1 kernels
     seen from curve 2 in the left one (branch continuous there: angles lifted
-    to (0, 2pi))."""
+    to (0, 2pi)).  Block (0, 0) carries twice the log-kernel moment m21, so
+    that its correction is 2 dku21 with dku21 = m21 - (1/2) row sum, and
+    dku21 is half of it, bit for bit (scaling by 2 is exact)."""
+    rule = ops.rule
     x = rule.nodes
-    g1, g2 = curves[:2]
+    g1, g2 = ops.g1, ops.g2
     a1, b1 = rule.a, rule.b
     zeta1 = g1 + 1j * x
     d_lo = complex(domain.upper.value(a1)) + 1j * a1
@@ -373,46 +351,30 @@ def _corner_terms(domain: PlaneDomain, rule: QuadratureRule, curves, sums) -> tu
     g2_b = float(domain.upper.value(b1))
     m21 = (-1j / TWO_PI) * (_anti(d_hi - zeta1) - _anti(d_lo - zeta1))
     m21 += -0.25j * ((b1 - x) - 1j * (g2_b - g2) - (x - a1) + 1j * (g2 - g2_a))
-
-    dku21 = m21 - 0.5 * sums[0, 1]
-    return dku21, {(0, 0): 2.0 * dku21, (1, 0): -2.0 * l21 - sums[1, 1],
-                   (2, 1): 2.0 * l12 - sums[2, 0]}
+    return {(0, 0): 2.0 * m21, (1, 0): -2.0 * l21, (2, 1): 2.0 * l12}
 
 
-@lru_cache(maxsize=1)  # each solve reads only its own bundle
+@lru_cache(maxsize=1)  # a solve's assembly and interior reconstruction share it
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
-    """The dense operator bundle of one (domain, rule) pair, which assembly
-    reads.  Every row tile of every N x N kernel block is written into its
-    slice of `eq8` or `cauchy` from real arrays, the column factor
-    [1 - i g'] included (`_fill`)."""
-    n = rule.n
-    curves = curve_samples(domain, rule.nodes)
-    pv = pv_weight_matrix(rule)
-    stack = np.empty((3 * n, 2 * n), dtype=complex)  # [eq8; cauchy]
-
-    def block(r, c):
-        return stack[r * n:(r + 1) * n, c * n:(c + 1) * n]
-
-    # the weight matrices live in the block generator only, until it has
-    # built the two blocks that read them
-    for r, c, lo, parts, gp in _kernel_blocks(domain, rule, curves, *node_weight_matrices(rule)):
-        _fill(block(r, c)[lo:lo + parts.shape[1]], parts[0], parts[1], gp)
-    ones, diag = np.ones(n), np.arange(n)
-    dku21, corners = _corner_terms(domain, rule, curves,
-                                   {rc: block(*rc) @ ones for rc in _CROSS_BLOCKS})
-    for (r, c), v in corners.items():
-        stack[r * n + diag, c * n + diag] += v
-
-    arrays = (*curves, pv, stack[:n], stack[n:], dku21)
+    """The node samples that every kernel tile of one (domain, rule) pair
+    reads (`_kernel_blocks`), and the interior reconstruction too.  A
+    non-finite curve value or slope at a node is a NumericError naming the
+    curve; curves that touch at a node (gap <= 0) an AssemblyError."""
+    x = rule.nodes
+    arrays = [np.asarray(f(x), dtype=float) for f in (
+        domain.lower.value, domain.upper.value, domain.lower.slope, domain.upper.slope,
+        domain.lower.curvature, domain.upper.curvature)]
+    for arr, nm in zip(arrays, ("gamma_1", "gamma_2", "gamma_1'", "gamma_2'")):
+        if not np.all(np.isfinite(arr)):
+            raise NumericError(f"{nm} non-finite at a quadrature node")
+    gap = arrays[1] - arrays[0]
+    if np.any(gap <= 0):
+        j = int(np.argmin(gap))
+        raise AssemblyError(
+            f"curves touch at node x1={x[j]} (gap {gap[j]}); kernels singular there")
     for arr in arrays:  # the cache hands these to every caller
         arr.flags.writeable = False
     return Operators(rule, *arrays)
-
-
-# Drops the cached bundle once assembly, its only reader, is done.  Bound
-# here, to the cache itself, so that a caller that has rebound
-# `build_operators` (a tracing wrapper) still releases the real cache.
-release_operators = build_operators.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -422,19 +384,17 @@ release_operators = build_operators.cache_clear
 @dataclass(frozen=True)
 class TraceProducts:
     """The kernel blocks of one (domain, rule) pair applied to one trace's
-    D = [du_1; du_2], with the node samples the residuals also read:
-    eq8 = Operators.eq8 @ D, cauchy = Operators.cauchy @ D, and dku21 as in
-    Operators.  v holds the scaled densities [v_1, v_2], v_k = [1 - i g_k'] du_k,
-    as columns; wlog and partial are the node weight matrices
+    D = [du_1; du_2], with the node samples the residuals also read (ops):
+    eq8 @ D and cauchy @ D for the stacked condition operators of
+    docs/method.md section 6, and dku21, half the corner correction on the
+    eq8 block of du_1.  v holds the scaled densities [v_1, v_2],
+    v_k = [1 - i g_k'] du_k, as columns; wlog and partial are the node weight matrices
     (`node_weight_matrices`) applied to them.  cross is the upper boundary
     representation's cross pair: the curve-1 kernel seen from curve 2,
     (1/2) log(gap^2 + dx^2) + i (A + pi), applied to u_1 = w v_1, with
     A = arctan2(dx, gap) the angle of block (0, 1) at the transposed pair."""
 
-    g1: np.ndarray
-    g2: np.ndarray
-    g1p: np.ndarray
-    g2p: np.ndarray
+    ops: Operators
     v: np.ndarray
     wlog: np.ndarray
     partial: np.ndarray
@@ -458,17 +418,17 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
     once per trace and before the blocks, in O(N^2): no weight matrix and
     no N x N kernel array is formed."""
     rule, n, w = trace.rule, trace.rule.n, trace.rule.weights
-    curves = curve_samples(domain, rule.nodes)
+    ops = build_operators(domain, rule)
     du = (trace.du_lower, trace.du_upper)
-    factor = (1.0 - 1j * curves[2], 1.0 - 1j * curves[3])
+    factor = (1.0 - 1j * ops.g1p, 1.0 - 1j * ops.g2p)
     cols = np.stack([factor[0] * du[0], factor[1] * du[1], factor[1]], axis=1)
     wlog, partial = node_weight_products(rule, cols)
     u1 = w * cols[:, 0]
     u1r = u1.view(float).reshape(n, 2)
     out = np.zeros((3, n), dtype=complex)
-    sums = {rc: np.empty(n, dtype=complex) for rc in _CROSS_BLOCKS}
+    sums = {rc: np.empty(n, dtype=complex) for rc in _CORNERS.values()}
     cross = np.zeros((2, 2, n))  # part k of block (0, 1), transposed, @ part m of u_1
-    for r, c, lo, parts, gp in _kernel_blocks(domain, rule, curves, None, None):
+    for r, c, lo, parts, gp in _kernel_blocks(ops, None, None):
         h = parts.shape[1]
         block_cols = [du[c]] if gp is None else [cols[:, c], factor[c]]
         p = parts.reshape(2 * h, n) @ np.stack(block_cols, axis=1).view(float)
@@ -480,13 +440,14 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
             cross += u1r[lo:lo + h].T @ parts
     out[0] += (-2.0 / TWO_PI) * wlog[:, 0] + 1j * partial[:, 1]
     sums[0, 1] += 1j * partial[:, 2]
-    dku21, corners = _corner_terms(domain, rule, curves, sums)
+    moments = _corner_moments(domain, ops)
+    corners = {rc: moments[rc] - sums[cross_rc] for rc, cross_rc in _CORNERS.items()}
     for (r, c), v in corners.items():
         out[r] += v * du[c]
     cross = ((np.pi / w) * ((cross[0, 0] - cross[1, 1]) + 1j * (cross[0, 1] + cross[1, 0]))
              + 1.5j * np.pi * np.sum(u1))
-    return TraceProducts(*curves, cols[:, :2], wlog[:, :2], partial[:, :2],
-                         out[0], out[1:].ravel(), dku21, cross)
+    return TraceProducts(ops, cols[:, :2], wlog[:, :2], partial[:, :2],
+                         out[0], out[1:].ravel(), 0.5 * corners[0, 0], cross)
 
 
 def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
@@ -521,10 +482,10 @@ def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np
         # weighted density u_2 = w v_2; curve 1: smooth in the (0, 2pi)
         # branch (`TraceProducts.cross`) plus the full jump correction
         # -i int_a^{xi}.
-        u2 = w * v2
+        u2, ops = w * v2, prods.ops
         flux = np.empty(trace.rule.n, dtype=complex)
         for lo, hi in _row_tiles(trace.rule.n):
-            d = _diffq(prods.g2, prods.g2p, x, lo, hi)  # m = d + i, Arg m = pi/2 - arctan d
+            d = _diffq(ops.g2, ops.g2p, x, lo, hi)  # m = d + i, Arg m = pi/2 - arctan d
             flux[lo:hi] = (0.5 * _real_matvec(np.log1p(d * d), u2)
                            - 1j * _real_matvec(np.arctan(d, out=d), u2))
         flux += 0.5j * np.pi * np.sum(u2) - prods.cross

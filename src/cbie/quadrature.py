@@ -36,6 +36,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, DomainError
 
 FAMILIES = ("gauss-legendre", "midpoint-uniform")
+# Smallest rule on which `diff_matrix` and the PV rows are defined: the
+# midpoint family's one-sided end stencils read three nodes.
+DIFF_MIN_NODES = {"gauss-legendre": 2, "midpoint-uniform": 3}
 
 @dataclass(frozen=True)
 class QuadratureRule:

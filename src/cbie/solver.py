@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition
-from .conditions import BoundaryTrace, curve_samples, log_parts, release_operators
+from .conditions import BoundaryTrace, build_operators, log_parts
 from .errors import DomainError, NumericError, SolverError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
@@ -74,9 +74,9 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
     from the trace samples (`sample_interpolator` supplies the point
     values between nodes).  xi is one point (x1, x2), which gives a complex,
     or an (m, 2) array of points, which gives m values; the running integral
-    and the interpolant are built once for all of them.  The curves are
-    sampled at the nodes here, not read from the operator bundle, so a solve
-    need not keep the bundle alive past assembly.
+    and the interpolant are built once for all of them.  The curve samples
+    at the nodes come from `build_operators`, whose cached entry the solve's
+    assembly has built.
     """
     single = np.shape(xi) == (2,)
     pts = np.asarray(xi, dtype=float).reshape(-1, 2)
@@ -84,13 +84,13 @@ def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
         if not domain.contains(float(xi1), float(xi2)):
             raise DomainError(f"point ({xi1}, {xi2}) is not strictly inside the domain")
     x, w = trace.rule.nodes, trace.rule.weights
-    g1, g2, g1p, g2p = curve_samples(domain, x)
-    f1 = trace.du_lower * (1.0 - 1j * g1p)
-    f2 = trace.du_upper * (1.0 - 1j * g2p)
+    ops = build_operators(domain, trace.rule)
+    f1 = trace.du_lower * (1.0 - 1j * ops.g1p)
+    f2 = trace.du_upper * (1.0 - 1j * ops.g2p)
     xi1, xi2 = pts[:, :1], pts[:, 1:]
 
-    i2 = np.sum(w * f2 * log_parts(g2 - xi2, x - xi1), axis=1) / TWO_PI
-    i1 = np.sum(w * f1 * log_parts(g1 - xi2, x - xi1, lifted=True), axis=1) / TWO_PI
+    i2 = np.sum(w * f2 * log_parts(ops.g2 - xi2, x - xi1), axis=1) / TWO_PI
+    i1 = np.sum(w * f1 * log_parts(ops.g1 - xi2, x - xi1, lifted=True), axis=1) / TWO_PI
 
     corr = -1j * (partial_integral_matrix(trace.rule, pts[:, 0]) @ f1)
     u1_at = sample_interpolator(trace.rule, trace.u_lower)(pts[:, 0])
@@ -128,11 +128,10 @@ def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
 
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
                   cond_threshold: float = COND_THRESHOLD) -> SolveReport:
-    """Assemble, solve, and reconstruct on the interior grid.  The operator
-    bundle is released once assembly has read it: the LU copy and the
-    spectrum probe that follow need only the matrix."""
+    """Assemble, solve, and reconstruct on the interior grid.  Past assembly
+    the solve holds the matrix, its LU copy and the O(N) curve samples that
+    assembly cached and the reconstruction reads again."""
     system = assemble(domain, bc, rule)
-    release_operators()
     report = solve_system(system, cond_threshold)
     trace = trace_from_solution(rule, bc, report)
     pts = default_interior_grid(domain)

@@ -13,7 +13,7 @@ from cbie.assembly import (
     load_system,
     lu_condition,
 )
-from cbie.conditions import BoundaryTrace, condition_residuals, eq8_residuals
+from cbie.conditions import BoundaryTrace, build_operators, condition_residuals, eq8_residuals
 from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain
 from cbie.manufactured import canonical_solutions, make_bc, make_trace
@@ -272,6 +272,24 @@ def test_lu_condition_allocates_only_the_lu_copy(lens, solutions):
     assert peak <= 1.1 * m.nbytes
     gecon = get_lapack_funcs("gecon", (factors[0],))
     assert cond == 1.0 / gecon(factors[0], np.linalg.norm(m, 1), norm="1")[0]
+
+
+def test_assemble_holds_one_kernel_block_beside_the_matrix(lens, solutions):
+    # the tiles go straight into the system; beside the matrix assembly
+    # holds one N x N block of cauchy, pv and, until eq8 is complete, the
+    # node weight matrices: 1.75 matrices at this N, against 2.7 while the
+    # tiles were copied into a dense operator bundle first
+    rule = build_rule("gauss-legendre", 512, -1, 1)
+    bc = make_bc(solutions["z2"], lens, 1.0, 2.0, rule)
+    assemble(lens, bc, rule)  # warm-up: imports and first-call costs
+    build_operators.cache_clear()  # a cached entry would hide its build
+    tracemalloc.start()
+    try:
+        m = assemble(lens, bc, rule).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * m.nbytes, peak / m.nbytes
 
 
 def test_probe_singular_value_decay_stable(lens, solutions):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbie import conditions, quadrature
+from cbie import assembly, conditions, quadrature
 from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
@@ -172,6 +172,11 @@ def _constant_phi(tmp):
     pytest.param("convergence", "rule.levels",
                  lambda cfg, tmp: cfg.update(rule={"levels": [2, 4]}),
                  id="levels-below-solve-minimum"),
+    # the midpoint PV rows' one-sided end stencils read three nodes
+    pytest.param("nc-verify", "rule.levels",
+                 lambda cfg, tmp: cfg.update(rule={"family": "midpoint-uniform",
+                                                   "levels": [2, 4]}),
+                 id="midpoint-levels-below-stencil"),
     pytest.param("nc-verify", "conditions", lambda cfg, tmp: cfg.update(conditions=["eq99"]),
                  id="unknown-condition"),
     pytest.param("nc-verify", "conditions", lambda cfg, tmp: cfg.update(conditions="eq8"),
@@ -658,27 +663,6 @@ def test_nc_verify_quadratic(tmp_path, outdir):
             assert rec["sup_residual"] <= 1e-3
 
 
-def test_nc_verify_builds_no_bundle(tmp_path, outdir, monkeypatch):
-    # the residuals apply each kernel block to the trace as it is built, so
-    # no level stores the dense operator bundle that assembly reads
-    def refuse(domain, rule):
-        raise AssertionError(f"operator bundle built at N={rule.n}")
-
-    monkeypatch.setattr(conditions, "build_operators", refuse)
-    cfg = _write(tmp_path / "c.json", {
-        "schema_version": "1",
-        "domain": CUBIC_DOMAIN,
-        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
-        "rule": {"levels": [16, 32, 64]},
-        "conditions": ["eq8", "eq10", "eq7-boundary"],
-        "tolerances": {"sup_residual": 1.0},
-    })
-    assert main(["nc-verify", "--config", cfg, "--out", str(outdir)]) == 0
-    records = json.loads((outdir / "nc_verify.json").read_text())["records"]
-    assert sorted((r["condition"], r["N"]) for r in records) == sorted(
-        (c, n) for c in ("eq8", "eq10", "eq7-boundary") for n in (16, 32, 64))
-
-
 def test_nc_verify_forms_no_weight_matrix(tmp_path, outdir, monkeypatch):
     # the residuals apply the Gauss log and running-integral weights through
     # the Legendre coefficients of the densities: no level forms either
@@ -687,7 +671,7 @@ def test_nc_verify_forms_no_weight_matrix(tmp_path, outdir, monkeypatch):
         raise AssertionError("dense weight matrix formed on the residual path")
 
     monkeypatch.setattr(quadrature, "node_weight_matrices", refuse)
-    monkeypatch.setattr(conditions, "node_weight_matrices", refuse)
+    monkeypatch.setattr(assembly, "node_weight_matrices", refuse)
     monkeypatch.setattr(quadrature.QuadratureRule, "legendre", property(refuse))
     conds = list(conditions.CONDITION_IDS)
     cfg = _write(tmp_path / "c.json", {
@@ -702,6 +686,20 @@ def test_nc_verify_forms_no_weight_matrix(tmp_path, outdir, monkeypatch):
     records = json.loads((outdir / "nc_verify.json").read_text())["records"]
     assert sorted((r["condition"], r["N"]) for r in records) == sorted(
         (c, n) for c in conds for n in (16, 32, 64))
+
+
+def test_nc_verify_accepts_gauss_levels_from_2(tmp_path, outdir):
+    # two Gauss nodes define the PV rows; only the midpoint family needs three
+    cfg = _write(tmp_path / "c.json", {
+        "schema_version": "1",
+        "domain": LENS_DOMAIN,
+        "bc": {"alpha1": 1.0, "alpha2": 2.0, "phi": {"solution": {"name": "z2"}}},
+        "rule": {"family": "gauss-legendre", "levels": [2, 4]},
+        "tolerances": {"sup_residual": 10.0},
+    })
+    assert main(["nc-verify", "--config", cfg, "--out", str(outdir)]) == 0
+    records = json.loads((outdir / "nc_verify.json").read_text())["records"]
+    assert {r["N"] for r in records} == {2, 4}
 
 
 def test_nc_verify_output_is_byte_identical_between_runs(tmp_path):

@@ -4,17 +4,20 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from cbie.assembly import assemble
 from cbie.conditions import (
+    _CORNERS,
     CONDITION_IDS,
     BoundaryTrace,
     Operators,
     _bounded_remainder,
-    _corner_terms,
+    _corner_moments,
     _fill,
+    _kernel_blocks,
+    _real_matvec,
     build_operators,
     condition_report,
     condition_residuals,
-    curve_samples,
     eq8_residuals,
     representation_boundary,
     trace_products,
@@ -23,7 +26,7 @@ from cbie.conditions import (
 from cbie.errors import DataError, DomainError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain, lens_domain
 from cbie.kernel import TWO_PI, dU_dx2
-from cbie.manufactured import make_trace
+from cbie.manufactured import make_bc, make_trace
 from cbie.quadrature import (
     _pv_rows,
     barycentric_weights,
@@ -365,8 +368,8 @@ def test_operators_match_complex_formulas(lens, solutions, domain_name, family, 
     domain = lens if domain_name == "lens" else CLOSING_CUBIC
     rule = build_rule(family, n, domain.a1, domain.b1)
     trace = make_trace(solutions["exp_half"], domain, rule)
-    ops = build_operators(domain, rule)
-    got = (ops.eq8, ops.cauchy, representation_boundary(trace, domain, "lower"),
+    eq8, cauchy = _dense_bundle(domain, rule)[:2]
+    got = (eq8, cauchy, representation_boundary(trace, domain, "lower"),
            representation_boundary(trace, domain, "upper"))
     for actual, expected in zip(got, _complex_formulas(domain, rule, trace)):
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(np.abs(expected))
@@ -377,7 +380,7 @@ def test_operators_match_complex_formulas(lens, solutions, domain_name, family, 
 @pytest.mark.parametrize("domain_name", ["lens", "cubic"])
 def test_trace_products_match_dense_bundle(lens, domain_name, family, n):
     # the residual path applies each kernel block to the trace as it is
-    # built; the products equal those of the bundle that assembly reads,
+    # built; the products equal those of the dense reference bundle,
     # relative to the sum of their terms' magnitudes (dku21 is a moment
     # minus half a row sum, which nearly cancel)
     domain = lens if domain_name == "lens" else CLOSING_CUBIC
@@ -385,12 +388,12 @@ def test_trace_products_match_dense_bundle(lens, domain_name, family, n):
     rng = np.random.default_rng(17)
     u = rng.standard_normal((4, n)) + 1j * rng.standard_normal((4, n))
     prods = trace_products(BoundaryTrace(rule, *u), domain)
-    ops = build_operators(domain, rule)
+    eq8, cauchy, _, dku21 = _dense_bundle(domain, rule)
     d = np.concatenate(u[2:])
     for actual, expected, terms in (
-            (prods.eq8, ops.eq8 @ d, np.abs(ops.eq8) @ np.abs(d)),
-            (prods.cauchy, ops.cauchy @ d, np.abs(ops.cauchy) @ np.abs(d)),
-            (prods.dku21, ops.dku21, 0.5 * np.abs(ops.eq8[:, n:]) @ np.ones(n))):
+            (prods.eq8, eq8 @ d, np.abs(eq8) @ np.abs(d)),
+            (prods.cauchy, cauchy @ d, np.abs(cauchy) @ np.abs(d)),
+            (prods.dku21, dku21, 0.5 * np.abs(eq8[:, n:]) @ np.ones(n))):
         assert np.max(np.abs(actual - expected)) <= 1e-13 * np.max(terms)
 
 
@@ -496,24 +499,65 @@ def _untiled_pv_weight_matrix(rule):
     return p + w[:, None] * dmat
 
 
-def _untiled_bundle(domain, rule):
-    """(eq8, cauchy, pv, dku21) as the untiled build wrote them."""
+def _filled_bundle(domain, rule, blocks, pv_matrix):
+    """(eq8, cauchy, pv, dku21) written from the (r, c, lo, parts, gp) row
+    tiles of `blocks` into one dense [eq8; cauchy] stack, the corner
+    corrections from whole-block row sums; pv is `pv_matrix(rule)`."""
     n = rule.n
-    curves = curve_samples(domain, rule.nodes)
+    ops = build_operators(domain, rule)
     stack = np.empty((3 * n, 2 * n), dtype=complex)
 
     def block(r, c):
         return stack[r * n:(r + 1) * n, c * n:(c + 1) * n]
 
-    for r, c, parts, gp in _untiled_kernel_blocks(domain, rule, curves,
-                                                  *node_weight_matrices(rule)):
-        _fill(block(r, c), parts[0], parts[1], gp)
-    sums = {rc: block(*rc) @ np.ones(n) for rc in ((0, 1), (1, 1), (2, 0))}
-    dku21, corners = _corner_terms(domain, rule, curves, sums)
+    for r, c, lo, parts, gp in blocks(ops, *node_weight_matrices(rule)):
+        _fill(block(r, c)[lo:lo + parts.shape[1]], parts[0], parts[1], gp)
+    moments = _corner_moments(domain, ops)
+    corners = {rc: moments[rc] - block(*cross) @ np.ones(n) for rc, cross in _CORNERS.items()}
     diag = np.arange(n)
     for (r, c), v in corners.items():
         stack[r * n + diag, c * n + diag] += v
-    return stack[:n], stack[n:], _untiled_pv_weight_matrix(rule), dku21
+    return stack[:n], stack[n:], pv_matrix(rule), 0.5 * corners[0, 0]
+
+
+def _dense_bundle(domain, rule):
+    """The dense reference operators (eq8, cauchy, pv, dku21) of
+    docs/method.md section 6, from the untiled blocks."""
+    def blocks(ops, wlog, partial):
+        curves = (ops.g1, ops.g2, ops.g1p, ops.g2p)
+        for r, c, parts, gp in _untiled_kernel_blocks(domain, rule, curves, wlog, partial):
+            yield r, c, 0, parts, gp
+
+    return _filled_bundle(domain, rule, blocks, _untiled_pv_weight_matrix)
+
+
+def _dense_assembly(domain, bc, rule):
+    """(matrix, rhs) of the second-kind system from the dense reference
+    bundle: block A is eq8, block B is (i/pi) pv eq8 minus the alpha-scaled
+    Cauchy rows, with D = phi - alpha u eliminated."""
+    n = rule.n
+    eq8, cauchy, pv, _ = _dense_bundle(domain, rule)
+    phi1, phi2 = bc.sample(rule.nodes)
+    a1c, a2c = complex(bc.alpha1), complex(bc.alpha2)
+    phi = np.concatenate([phi1, phi2])
+    alpha = np.repeat([a1c, a2c], n)
+    diag = np.arange(n)
+    matrix = np.empty((2 * n, 2 * n), dtype=complex)
+    top, g = matrix[:n], matrix[n:]
+    np.matmul(pv, eq8.view(float), out=g.view(float))
+    g *= 1j / np.pi
+    for rows, a in ((cauchy[:n], a1c), (cauchy[n:], a2c)):
+        np.multiply(rows, 1.0 / a, out=top)
+        g -= top
+    g[diag, diag] -= 1.0 / a1c
+    g[diag, n + diag] -= 1.0 / a2c
+    top[...] = eq8
+    rhs = -(matrix @ phi)
+    rhs[n:] -= (1j / np.pi) * _real_matvec(pv, phi1 / a1c - phi2 / a2c)
+    matrix *= -alpha
+    matrix[diag, diag] += 1.0
+    matrix[diag, n + diag] -= 1.0
+    return matrix, rhs
 
 
 # below, at and across the 64-row tile edges; the midpoint PV's one-sided
@@ -522,10 +566,27 @@ def _untiled_bundle(domain, rule):
                          + [("midpoint-uniform", n) for n in (3, 63, 64, 65, 133, 512)])
 def test_tiled_bundle_is_bit_identical(family, n):
     rule = build_rule(family, n, -1.0, 1.0)
-    ops = build_operators(CLOSING_CUBIC, rule)
-    for got, ref in zip((ops.eq8, ops.cauchy, ops.pv, ops.dku21),
-                        _untiled_bundle(CLOSING_CUBIC, rule)):
+    for got, ref in zip(_filled_bundle(CLOSING_CUBIC, rule, _kernel_blocks, pv_weight_matrix),
+                        _dense_bundle(CLOSING_CUBIC, rule)):
         assert np.array_equal(got, ref)
+
+
+# 65 = 64 + 1: a one-row last tile, whose row sums numpy would take as a dot
+# product rather than the gemv of the other rows
+@pytest.mark.parametrize("n", [8, 63, 64, 65, 133, 512])
+@pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
+@pytest.mark.parametrize("domain_name", ["lens", "cubic"])
+def test_assembly_from_tiles_is_bit_identical(lens, solutions, domain_name, family, n):
+    # assemble writes each tile into the system as it is built; the system
+    # equals the one assembled from the dense reference bundle, bit for bit
+    domain = lens if domain_name == "lens" else CLOSING_CUBIC
+    alpha1 = 1.0 if domain_name == "lens" else 0.7 + 0.2j
+    rule = build_rule(family, n, domain.a1, domain.b1)
+    bc = make_bc(solutions["exp_half"], domain, alpha1, 2.0, rule)
+    system = assemble(domain, bc, rule)
+    matrix, rhs = _dense_assembly(domain, bc, rule)
+    assert np.array_equal(system.matrix, matrix)
+    assert np.array_equal(system.rhs, rhs)
 
 
 def test_residual_path_forms_no_square_kernel_array(solutions):
@@ -551,7 +612,8 @@ def _direct_upper_representation(trace, domain):
     evaluated on its own grid, with the angle lifted to [0, 2pi)."""
     rule = trace.rule
     x, w = rule.nodes, rule.weights
-    g1, g2, g1p, g2p = curve_samples(domain, x)
+    ops = build_operators(domain, rule)
+    g1, g2, g1p, g2p = ops.g1, ops.g2, ops.g1p, ops.g2p
     v1 = (1 - 1j * g1p) * trace.du_lower
     v2 = (1 - 1j * g2p) * trace.du_upper
     wlog, partial = node_weight_matrices(rule)
@@ -601,16 +663,17 @@ def test_operators_cached(lens):
 
 
 def test_operator_cache_keeps_one_bundle(lens):
-    # a caller that does not release the cache still holds only the latest
-    # bundle: an earlier rule's is never read again
+    # the cache holds only the latest rule's node samples: an earlier rule's
+    # are never read again
     for n in (16, 32):
         build_operators(lens, build_rule("gauss-legendre", n, -1, 1))
     assert build_operators.cache_info().currsize == 1
 
 
 def test_cached_operators_are_read_only(lens):
-    # the cache hands the same arrays to every caller: a write would change
-    # every later residual and assembly on this (domain, rule) pair
+    # the cache hands the same node samples to every caller: a write would
+    # change every later residual, assembly and interior reconstruction on
+    # this (domain, rule) pair
     ops = build_operators(lens, build_rule("gauss-legendre", 16, -1, 1))
     for f in fields(Operators)[1:]:
         with pytest.raises(ValueError, match="read-only"):

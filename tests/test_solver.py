@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -259,10 +260,9 @@ def test_midpoint_solve_interior_samples(solutions):
 
 
 def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
-    # one recurrence over the nodes serves the whole solve: build_operators'
-    # log moments and running integral, and the rule's Legendre transform,
-    # which reconstruct_interior's running integral reads again after the
-    # operator bundle is released
+    # one recurrence over the nodes serves the whole solve: assembly's log
+    # moments and running integral, and the rule's Legendre transform,
+    # which reconstruct_interior's running integral reads again
     n = 64
     rule = build_rule("gauss-legendre", n, -1, 1)
     t_nodes = rule.reference_nodes()
@@ -280,22 +280,25 @@ def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
     assert over_nodes.count(True) == 1
 
 
-def test_solve_releases_the_operator_bundle(lens, solutions):
-    # assemble is the bundle's last reader: the interior reconstruction
-    # samples the curves itself and builds no bundle
-    rule = build_rule("gauss-legendre", 32, -1, 1)
+def test_solve_samples_the_curves_once(lens, solutions):
+    # assembly builds the cache entry and the interior reconstruction reads
+    # it again: one miss and one hit per solve, and the entry holds the O(N)
+    # node samples only, no kernel block or bundle
+    n = 32
+    rule = build_rule("gauss-legendre", n, -1, 1)
     bc = make_bc(solutions["z2"], lens, 1.0, 2.0, None)
-    report = solve_problem(lens, bc, rule)
-    assert build_operators.cache_info().currsize == 0
-    build_operators.cache_clear()  # zeroes the hit and miss counts too
-    reconstruct_interior(lens, trace_from_solution(rule, bc, report), (0.0, 0.2))
+    build_operators.cache_clear()
+    solve_problem(lens, bc, rule)
     info = build_operators.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    ops = build_operators(lens, rule)
+    arrays = [getattr(ops, f.name) for f in fields(ops)[1:]]
+    assert arrays and all(np.shape(a) == (n,) for a in arrays)
 
 
 def test_solve_holds_only_the_matrix_and_its_lu_after_assembly(lens, solutions, monkeypatch):
-    # past assembly a solve needs the matrix and the LU copy; the operator
-    # bundle (about 1.9 matrices at this N) is no longer held
+    # past assembly a solve needs the matrix and the LU copy; no kernel
+    # block outlives assembly (a held bundle would be about 1.9 matrices)
     rule = build_rule("gauss-legendre", 128, -1, 1)
     bc = make_bc(solutions["z2"], lens, 1.0, 2.0, None)
     solve_problem(lens, bc, rule)  # warm-up: imports, LAPACK lookups, the transform
