@@ -23,8 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import (
-    _CORNERS,
-    _corner_moments,
+    CornerRule,
     _fill,
     _kernel_blocks,
     _real_matvec,
@@ -123,14 +122,13 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     # 228.7 MB against 212.7 MB).
     block = np.empty((n, n), dtype=complex)
     pv = pv_weight_matrix(rule)
-    moments = _corner_moments(domain, ops)
+    corners = CornerRule(domain, ops)
     tiles = _kernel_blocks(ops, *node_weight_matrices(rule))
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
     ones, diag = np.ones(n), np.arange(n)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
-    sums = {}
     # The eq8 tiles go straight into the top half.  Each block of cauchy is
     # gathered in `block` and, once complete, subtracted from the bottom
     # half, scaled by 1/alpha of its row block, after (i/pi) PV eq8: that
@@ -143,15 +141,16 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
         if r == 0 or hi < n:
             continue
         if (r, c) == (1, 1):
-            sums[0, 1] = top[:, n:] @ ones
-            top[diag, diag] += moments[0, 0] - sums[0, 1]
+            corners.sums[0, 1] = top[:, n:] @ ones
+            top[diag, diag] += corners.correction((0, 0))
             # pv is real: one real GEMM on the interleaved (re, im) columns
             np.matmul(pv, top.view(float), out=g.view(float))
             g *= 1j / np.pi
-        if (r, c) in _CORNERS.values():
-            sums[r, c] = block @ ones
-        if (r, c) in _CORNERS:
-            block[diag, diag] += moments[r, c] - sums[_CORNERS[r, c]]
+        if corners.reads((r, c)):
+            corners.sums[r, c] = block @ ones
+        fix = corners.correction((r, c))
+        if fix is not None:
+            block[diag, diag] += fix
         block *= 1.0 / (a1c if r == 1 else a2c)
         g[:, c * n:(c + 1) * n] -= block
     del block

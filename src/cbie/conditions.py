@@ -196,7 +196,7 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w, lo):
 # row block 0 is eq8 (targets on curve 1), 1 and 2 the eq10 and eq12 rows;
 # column block c acts on du of curve c + 1.  The corner correction on the
 # diagonal of each key block is its moment (`_corner_moments`) minus the row
-# sums of the value, a cross block.
+# sums of the value, a cross block (`CornerRule`).
 _CORNERS = {(0, 0): (0, 1), (1, 0): (1, 1), (2, 1): (2, 0)}
 
 # Rows per kernel tile: 256 KB per real N-column array at N = 512, the
@@ -354,6 +354,30 @@ def _corner_moments(domain: PlaneDomain, ops: Operators) -> dict:
     return {(0, 0): 2.0 * m21, (1, 0): -2.0 * l21, (2, 1): 2.0 * l12}
 
 
+class CornerRule:
+    """The corner corrections of one (domain, rule) pair: on the diagonal of
+    each key block of _CORNERS, its moment (`_corner_moments`) minus the row
+    sums of its cross block.  A reader records each cross block's row sums in
+    `sums` as it meets them (`reads`) and takes a block's correction once
+    they are in; `assemble` and `trace_products` both go through it."""
+
+    def __init__(self, domain: PlaneDomain, ops: Operators):
+        self.moments = _corner_moments(domain, ops)
+        self.sums = {}
+
+    @staticmethod
+    def reads(rc) -> bool:
+        """Whether a correction reads the row sums of block rc."""
+        return rc in _CORNERS.values()
+
+    def correction(self, rc):
+        """The correction on the diagonal of block rc, None for a block
+        that has none."""
+        if rc not in _CORNERS:
+            return None
+        return self.moments[rc] - self.sums[_CORNERS[rc]]
+
+
 @lru_cache(maxsize=1)  # a solve's assembly and interior reconstruction share it
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     """The node samples that every kernel tile of one (domain, rule) pair
@@ -425,13 +449,18 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
     wlog, partial = node_weight_products(rule, cols)
     u1 = w * cols[:, 0]
     u1r = u1.view(float).reshape(n, 2)
+    # each column block's GEMM operand, by whether its tiles carry the factor
+    operands = {(c, carried): np.stack([du[c]] if carried else [cols[:, c], factor[c]],
+                                       axis=1).view(float)
+                for c in (0, 1) for carried in (False, True)}
     out = np.zeros((3, n), dtype=complex)
-    sums = {rc: np.empty(n, dtype=complex) for rc in _CORNERS.values()}
+    corner = CornerRule(domain, ops)
+    sums = corner.sums
+    sums.update({rc: np.empty(n, dtype=complex) for rc in _CORNERS.values()})
     cross = np.zeros((2, 2, n))  # part k of block (0, 1), transposed, @ part m of u_1
     for r, c, lo, parts, gp in _kernel_blocks(ops, None, None):
         h = parts.shape[1]
-        block_cols = [du[c]] if gp is None else [cols[:, c], factor[c]]
-        p = parts.reshape(2 * h, n) @ np.stack(block_cols, axis=1).view(float)
+        p = parts.reshape(2 * h, n) @ operands[c, gp is None]
         prod = (p[:h, 0::2] - p[h:, 1::2]) + 1j * (p[:h, 1::2] + p[h:, 0::2])
         out[r, lo:lo + h] += prod[:, 0]
         if (r, c) in sums:
@@ -440,8 +469,7 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
             cross += u1r[lo:lo + h].T @ parts
     out[0] += (-2.0 / TWO_PI) * wlog[:, 0] + 1j * partial[:, 1]
     sums[0, 1] += 1j * partial[:, 2]
-    moments = _corner_moments(domain, ops)
-    corners = {rc: moments[rc] - sums[cross_rc] for rc, cross_rc in _CORNERS.items()}
+    corners = {rc: corner.correction(rc) for rc in _CORNERS}
     for (r, c), v in corners.items():
         out[r] += v * du[c]
     cross = ((np.pi / w) * ((cross[0, 0] - cross[1, 1]) + 1j * (cross[0, 1] + cross[1, 0]))

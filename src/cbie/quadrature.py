@@ -9,10 +9,13 @@ Two families:
                    written in place row by row, gives the nodes (Newton
                    keeps its last two rows), the rule's Legendre transform
                    and the Q moments, and runs over the nodes once per
-                   operator build.  The residual path applies the log and
-                   running-integral weights to a few sample columns through
+                   operator build.  The recurrence streams its rows in
+                   k-blocks through a fixed window (`_recurrence_windows`):
+                   the dense weight matrices are its one-block call, and
+                   the residual path applies the log and running-integral
+                   weights to a few sample columns block by block through
                    their Legendre coefficients (`node_weight_products`),
-                   O(n^2) with no n x n product and no weight matrix
+                   O(n^2) time in O(n) memory, with no weight matrix
   midpoint-uniform composite midpoint; PV by the same subtraction with a
                    finite-difference diagonal, log kernels by product
                    integration of the cell-wise constant samples (exact
@@ -68,8 +71,8 @@ class QuadratureRule:
         reconstruction on the same rule share it.  The dense node matrices
         fill it from the P rows of their own recurrence, so a rule whose
         node matrices were built runs no recurrence here.  The residual
-        path (`node_weight_products`) never forms it: it applies
-        ((2k+1)/2) P (w/s f) to the samples instead."""
+        path (`node_weight_products`) never forms it: it applies its rows
+        ((2k+1)/2) P_k (w/s f) to the samples one k-block at a time."""
         t = self.reference_nodes()
         return _transform(self, _legendre_recurrence(t, 1.0, t, self.n - 1))
 
@@ -90,15 +93,23 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     raise ConfigurationError(f"unknown quadrature family {family!r}")
 
 
-def _run_recurrence(t, rows, kmax: int) -> None:
-    """(k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1} for k < kmax, in place on
-    the row arrays `rows` (rows[0] and rows[1] set), y_k kept in
+# Rows per k-block of the node recurrence's stream on the residual path
+# (`node_weight_products`): a (130, 2, n) window of P and Q rows, 1 MB at
+# n = 512.  Set by measurement under glibc's malloc: per warm verify ladder
+# up to N = 512, 64 rows take about 3,200 minor page faults and run slower,
+# 128 rows about 550 at no measurable cost, 256 rows none but raise the peak.
+_STREAM_ROWS = 128
+
+
+def _run_recurrence(t, rows, k0: int, kmax: int) -> None:
+    """(k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1} for k0 <= k < kmax, in place
+    on the row arrays `rows` (y_{k0-1} and y_{k0} set), y_k kept in
     rows[k % len(rows)]: with kmax + 1 rows every y_k stays, with two the
     last two.  Each step is ty + (k/(k+1))(ty - y_{k-1}), ty = t y_k,
     written with out= ufuncs into the row it replaces and one scratch row."""
     r = len(rows)
     ty = np.empty_like(rows[0])
-    for k in range(1, kmax):
+    for k in range(k0, kmax):
         nxt = rows[(k + 1) % r]
         np.multiply(t, rows[k % r], out=ty)
         np.subtract(ty, rows[(k - 1) % r], out=nxt)
@@ -106,19 +117,38 @@ def _run_recurrence(t, rows, kmax: int) -> None:
         nxt += ty
 
 
+def _recurrence_windows(t, y0, y1, kmax: int, block: int):
+    """The rows y_0..y_kmax (kmax >= 1) of (k+1) y_{k+1} = (2k+1) t y_k -
+    k y_{k-1}, started from y0 and y1, streamed in k-blocks: yields
+    (lo, win) for lo = 0, block, 2 block, ... < kmax, win[j] = y_{lo-1+j}
+    the rows lo - 1..hi, hi = min(lo + block, kmax), with y_{-1} = 0.  The
+    Legendre P_k start from 1 and t, the Legendre Q_k on the cut |t| < 1
+    from arctanh t and t arctanh t - 1 (forward recurrence is stable there,
+    where both solutions oscillate).  Starts stacked over a leading axis run
+    side by side, each with the arithmetic of its own run.
+
+    One (block + 2)-row window serves every block: each block resumes from
+    the last two rows of the one before, and the next block overwrites it,
+    so a reader that keeps rows copies them.  Every row has the bits of the
+    all-rows call (`_legendre_recurrence`), whatever the block size."""
+    shape = np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1))
+    win = np.empty((min(block, kmax) + 2,) + shape)
+    win[0], win[1], win[2] = 0.0, y0, y1
+    for lo in range(0, kmax, block):
+        hi = min(lo + block, kmax)
+        rows = win[:hi - lo + 2]
+        if lo:
+            rows[:2] = win[-2:]  # y_{lo-1} and y_lo, from the block before
+        r = len(rows)  # y_k in rows[k - lo + 1], that is ring[k % r]
+        ring = [rows[(k - lo + 1) % r] for k in range(r)]
+        _run_recurrence(t, ring, max(lo, 1), hi)
+        yield lo, rows
+
+
 def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
-    """Rows y_0..y_kmax (k-major, shape (kmax + 1,) + t.shape) of
-    (k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1}, started from y0 and y1:
-    the Legendre P_k from 1 and t, the Legendre Q_k on the cut |t| < 1
-    from arctanh t and t arctanh t - 1 (forward recurrence is stable
-    there, where both solutions oscillate).  Starts stacked over a leading
-    axis run side by side, each with the arithmetic of its own run."""
-    y = np.empty((kmax + 1,) + np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1)))
-    y[0] = y0
-    if kmax >= 1:
-        y[1] = y1
-    _run_recurrence(t, list(y), kmax)
-    return y
+    """Rows y_0..y_kmax (k-major, shape (kmax + 1,) + t.shape) of the
+    recurrence of `_recurrence_windows`: its all-rows call."""
+    return next(_recurrence_windows(t, y0, y1, kmax, kmax))[1][1:]
 
 
 def _gauss_legendre(n: int) -> tuple:
@@ -128,7 +158,7 @@ def _gauss_legendre(n: int) -> tuple:
     w = 2 / ((1 - t^2) P_n'(t)^2); the other half mirrors it."""
     def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1, from the last two rows only
         rows = [np.ones_like(t), t.copy()]
-        _run_recurrence(t, rows, n)
+        _run_recurrence(t, rows, 1, n)
         p0, p1 = rows[(n - 1) % 2], rows[n % 2]
         return p1, n * (t * p1 - p0) / (t * t - 1.0)
 
@@ -265,30 +295,30 @@ def _transform(rule: QuadratureRule, p) -> np.ndarray:
     return ((2 * np.arange(rule.n) + 1) / 2.0)[:, None] * p[:rule.n] * (rule.weights / rule.scale)
 
 
-def _node_rows(rule: QuadratureRule) -> np.ndarray:
-    """rows[k] = (P_k, Q_k) at a Gauss rule's reference nodes, k <= n, from
-    one run of the recurrence."""
+def _node_windows(rule: QuadratureRule, block: int):
+    """The stream of `_recurrence_windows` at a Gauss rule's reference
+    nodes, k <= n, in k-blocks of `block` rows: win[j] = (P, Q)_{lo-1+j}."""
     t = rule.reference_nodes()
     q0 = np.arctanh(t)
-    return _legendre_recurrence(t, np.stack([np.ones_like(t), q0]),
-                                np.stack([t, t * q0 - 1.0]), rule.n)
+    return _recurrence_windows(t, np.stack([np.ones_like(t), q0]),
+                               np.stack([t, t * q0 - 1.0]), rule.n, block)
 
 
-def _node_legendre(rule: QuadratureRule, rows) -> np.ndarray:
-    """rule.legendre, taken from the P rows of `_node_rows` when it is not
-    cached yet."""
+def _node_legendre(rule: QuadratureRule, p) -> np.ndarray:
+    """rule.legendre, taken from the rows p = P_0..P_{n-1} at the nodes
+    when it is not cached yet."""
     if "legendre" not in rule.__dict__:  # where cached_property keeps it
-        rule.__dict__["legendre"] = _transform(rule, rows[:, 0])
+        rule.__dict__["legendre"] = _transform(rule, p)
     return rule.legendre
 
 
-def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums, out) -> np.ndarray:
-    """Global product integration of f(x) log|x - x_i| on Gauss nodes, from
-    the rows Q_0..Q_n at the nodes, applied to the Legendre coefficients
-    `coeffs` of the samples and their plain rule sums `sums`: rule.legendre
-    and rule.weights give the weight matrix, L F and w @ F its product with
-    the samples F.  Written into out (None: a new array), as are the
-    moments, with no n x n temporary.
+def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out) -> np.ndarray:
+    """The terms k = lo..lo + h - 1 of global product integration of
+    f(x) log|x - x_i| on Gauss nodes, on the reference interval: the window
+    q = Q_{lo-1}..Q_{lo+h} at the nodes applied to the h rows `coeffs` of
+    the samples' Legendre coefficients (rule.legendre for the matrix).  The
+    block at lo = 0 is written into out (None: a new array), the later ones
+    are added to it; `_node_weights` scales the sum to [a, b].
 
     The Legendre expansion (exact for degree < n) is integrated mode by
     mode against the log kernel with the closed-form moments
@@ -297,36 +327,58 @@ def _log_weights_gauss(rule: QuadratureRule, q, coeffs, sums, out) -> np.ndarray
 
     and the k = 0 moment (1-tau)log(1-tau) + (1+tau)log(1+tau) - 2.
     """
-    n = rule.n
-    t = rule.reference_nodes()
-    moments = np.empty((n, n))  # moments[k, i] = int P_k log|t - t_i| dt
-    moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
-    np.subtract(q[2:], q[:-2], out=moments[1:])
-    moments[1:] *= 2.0
-    moments[1:] /= (2 * np.arange(1, n) + 1)[:, None]
-    s = rule.scale
-    out = np.matmul(moments.T, coeffs, out=out)
-    out *= s
-    out += np.log(s) * sums
+    h = len(coeffs)
+    moments = np.empty((h, rule.n))  # moments[k - lo, i] = int P_k log|t - t_i| dt
+    np.subtract(q[2:], q[:-2], out=moments)
+    moments *= 2.0
+    moments /= (2 * np.arange(lo, lo + h) + 1)[:, None]
+    if lo == 0:
+        t = rule.reference_nodes()
+        moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
+        return np.matmul(moments.T, coeffs, out=out)
+    out += moments.T @ coeffs
     return out
 
 
-def _running_integral_gauss(rule: QuadratureRule, p, coeffs, out) -> np.ndarray:
-    """Running-integral rows at the points where the rows p = P_0..P_n were
-    taken, applied to the Legendre coefficients `coeffs` (rule.legendre for
-    the matrix): the Legendre expansion (exact for degree < n) integrated
-    through the antiderivatives from -1, int P_0 = P_1 + 1 and
+def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out) -> np.ndarray:
+    """The terms k = lo..lo + h - 1 of the running integral from -1 on the
+    reference interval, at the points where the window p = P_{lo-1}..P_{lo+h}
+    was taken, applied to the h rows `coeffs` of the Legendre coefficients
+    (rule.legendre for the matrix): the Legendre expansion (exact for degree
+    < n) integrated through the antiderivatives int P_0 = P_1 + 1 and
     int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
-    latter because P_{k+1}(-1) = P_{k-1}(-1).  Written into out (None: a
-    new array), as are the antiderivatives, with no n x n temporary."""
-    n = rule.n
-    anti = np.empty((n,) + p.shape[1:])  # anti[k, m] = int_-1^{t_m} P_k
-    anti[0] = p[1] + 1.0
-    np.subtract(p[2:], p[:-2], out=anti[1:])
-    anti[1:] /= (2 * np.arange(1, n) + 1)[:, None]
-    out = np.matmul(anti.T, coeffs, out=out)
-    out *= rule.scale
+    latter because P_{k+1}(-1) = P_{k-1}(-1).  The block at lo = 0 is
+    written into out (None: a new array), the later ones are added to it;
+    the caller scales the sum to [a, b]."""
+    h = len(coeffs)
+    anti = np.empty((h,) + p.shape[1:])  # anti[k - lo, m] = int_-1^{t_m} P_k
+    np.subtract(p[2:], p[:-2], out=anti)
+    anti /= (2 * np.arange(lo, lo + h) + 1)[:, None]
+    if lo == 0:
+        anti[0] = p[2] + 1.0
+        return np.matmul(anti.T, coeffs, out=out)
+    out += anti.T @ coeffs
     return out
+
+
+def _node_weights(rule: QuadratureRule, block: int, coeffs, sums, out) -> tuple:
+    """(W F, R F), (W, R) = node_weight_matrices(rule), for samples F given
+    by their Legendre coefficients and plain rule sums, from one stream of
+    the node recurrence in k-blocks of `block` rows: coeffs(lo, p) gives the
+    coefficient rows lo..lo + h - 1 from the block's rows p = P_lo..P_{lo+h-1}
+    at the nodes, sums is w @ F.  Each block's log moments and
+    antiderivatives live while it does; s and log(s) sums are applied once
+    at the end.  Written into out = (log, partial) (None: new arrays)."""
+    log_f, partial_f = out
+    for lo, win in _node_windows(rule, block):
+        c = coeffs(lo, win[1:-1, 0])
+        log_f = _log_weights_gauss(rule, lo, win[:, 1], c, log_f)
+        partial_f = _running_integral_gauss(rule, lo, win[:, 0], c, partial_f)
+    s = rule.scale
+    log_f *= s
+    log_f += np.log(s) * sums
+    partial_f *= s
+    return log_f, partial_f
 
 
 def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
@@ -344,9 +396,7 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
 def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
     """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
     if rule.family == "gauss-legendre":
-        rows = _node_rows(rule)
-        return _log_weights_gauss(rule, rows[:, 1], _node_legendre(rule, rows),
-                                  rule.weights[None, :], None)
+        return node_weight_matrices(rule)[0]
     return _log_weight_matrix_midpoint(rule)
 
 
@@ -362,8 +412,10 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
         t = (x - rule.center) / rule.scale
-        p = _legendre_recurrence(t, 1.0, t, n)
-        return _running_integral_gauss(rule, p, rule.legendre, None)
+        p = next(_recurrence_windows(t, 1.0, t, n, n))[1]
+        out = _running_integral_gauss(rule, 0, p, rule.legendre, None)
+        out *= rule.scale
+        return out
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
     k = np.clip(np.searchsorted(edges, x) - 1, 0, n - 1)
     m = np.where(np.arange(n)[None, :] < k[:, None], rule.weights[None, :], 0.0)
@@ -373,18 +425,18 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
 
 def node_weight_matrices(rule: QuadratureRule) -> tuple:
     """(log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)),
-    the pair the operator build needs.  On Gauss rules one recurrence over
-    the nodes gives both, with the P_k rows shared by the running integral
-    and the rule's Legendre transform and the Q_k rows by the log moments.
-    The pair shares one (2, n, n) allocation, so that the allocator can hand
-    it back whole once the build drops both: two n x n arrays can stay
-    behind as heap holes (16 MB of a cold N = 1024 solve's peak)."""
+    the pair the operator build needs.  On Gauss rules it is the one-block
+    call of the stream that `node_weight_products` runs in blocks: one
+    recurrence over the nodes gives both, with the P_k rows shared by the
+    running integral and the rule's Legendre transform and the Q_k rows by
+    the log moments.  The pair shares one (2, n, n) allocation, so that the
+    allocator can hand it back whole once the build drops both: two n x n
+    arrays can stay behind as heap holes (16 MB of a cold N = 1024 solve's
+    peak)."""
     if rule.family == "gauss-legendre":
-        rows = _node_rows(rule)
-        legendre = _node_legendre(rule, rows)
         pair = np.empty((2, rule.n, rule.n))
-        _log_weights_gauss(rule, rows[:, 1], legendre, rule.weights[None, :], pair[0])
-        _running_integral_gauss(rule, rows[:, 0], legendre, pair[1])
+        _node_weights(rule, rule.n, lambda lo, p: _node_legendre(rule, p),
+                      rule.weights[None, :], pair)
         return pair[0], pair[1]
     return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
 
@@ -392,19 +444,23 @@ def node_weight_matrices(rule: QuadratureRule) -> tuple:
 def node_weight_products(rule: QuadratureRule, f) -> tuple:
     """(W f, R f) for the complex node samples f (n x m) with
     (W, R) = node_weight_matrices(rule), in real arithmetic on the (re, im)
-    columns.  Gauss rules form neither matrix nor the transform L: the
-    coefficients L f = ((2k+1)/2) P (w/s f) come from the P rows of one
-    recurrence over the nodes and go through the log moments and the
-    antiderivatives, O(n^2 m) in all.  Midpoint rules apply their matrices."""
+    columns.  Gauss rules form neither matrix nor the transform L: one
+    recurrence over the nodes streams its rows in k-blocks of _STREAM_ROWS,
+    and each block's coefficient rows ((2k+1)/2) P_k (w/s f) go through its
+    log moments and antiderivatives, O(n^2 m) time in O(n (_STREAM_ROWS +
+    m)) memory.  Midpoint rules apply their matrices."""
     f = np.ascontiguousarray(f, dtype=complex)
     fr = f.view(float)
     if rule.family == "gauss-legendre":
-        rows = _node_rows(rule)
-        n, p = rule.n, rows[:, 0]
-        coeffs = p[:n] @ ((rule.weights / rule.scale)[:, None] * fr)
-        coeffs *= ((2 * np.arange(n) + 1) / 2.0)[:, None]
-        log_f = _log_weights_gauss(rule, rows[:, 1], coeffs, rule.weights @ fr, None)
-        partial_f = _running_integral_gauss(rule, p, coeffs, None)
+        wf = (rule.weights / rule.scale)[:, None] * fr
+
+        def coeffs(lo, p):
+            c = p @ wf
+            c *= ((2 * np.arange(lo, lo + len(p)) + 1) / 2.0)[:, None]
+            return c
+
+        log_f, partial_f = _node_weights(rule, _STREAM_ROWS, coeffs, rule.weights @ fr,
+                                         (None, None))
     else:
         log_f, partial_f = (a @ fr for a in node_weight_matrices(rule))
     return log_f.view(complex), partial_f.view(complex)

@@ -589,11 +589,8 @@ def test_assembly_from_tiles_is_bit_identical(lens, solutions, domain_name, fami
     assert np.array_equal(system.rhs, rhs)
 
 
-def test_residual_path_forms_no_square_kernel_array(solutions):
-    # the residual path's peak is the Legendre P and Q rows plus one n x n
-    # moment array, about 3 n^2 doubles; one more n x n kernel, PV or
-    # representation array with its temporaries would exceed 3.5 n^2
-    n = 512
+def _residual_path_peak(solutions, n):
+    """tracemalloc peak of a warm condition_residuals call, in n^2 doubles."""
     rule = build_rule("gauss-legendre", n, -1.0, 1.0)
     trace = make_trace(solutions["z2"], CLOSING_CUBIC, rule)
     condition_residuals(trace, CLOSING_CUBIC, CONDITION_IDS)  # first-call costs
@@ -603,7 +600,22 @@ def test_residual_path_forms_no_square_kernel_array(solutions):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * n * n, peak / (8 * n * n)
+    return peak / (8 * n * n)
+
+
+def test_residual_path_forms_no_square_kernel_array(solutions):
+    # the residual path's peak is the window of Legendre P and Q rows, one
+    # k-block of moments and the kernel tiles, about 1.3 n^2 doubles at
+    # n = 512; one more n x n array would exceed 1.5 n^2
+    peak = _residual_path_peak(solutions, 512)
+    assert peak <= 1.5, peak
+
+
+def test_residual_path_peak_scales_with_n(solutions):
+    # the residual path holds O(n) memory: its peak in n^2 doubles halves
+    # as n doubles, about 0.63 n^2 at n = 1024
+    peak = _residual_path_peak(solutions, 1024)
+    assert peak <= 0.8, peak
 
 
 def _direct_upper_representation(trace, domain):

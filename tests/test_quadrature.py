@@ -4,9 +4,10 @@ from scipy.integrate import quad
 
 from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
+    _STREAM_ROWS,
     _gauss_legendre,
     _legendre_recurrence,
-    _node_rows,
+    _node_windows,
     build_rule,
     diff_matrix,
     log_weight_matrix,
@@ -132,9 +133,74 @@ def test_in_place_recurrence_is_bit_identical(n):
                           _recurrence_allocating(t, 1.0, t, n))
     assert np.array_equal(_legendre_recurrence(t, q0, t * q0 - 1.0, n),
                           _recurrence_allocating(t, q0, t * q0 - 1.0, n))
-    rows = _node_rows(build_rule("gauss-legendre", n, -1, 1))
-    assert np.array_equal(rows[:, 0], _recurrence_allocating(t, 1.0, t, n))
-    assert np.array_equal(rows[:, 1], _recurrence_allocating(t, q0, t * q0 - 1.0, n))
+    lo, win = next(_node_windows(build_rule("gauss-legendre", n, -1, 1), n))
+    assert lo == 0 and len(win) == n + 2
+    assert np.array_equal(win[1:, 0], _recurrence_allocating(t, 1.0, t, n))
+    assert np.array_equal(win[1:, 1], _recurrence_allocating(t, q0, t * q0 - 1.0, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 512, 1024])
+def test_streamed_windows_are_the_recurrence_rows(n):
+    # each block of the residual path's stream resumes from the last two
+    # rows of the block before: every window row, the block boundaries'
+    # included, has the bits of the all-rows run
+    rule = build_rule("gauss-legendre", n, -1, 1)
+    t = rule.reference_nodes()
+    q0 = np.arctanh(t)
+    p = _legendre_recurrence(t, 1.0, t, n)
+    q = _legendre_recurrence(t, q0, t * q0 - 1.0, n)
+    starts = []
+    for lo, win in _node_windows(rule, _STREAM_ROWS):
+        starts.append(lo)
+        hi = min(lo + _STREAM_ROWS, n)
+        assert len(win) == hi - lo + 2
+        k = slice(max(lo - 1, 0), hi + 1)  # the window's rows, y_{-1} aside
+        assert np.array_equal(win[k.start - lo + 1:, 0], p[k])
+        assert np.array_equal(win[k.start - lo + 1:, 1], q[k])
+        if lo == 0:
+            assert not np.any(win[0])  # y_{-1} = 0
+    assert starts == list(range(0, n, _STREAM_ROWS))
+
+
+def _whole_table_node_matrices(rule):
+    # node_weight_matrices and the rule's transform as the whole-table code
+    # computed them: all (n + 1) x 2 x n rows of one recurrence, then whole
+    # n x n moment and antiderivative arrays
+    n, s, w = rule.n, rule.scale, rule.weights
+    t = rule.reference_nodes()
+    q0 = np.arctanh(t)
+    rows = _recurrence_allocating(t, np.stack([np.ones_like(t), q0]),
+                                  np.stack([t, t * q0 - 1.0]), n)
+    p, q = rows[:, 0], rows[:, 1]
+    legendre = ((2 * np.arange(n) + 1) / 2.0)[:, None] * p[:n] * (w / s)
+    pair = np.empty((2, n, n))
+    moments = np.empty((n, n))
+    moments[0] = (1 - t) * np.log1p(-t) + (1 + t) * np.log1p(t) - 2.0
+    np.subtract(q[2:], q[:-2], out=moments[1:])
+    moments[1:] *= 2.0
+    moments[1:] /= (2 * np.arange(1, n) + 1)[:, None]
+    np.matmul(moments.T, legendre, out=pair[0])
+    pair[0] *= s
+    pair[0] += np.log(s) * w[None, :]
+    anti = np.empty((n, n))
+    anti[0] = p[1] + 1.0
+    np.subtract(p[2:], p[:-2], out=anti[1:])
+    anti[1:] /= (2 * np.arange(1, n) + 1)[:, None]
+    np.matmul(anti.T, legendre, out=pair[1])
+    pair[1] *= s
+    return legendre, pair[0], pair[1]
+
+
+@pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 512])
+def test_node_matrices_are_the_whole_table_code(n):
+    # the dense matrices are the stream's one-block call: the solve path
+    # keeps the bits of the whole-table code
+    rule = build_rule("gauss-legendre", n, -0.5, 2.0)
+    legendre, log_w, partial = _whole_table_node_matrices(rule)
+    got_log, got_partial = node_weight_matrices(rule)
+    assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
+    assert np.array_equal(rule.legendre, legendre)
+    assert np.array_equal(build_rule("gauss-legendre", n, -0.5, 2.0).legendre, legendre)
 
 
 def test_rule_legendre_transform_cached_and_identity_free():

@@ -267,13 +267,13 @@ def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
     rule = build_rule("gauss-legendre", n, -1, 1)
     t_nodes = rule.reference_nodes()
     over_nodes = []
-    recurrence = quadrature._legendre_recurrence
+    recurrence = quadrature._recurrence_windows
 
-    def counting(t, y0, y1, kmax):
+    def counting(t, y0, y1, kmax, block):
         over_nodes.append(np.shape(t) == (n,) and np.array_equal(t, t_nodes))
-        return recurrence(t, y0, y1, kmax)
+        return recurrence(t, y0, y1, kmax, block)
 
-    monkeypatch.setattr(quadrature, "_legendre_recurrence", counting)
+    monkeypatch.setattr(quadrature, "_recurrence_windows", counting)
     build_operators.cache_clear()
     spec = solutions["z2"]
     solve_problem(lens, make_bc(spec, lens, 1.0, 2.0, None), rule)
