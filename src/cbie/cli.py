@@ -232,6 +232,10 @@ def _curve(block: dict, key: str) -> CurveDescriptor:
     """key, domain.lower or domain.upper: a curve kind and its list of numbers."""
     curve = _object(_require(block, key), key)
     kind = _require(curve, f"{key}.kind")
+    if kind == "tabulated":  # PCHIP's second derivative jumps at every knot
+        raise ConfigurationError(
+            f"{key}.kind: tabulated curves are not accepted: the solve does not "
+            "converge on their monotone cubic interpolant")
     params = _require(curve, f"{key}.params")
     if not isinstance(params, list):
         raise ConfigurationError(f"{key}.params must be a list of numbers, got {params!r}")

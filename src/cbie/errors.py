@@ -40,9 +40,5 @@ class AssemblyError(CbieError):
     """System assembly failed; message names the offending node pair."""
 
 
-class SolverError(CbieError):
-    """Both solve strategies failed."""
-
-
 class NumericError(CbieError):
     """Non-finite values encountered in numeric data."""

@@ -6,16 +6,17 @@ Two families:
                    kernels by global product integration against the
                    Legendre basis (exact log moments via Legendre Q
                    functions on the cut); one three-term recurrence,
-                   written in place row by row, gives the nodes (Newton
-                   keeps its last two rows), the rule's Legendre transform
-                   and the Q moments, and runs over the nodes once per
-                   operator build.  The recurrence streams its rows in
-                   k-blocks through a fixed window (`_recurrence_windows`):
-                   the dense weight matrices are its one-block call, and
-                   the residual path applies the log and running-integral
-                   weights to a few sample columns block by block through
-                   their Legendre coefficients (`node_weight_products`),
-                   O(n^2) time in O(n) memory, with no weight matrix
+                   written in place row by row, streams its rows in
+                   k-blocks through a fixed window (`_recurrence_windows`)
+                   and gives the nodes (Newton reads the last two rows),
+                   the Legendre transform (`_transform`, formed from the
+                   P rows at the nodes wherever it is used and kept by no
+                   one) and the Q moments.  The dense weight matrices are
+                   its one-block call over the nodes, and the residual path
+                   applies the log and running-integral weights to a few
+                   sample columns block by block through their Legendre
+                   coefficients (`node_weight_products`), O(n^2) time in
+                   O(n) memory, with no weight matrix
   midpoint-uniform composite midpoint; PV by the same subtraction with a
                    finite-difference diagonal, log kernels by product
                    integration of the cell-wise constant samples (exact
@@ -30,7 +31,6 @@ one row tile at a time, with the matrix's bits and no n x n array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,19 +63,6 @@ class QuadratureRule:
     def reference_nodes(self) -> np.ndarray:
         return (self.nodes - self.center) / self.scale
 
-    @cached_property
-    def legendre(self) -> np.ndarray:
-        """Gauss rules: the map from node samples to Legendre coefficients
-        (exact for degree < n), c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j.
-        Computed once per rule object; operator builds and interior
-        reconstruction on the same rule share it.  The dense node matrices
-        fill it from the P rows of their own recurrence, so a rule whose
-        node matrices were built runs no recurrence here.  The residual
-        path (`node_weight_products`) never forms it: it applies its rows
-        ((2k+1)/2) P_k (w/s f) to the samples one k-block at a time."""
-        t = self.reference_nodes()
-        return _transform(self, _legendre_recurrence(t, 1.0, t, self.n - 1))
-
 
 def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
     if n < 2:
@@ -101,22 +88,6 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
 _STREAM_ROWS = 128
 
 
-def _run_recurrence(t, rows, k0: int, kmax: int) -> None:
-    """(k+1) y_{k+1} = (2k+1) t y_k - k y_{k-1} for k0 <= k < kmax, in place
-    on the row arrays `rows` (y_{k0-1} and y_{k0} set), y_k kept in
-    rows[k % len(rows)]: with kmax + 1 rows every y_k stays, with two the
-    last two.  Each step is ty + (k/(k+1))(ty - y_{k-1}), ty = t y_k,
-    written with out= ufuncs into the row it replaces and one scratch row."""
-    r = len(rows)
-    ty = np.empty_like(rows[0])
-    for k in range(k0, kmax):
-        nxt = rows[(k + 1) % r]
-        np.multiply(t, rows[k % r], out=ty)
-        np.subtract(ty, rows[(k - 1) % r], out=nxt)
-        nxt *= k / (k + 1)
-        nxt += ty
-
-
 def _recurrence_windows(t, y0, y1, kmax: int, block: int):
     """The rows y_0..y_kmax (kmax >= 1) of (k+1) y_{k+1} = (2k+1) t y_k -
     k y_{k-1}, started from y0 and y1, streamed in k-blocks: yields
@@ -127,28 +98,29 @@ def _recurrence_windows(t, y0, y1, kmax: int, block: int):
     where both solutions oscillate).  Starts stacked over a leading axis run
     side by side, each with the arithmetic of its own run.
 
-    One (block + 2)-row window serves every block: each block resumes from
-    the last two rows of the one before, and the next block overwrites it,
-    so a reader that keeps rows copies them.  Every row has the bits of the
-    all-rows call (`_legendre_recurrence`), whatever the block size."""
+    Each step is ty + (k/(k+1))(ty - y_{k-1}), ty = t y_k, written with out=
+    ufuncs into the row it fills and one scratch row.  One (block + 2)-row
+    window serves every block: each block resumes from the last two rows of
+    the one before, and the next block overwrites it, so a reader that keeps
+    rows copies them.  Every row has the bits of the all-rows call (block >=
+    kmax), whatever the block size."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1))
     win = np.empty((min(block, kmax) + 2,) + shape)
     win[0], win[1], win[2] = 0.0, y0, y1
+    rows = list(win)  # y_k in rows[k - lo + 1]
+    ty = np.empty(shape)
     for lo in range(0, kmax, block):
         hi = min(lo + block, kmax)
-        rows = win[:hi - lo + 2]
         if lo:
-            rows[:2] = win[-2:]  # y_{lo-1} and y_lo, from the block before
-        r = len(rows)  # y_k in rows[k - lo + 1], that is ring[k % r]
-        ring = [rows[(k - lo + 1) % r] for k in range(r)]
-        _run_recurrence(t, ring, max(lo, 1), hi)
-        yield lo, rows
-
-
-def _legendre_recurrence(t, y0, y1, kmax: int) -> np.ndarray:
-    """Rows y_0..y_kmax (k-major, shape (kmax + 1,) + t.shape) of the
-    recurrence of `_recurrence_windows`: its all-rows call."""
-    return next(_recurrence_windows(t, y0, y1, kmax, kmax))[1][1:]
+            win[:2] = win[-2:]  # y_{lo-1} and y_lo, from the block before
+        for k in range(max(lo, 1), hi):
+            j = k - lo + 1
+            nxt = rows[j + 1]
+            np.multiply(t, rows[j], out=ty)
+            np.subtract(ty, rows[j - 1], out=nxt)
+            nxt *= k / (k + 1)
+            nxt += ty
+        yield lo, win[:hi - lo + 2]
 
 
 def _gauss_legendre(n: int) -> tuple:
@@ -156,10 +128,10 @@ def _gauss_legendre(n: int) -> tuple:
     [-1, 1] in O(n^2): Newton on P_n over the non-negative half of the
     rule, started from Tricomi's asymptotic nodes, then
     w = 2 / ((1 - t^2) P_n'(t)^2); the other half mirrors it."""
-    def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1, from the last two rows only
-        rows = [np.ones_like(t), t.copy()]
-        _run_recurrence(t, rows, 1, n)
-        p0, p1 = rows[(n - 1) % 2], rows[n % 2]
+    def pn(t):  # (P_n(t), P_n'(t)) for |t| < 1, from the stream's last two rows
+        for _, win in _recurrence_windows(t, 1.0, t, n, _STREAM_ROWS):
+            pass
+        p0, p1 = win[-2], win[-1]
         return p1, n * (t * p1 - p0) / (t * t - 1.0)
 
     k = np.arange(1, (n + 1) // 2 + 1)
@@ -291,7 +263,9 @@ def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
 
 
 def _transform(rule: QuadratureRule, p) -> np.ndarray:
-    """The Legendre transform from the rows P_0..P_{n-1} at the nodes."""
+    """The Legendre transform from the rows P_0..P_{n-1} at the nodes: the
+    map from node samples to Legendre coefficients (exact for degree < n),
+    c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j."""
     return ((2 * np.arange(rule.n) + 1) / 2.0)[:, None] * p[:rule.n] * (rule.weights / rule.scale)
 
 
@@ -304,19 +278,11 @@ def _node_windows(rule: QuadratureRule, block: int):
                                np.stack([t, t * q0 - 1.0]), rule.n, block)
 
 
-def _node_legendre(rule: QuadratureRule, p) -> np.ndarray:
-    """rule.legendre, taken from the rows p = P_0..P_{n-1} at the nodes
-    when it is not cached yet."""
-    if "legendre" not in rule.__dict__:  # where cached_property keeps it
-        rule.__dict__["legendre"] = _transform(rule, p)
-    return rule.legendre
-
-
 def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out) -> np.ndarray:
     """The terms k = lo..lo + h - 1 of global product integration of
     f(x) log|x - x_i| on Gauss nodes, on the reference interval: the window
     q = Q_{lo-1}..Q_{lo+h} at the nodes applied to the h rows `coeffs` of
-    the samples' Legendre coefficients (rule.legendre for the matrix).  The
+    the samples' Legendre coefficients (`_transform` for the matrix).  The
     block at lo = 0 is written into out (None: a new array), the later ones
     are added to it; `_node_weights` scales the sum to [a, b].
 
@@ -344,7 +310,7 @@ def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out) -> np
     """The terms k = lo..lo + h - 1 of the running integral from -1 on the
     reference interval, at the points where the window p = P_{lo-1}..P_{lo+h}
     was taken, applied to the h rows `coeffs` of the Legendre coefficients
-    (rule.legendre for the matrix): the Legendre expansion (exact for degree
+    (`_transform` for the matrix): the Legendre expansion (exact for degree
     < n) integrated through the antiderivatives int P_0 = P_1 + 1 and
     int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
     latter because P_{k+1}(-1) = P_{k-1}(-1).  The block at lo = 0 is
@@ -405,15 +371,18 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     points x in [a, b]; the rows at x = rule.nodes are the running integral
     at the nodes.
 
-    Gauss: integrate the Legendre expansion (`_running_integral_gauss`).
+    Gauss: integrate the Legendre expansion (`_running_integral_gauss`);
+    one recurrence over the stacked points [x; nodes] gives the P rows at x
+    for the antiderivatives and the node rows for the transform.
     Midpoint: whole cells left of x_m plus the covered part of its cell.
     """
     n = rule.n
     x = np.asarray(x, dtype=float)
     if rule.family == "gauss-legendre":
-        t = (x - rule.center) / rule.scale
+        t = np.concatenate([(x - rule.center) / rule.scale, rule.reference_nodes()])
         p = next(_recurrence_windows(t, 1.0, t, n, n))[1]
-        out = _running_integral_gauss(rule, 0, p, rule.legendre, None)
+        m = len(x)
+        out = _running_integral_gauss(rule, 0, p[:, :m], _transform(rule, p[1:, m:]), None)
         out *= rule.scale
         return out
     edges = np.concatenate([[rule.a], rule.nodes + 0.5 * rule.weights])
@@ -435,7 +404,7 @@ def node_weight_matrices(rule: QuadratureRule) -> tuple:
     peak)."""
     if rule.family == "gauss-legendre":
         pair = np.empty((2, rule.n, rule.n))
-        _node_weights(rule, rule.n, lambda lo, p: _node_legendre(rule, p),
+        _node_weights(rule, rule.n, lambda lo, p: _transform(rule, p),
                       rule.weights[None, :], pair)
         return pair[0], pair[1]
     return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)

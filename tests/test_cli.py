@@ -44,6 +44,12 @@ OPEN_DOMAIN = {
 }
 
 
+def _tabulated_lens(h):
+    # gamma = h (1 - x^2) through 33 equispaced points
+    x = np.linspace(-1.0, 1.0, 33)
+    return [*x, *(h * (1.0 - x * x))]
+
+
 def _solve_cfg(domain=LENS_DOMAIN, solution=None, **rule):
     return {
         "schema_version": "1",
@@ -284,6 +290,16 @@ def _constant_phi(tmp):
     pytest.param("nc-verify", "bc.phi.solution",
                  lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": _constant_phi(tmp)}),
                  id="tabulated-nc-verify"),
+    # a 33-point tabulated lens: solve exited 0 with pass true at N = 64
+    # and 256, while convergence showed trace errors of 12.7, 0.83 and 2.6
+    pytest.param("solve", "domain.upper",
+                 lambda cfg, tmp: cfg["domain"].update(upper={"kind": "tabulated",
+                                                              "params": _tabulated_lens(1.0)}),
+                 id="tabulated-curve"),
+    pytest.param("convergence", "domain.lower",
+                 lambda cfg, tmp: cfg["domain"].update(lower={"kind": "tabulated",
+                                                              "params": _tabulated_lens(-1.0)}),
+                 id="tabulated-curve-convergence"),
 ])
 def test_bad_value_exits_2_naming_key(tmp_path, outdir, capsys, task, key, spoil):
     cfg = _solve_cfg()
@@ -666,13 +682,13 @@ def test_nc_verify_quadratic(tmp_path, outdir):
 def test_nc_verify_forms_no_weight_matrix(tmp_path, outdir, monkeypatch):
     # the residuals apply the Gauss log and running-integral weights through
     # the Legendre coefficients of the densities: no level forms either
-    # weight matrix or the rule's Legendre transform
+    # weight matrix or the Legendre transform
     def refuse(*args):
         raise AssertionError("dense weight matrix formed on the residual path")
 
     monkeypatch.setattr(quadrature, "node_weight_matrices", refuse)
     monkeypatch.setattr(assembly, "node_weight_matrices", refuse)
-    monkeypatch.setattr(quadrature.QuadratureRule, "legendre", property(refuse))
+    monkeypatch.setattr(quadrature, "_transform", refuse)
     conds = list(conditions.CONDITION_IDS)
     cfg = _write(tmp_path / "c.json", {
         "schema_version": "1",

@@ -6,8 +6,9 @@ from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
     _STREAM_ROWS,
     _gauss_legendre,
-    _legendre_recurrence,
     _node_windows,
+    _recurrence_windows,
+    _transform,
     build_rule,
     diff_matrix,
     log_weight_matrix,
@@ -58,6 +59,11 @@ def test_gauss_rule_matches_leggauss(n):
     assert np.max(np.abs(moments - 2.0 / (2 * k[:, 0] + 1))) <= 1e-14
 
 
+def _legendre_recurrence(t, y0, y1, kmax):
+    # rows y_0..y_kmax of the recurrence: the stream's all-rows call
+    return next(_recurrence_windows(t, y0, y1, kmax, kmax))[1][1:]
+
+
 @pytest.mark.parametrize("n", [2, 3, 64, 512, 1024])
 def test_legendre_recurrence_p_rows_match_legvander(n):
     t = build_rule("gauss-legendre", n, -1, 1).reference_nodes()
@@ -101,11 +107,11 @@ def _recurrence_allocating(t, y0, y1, kmax):
     return y
 
 
-def _gauss_legendre_all_rows(n):
-    # the rule as first written: each of the four evaluations of P_n runs a
-    # recurrence that stores all n + 1 rows
+def _newton_rule(n, last_two):
+    # the rule's Newton iteration and weights, with (P_{n-1}, P_n) at t
+    # from last_two(t)
     def pn(t):
-        p0, p1 = _recurrence_allocating(t, 1.0, t, n)[n - 1:]
+        p0, p1 = last_two(t)
         return p1, n * (t * p1 - p0) / (t * t - 1.0)
 
     k = np.arange(1, (n + 1) // 2 + 1)
@@ -121,10 +127,34 @@ def _gauss_legendre_all_rows(n):
     return np.concatenate([-t[:m], t[::-1]]), np.concatenate([w[:m], w[::-1]])
 
 
+def _gauss_legendre_all_rows(n):
+    # the rule as first written: each of the four evaluations of P_n runs a
+    # recurrence that stores all n + 1 rows
+    return _newton_rule(n, lambda t: _recurrence_allocating(t, 1.0, t, n)[n - 1:])
+
+
+def _gauss_legendre_two_rows(n):
+    # the rule as written before Newton read the stream: P_n from a ring of
+    # two rows, each step in place
+    def last_two(t):
+        rows = [np.ones_like(t), t.copy()]
+        ty = np.empty_like(t)
+        for k in range(1, n):
+            nxt = rows[(k + 1) % 2]
+            np.multiply(t, rows[k % 2], out=ty)
+            np.subtract(ty, rows[(k - 1) % 2], out=nxt)
+            nxt *= k / (k + 1)
+            nxt += ty
+        return rows[(n - 1) % 2], rows[n % 2]
+
+    return _newton_rule(n, last_two)
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 127, 512, 1023, 1024])
 def test_in_place_recurrence_is_bit_identical(n):
-    # the recurrence writes each row in place and Newton keeps two rows, with
-    # the step arithmetic unchanged: nodes, weights and rows keep their bits
+    # the recurrence writes each row in place and Newton reads the last two
+    # rows of the stream, with the step arithmetic unchanged: nodes, weights
+    # and rows keep their bits
     t, w = _gauss_legendre(n)
     ref_t, ref_w = _gauss_legendre_all_rows(n)
     assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
@@ -137,6 +167,16 @@ def test_in_place_recurrence_is_bit_identical(n):
     assert lo == 0 and len(win) == n + 2
     assert np.array_equal(win[1:, 0], _recurrence_allocating(t, 1.0, t, n))
     assert np.array_equal(win[1:, 1], _recurrence_allocating(t, q0, t * q0 - 1.0, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 63, 64, 127, 128, 129, 130, 257, 512, 1024, 4096])
+def test_newton_on_the_stream_keeps_the_two_row_bits(n):
+    # Newton reads P_{n-1} and P_n from the last window of the streamed
+    # recurrence, block boundaries included: nodes and weights keep the bits
+    # of the two-row loop
+    t, w = _gauss_legendre(n)
+    ref_t, ref_w = _gauss_legendre_two_rows(n)
+    assert np.array_equal(t, ref_t) and np.array_equal(w, ref_w)
 
 
 @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 512, 1024])
@@ -191,6 +231,11 @@ def _whole_table_node_matrices(rule):
     return legendre, pair[0], pair[1]
 
 
+def _stream_transform(rule):
+    # the Legendre transform from the P rows of the stream over the nodes
+    return _transform(rule, next(_node_windows(rule, rule.n))[1][1:-1, 0])
+
+
 @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 257, 512])
 def test_node_matrices_are_the_whole_table_code(n):
     # the dense matrices are the stream's one-block call: the solve path
@@ -199,19 +244,26 @@ def test_node_matrices_are_the_whole_table_code(n):
     legendre, log_w, partial = _whole_table_node_matrices(rule)
     got_log, got_partial = node_weight_matrices(rule)
     assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
-    assert np.array_equal(rule.legendre, legendre)
-    assert np.array_equal(build_rule("gauss-legendre", n, -0.5, 2.0).legendre, legendre)
+    assert np.array_equal(_stream_transform(rule), legendre)
 
 
-def test_rule_legendre_transform_cached_and_identity_free():
+def test_rule_legendre_transform_exact_and_identity_free():
     rule = build_rule("gauss-legendre", 16, -1, 2)
-    assert rule.legendre is rule.legendre
-    # the cached transform is no field: equal rules stay equal and hash alike
+    # equal rules stay equal and hash alike
     other = build_rule("gauss-legendre", 16, -1, 2)
     assert rule == other and hash(rule) == hash(other)
     # exact for degree < n: the coefficients of P_3 on the reference interval
-    coeffs = rule.legendre @ np.polynomial.legendre.legval(rule.reference_nodes(), [0, 0, 0, 1])
+    coeffs = _stream_transform(rule) @ np.polynomial.legendre.legval(rule.reference_nodes(),
+                                                                      [0, 0, 0, 1])
     assert np.max(np.abs(coeffs - np.eye(16)[3])) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 129, 512])
+def test_partial_integral_at_the_nodes_is_the_node_matrix(n):
+    # the stacked recurrence over [x; nodes] gives each column its own
+    # arithmetic: at x = nodes it is the node matrix's running integral
+    rule = build_rule("gauss-legendre", n, -0.5, 2.0)
+    assert np.array_equal(partial_integral_matrix(rule, rule.nodes), node_weight_matrices(rule)[1])
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 257])
@@ -220,7 +272,7 @@ def test_node_matrices_share_rows_bit_for_bit(n, first):
     # P_k and Q_k from separate recurrences, then the transform, the log
     # weights and the running integral with the arithmetic of their
     # docstrings: the shared run must give the same bits, whichever of the
-    # three a fresh rule computes first
+    # three a fresh rule computes first (the rule holds no state)
     rule = build_rule("gauss-legendre", n, -0.5, 2.0)
     t, s, w = rule.reference_nodes(), rule.scale, rule.weights
     p = _legendre_recurrence(t, 1.0, t, n)
@@ -238,7 +290,7 @@ def test_node_matrices_share_rows_bit_for_bit(n, first):
     partial = s * (anti.T @ legendre)
 
     if first == "legendre":
-        assert np.array_equal(rule.legendre, legendre)
+        assert np.array_equal(_stream_transform(rule), legendre)
     if first == "log":
         assert np.array_equal(log_weight_matrix(rule), log_w)
     if first == "partial":
@@ -246,7 +298,7 @@ def test_node_matrices_share_rows_bit_for_bit(n, first):
     if first == "both":
         got_log, got_partial = node_weight_matrices(rule)
         assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
-    assert np.array_equal(rule.legendre, legendre)
+    assert np.array_equal(_stream_transform(rule), legendre)
     assert np.array_equal(log_weight_matrix(rule), log_w)
     assert np.array_equal(partial_integral_matrix(rule, rule.nodes), partial)
     got_log, got_partial = node_weight_matrices(rule)

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cbie import quadrature, solver
+from cbie import solver
 from cbie.assembly import BCSpec, FredholmSystem, assemble, compactness_probe
 from cbie.conditions import BoundaryTrace, build_operators
 from cbie.errors import DomainError, NumericError
@@ -259,25 +259,12 @@ def test_midpoint_solve_interior_samples(solutions):
         assert abs(val - complex(eval_solution(spec, pt[0], pt[1])[0])) <= 2e-3
 
 
-def test_solve_builds_the_legendre_transform_once(lens, solutions, monkeypatch):
-    # one recurrence over the nodes serves the whole solve: assembly's log
-    # moments and running integral, and the rule's Legendre transform,
-    # which reconstruct_interior's running integral reads again
-    n = 64
-    rule = build_rule("gauss-legendre", n, -1, 1)
-    t_nodes = rule.reference_nodes()
-    over_nodes = []
-    recurrence = quadrature._recurrence_windows
-
-    def counting(t, y0, y1, kmax, block):
-        over_nodes.append(np.shape(t) == (n,) and np.array_equal(t, t_nodes))
-        return recurrence(t, y0, y1, kmax, block)
-
-    monkeypatch.setattr(quadrature, "_recurrence_windows", counting)
-    build_operators.cache_clear()
-    spec = solutions["z2"]
-    solve_problem(lens, make_bc(spec, lens, 1.0, 2.0, None), rule)
-    assert over_nodes.count(True) == 1
+def test_solve_leaves_the_rule_its_fields_only(lens, solutions):
+    # the Legendre transform is formed where it is used and kept by no one:
+    # after a solve the rule holds its dataclass fields and nothing else
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    solve_problem(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, None), rule)
+    assert set(vars(rule)) == {f.name for f in fields(rule)}
 
 
 def test_solve_samples_the_curves_once(lens, solutions):
@@ -299,9 +286,10 @@ def test_solve_samples_the_curves_once(lens, solutions):
 def test_solve_holds_only_the_matrix_and_its_lu_after_assembly(lens, solutions, monkeypatch):
     # past assembly a solve needs the matrix and the LU copy; no kernel
     # block outlives assembly (a held bundle would be about 1.9 matrices)
-    rule = build_rule("gauss-legendre", 128, -1, 1)
     bc = make_bc(solutions["z2"], lens, 1.0, 2.0, None)
-    solve_problem(lens, bc, rule)  # warm-up: imports, LAPACK lookups, the transform
+    solve_problem(lens, bc, build_rule("gauss-legendre", 128, -1, 1))  # imports, LAPACK lookups
+    # a fresh rule equal to the warm-up's: anything the solve kept on it counts
+    rule = build_rule("gauss-legendre", 128, -1, 1)
     build_operators.cache_clear()
     sizes = []
     solve_system = solver.solve_system
@@ -318,4 +306,4 @@ def test_solve_holds_only_the_matrix_and_its_lu_after_assembly(lens, solutions, 
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * sizes[0]  # 2.02 here, 3.9 with the bundle held
+    assert peak <= 2.1 * sizes[0]  # 2.03 here, 2.16 with the transform on the rule
