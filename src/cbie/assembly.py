@@ -23,15 +23,18 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import (
+    BoundaryTrace,
     CornerRule,
     _fill,
     _kernel_blocks,
     _real_matvec,
+    _row_tiles,
     build_operators,
+    condition_residuals,
 )
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
-from .quadrature import QuadratureRule, node_weight_matrices, pv_weight_matrix
+from .quadrature import QuadratureRule, _pv_rows, node_weight_matrices, pv_weight_matrix
 
 MAGIC = b"CBIE1"
 
@@ -78,9 +81,15 @@ def du_from_bc(u_trace, alpha: complex, phi_at_nodes) -> np.ndarray:
 
 @dataclass
 class FredholmSystem:
-    matrix: np.ndarray
+    """The assembled system and the problem it was assembled from.  The
+    solve factors matrix in its own buffer and then drops it (None), so
+    whatever reads the matrix as assembled runs first."""
+
+    matrix: Optional[np.ndarray]
     rhs: np.ndarray
     rule: QuadratureRule
+    domain: PlaneDomain
+    bc: BCSpec
     warnings: list = field(default_factory=list)
     # 1-norm condition estimate, recorded by the solve that factorized matrix
     condition_estimate: Optional[float] = None
@@ -94,6 +103,20 @@ class FredholmSystem:
         n = self.n
         vec = np.asarray(vec)
         return vec[:n], vec[n:]
+
+    def residual(self, trace: BoundaryTrace) -> np.ndarray:
+        """matrix @ [u_1; u_2] - rhs for the trace's u, whose du must be
+        phi - alpha u, read from the conditions the rows combine rather than
+        from the matrix: [eq8; (i/pi) PV eq8 - eq10/alpha1 - eq12/alpha2],
+        the PV applied one row tile at a time.  O(N) memory."""
+        res = condition_residuals(trace, self.domain, ("eq8", "eq10", "eq12"))
+        eq8 = res["eq8"]
+        pv = np.empty_like(eq8)
+        for lo, hi in _row_tiles(self.n):
+            pv[lo:hi] = _real_matvec(_pv_rows(self.rule, lo, hi), eq8)
+        block_b = ((1j / np.pi) * pv - res["eq10"] / complex(self.bc.alpha1)
+                   - res["eq12"] / complex(self.bc.alpha2))
+        return np.concatenate([eq8, block_b])
 
 
 def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmSystem:
@@ -168,24 +191,45 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
                             f"(nodes {rule.nodes[i % n]}, {rule.nodes[j % n]})")
     if not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite right-hand side")
-    return FredholmSystem(matrix, rhs, rule, warnings)
+    return FredholmSystem(matrix, rhs, rule, domain, bc, warnings)
+
+
+def _transpose_in_place(a: np.ndarray) -> None:
+    """a = a.T for a square array, one pair of 64 x 64 blocks at a time
+    through one block-sized buffer (64 KB complex)."""
+    n, tile = a.shape[0], 64
+    buf = np.empty((tile, tile), dtype=a.dtype)
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            p, q = a[i:i + tile, j:j + tile], a[j:j + tile, i:i + tile]
+            t = buf[:p.shape[0], :p.shape[1]]
+            t[...] = p
+            if i != j:
+                p[...] = q.T
+            q[...] = t.T
 
 
 def lu_condition(matrix: np.ndarray) -> tuple:
-    """LU factors of the matrix and LAPACK's estimate of its 1-norm condition
-    number (gecon on those factors, Hager-Higham); an exactly zero pivot
-    gives inf."""
+    """LU factors of a square matrix, written over it, and LAPACK's estimate
+    of its 1-norm condition number (gecon on those factors, Hager-Higham);
+    an exactly zero pivot gives inf.
+
+    ||A||_1 is read first; then the array is transposed in place, so that
+    its buffer holds A column-major, and getrf factors that buffer: no copy
+    of the matrix is made.  The factors are lu_factor(matrix)'s, bit for
+    bit.  On return the array holds them transposed: read it no more."""
     from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
-    with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factors = lu_factor(matrix, check_finite=False)
     # ||A||_1 adds |A| row by row, in the order np.linalg.norm(matrix, 1) adds
-    # it (the same bits), without forming |A| beside the LU copy; LAPACK's
-    # lange would too, but its scalar complex modulus is several times slower
+    # it (the same bits), without forming |A|; LAPACK's lange would too, but
+    # its scalar complex modulus is several times slower
     colsum, row = np.zeros(matrix.shape[1]), np.empty(matrix.shape[1])
     for r in matrix:
         colsum += np.abs(r, out=row)
+    _transpose_in_place(matrix)
+    with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
+        warnings.simplefilter("ignore", LinAlgWarning)
+        factors = lu_factor(matrix.T, overwrite_a=True, check_finite=False)
     gecon = get_lapack_funcs("gecon", (factors[0],))
     rcond, _ = gecon(factors[0], colsum.max(), norm="1")
     return factors, (1.0 / rcond if rcond > 0 else np.inf)
@@ -201,16 +245,17 @@ class DecayReport:
 PROBE_K = 20
 
 
-def compactness_probe(system: FredholmSystem) -> DecayReport:
-    """Singular-value decay of K = matrix - identity plus the matrix's
-    condition estimate; the numerical signature of the second-kind structure.
+def probe_spectrum(matrix: np.ndarray) -> tuple:
+    """The PROBE_K largest singular values of K = matrix - identity,
+    descending, and their ratios {m: sigma_m / sigma_1} for m = 5, 10, 20
+    (0 past the spectrum); the numerical signature of the second-kind
+    structure.
 
-    The PROBE_K largest singular values come from Lanczos bidiagonalization
-    (PROPACK) with K applied as an operator.  Below 3 PROBE_K unknowns the
-    Krylov space has no room beyond k and PROPACK can fail to converge, so
-    those small systems take the dense spectrum.  The condition estimate is
-    the one the solve recorded, or a fresh LU estimate."""
-    m = system.matrix
+    The values come from Lanczos bidiagonalization (PROPACK) with K applied
+    as an operator.  Below 3 PROBE_K unknowns the Krylov space has no room
+    beyond k and PROPACK can fail to converge, so those small systems take
+    the dense spectrum."""
+    m = matrix
     dim = m.shape[0]
     if dim > 3 * PROBE_K:
         from scipy.sparse.linalg import LinearOperator, svds
@@ -224,9 +269,17 @@ def compactness_probe(system: FredholmSystem) -> DecayReport:
         sv = np.linalg.svd(m - np.eye(dim), compute_uv=False)[:PROBE_K]
     ratios = {j: (float(sv[j - 1] / sv[0]) if len(sv) >= j and sv[0] > 0 else 0.0)
               for j in (5, 10, 20)}
+    return sv, ratios
+
+
+def compactness_probe(system: FredholmSystem) -> DecayReport:
+    """`probe_spectrum` of the system's matrix plus its condition estimate:
+    the one the solve recorded, or that of a fresh LU of a copy, which
+    leaves the matrix as it was."""
+    sv, ratios = probe_spectrum(system.matrix)
     cond = system.condition_estimate
     if cond is None:
-        cond = lu_condition(m)[1]
+        cond = lu_condition(system.matrix.copy())[1]
     return DecayReport(sv, ratios, float(cond))
 
 

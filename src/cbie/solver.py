@@ -26,7 +26,8 @@ class SolveReport:
     method: str  # "direct" or "least-squares-fallback"
     interior_samples: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    system: Optional[FredholmSystem] = field(default=None, repr=False)
+    # the solved trace, du eliminated through the boundary data
+    trace: Optional[BoundaryTrace] = field(default=None, repr=False)
 
 
 def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD) -> SolveReport:
@@ -34,29 +35,37 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
     minimum-norm least-squares fallback (the problem is Fredholm but not
     guaranteed uniquely solvable at every boundary-constant pair).
 
-    One LU factorization gives both the 1-norm condition estimate, recorded
-    on the system for the compactness probe, and the direct solution.  An
-    exactly singular pivot estimates cond = inf and takes the fallback."""
-    m, b = system.matrix, system.rhs
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(b))):
+    One LU factorization, written over system.matrix, gives both the 1-norm
+    condition estimate, recorded on the system for the compactness probe,
+    and the direct solution; the matrix is then dropped (None).  An exactly
+    singular pivot estimates cond = inf and takes the fallback, which
+    assembles the matrix again from the system's domain and bc.  The
+    residual max|matrix @ x - rhs| is read from the conditions on the
+    solved trace (`FredholmSystem.residual`), not from the matrix."""
+    if not (np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.rhs))):
         raise NumericError("system contains non-finite entries")
-    factors, cond = lu_condition(m)
+    factors, cond = lu_condition(system.matrix)
+    system.matrix = None  # it holds the factors now
     system.condition_estimate = cond
     if np.isfinite(cond) and cond <= cond_threshold:
         from scipy.linalg import lu_solve
 
-        sol, method = lu_solve(factors, b, check_finite=False), "direct"
+        sol, method = lu_solve(factors, system.rhs, check_finite=False), "direct"
+        del factors
     else:
-        del factors  # free the LU before lstsq copies the matrix
-        sol, method = np.linalg.lstsq(m, b, rcond=None)[0], "least-squares-fallback"
-    resid = float(np.max(np.abs(m @ sol - b)))
+        del factors  # free the LU before assembly builds the matrix again
+        m = assemble(system.domain, system.bc, system.rule).matrix
+        sol, method = np.linalg.lstsq(m, system.rhs, rcond=None)[0], "least-squares-fallback"
     u1, u2 = system.split(sol)
     warnings = list(system.warnings)
     if method != "direct":
         warnings.append(f"least-squares fallback: condition estimate {cond:.3g} exceeds "
                         f"cond_threshold {cond_threshold:.3g}; the traces may be wrong "
                         "although the residual is small")
-    return SolveReport(u1, u2, resid, cond, method, [], warnings, system)
+    report = SolveReport(u1, u2, np.nan, cond, method, [], warnings)
+    report.trace = trace_from_solution(system.rule, system.bc, report)
+    report.residual_norm = float(np.max(np.abs(system.residual(report.trace))))
+    return report
 
 
 def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
@@ -125,14 +134,20 @@ def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
 
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
                   cond_threshold: float = COND_THRESHOLD) -> SolveReport:
-    """Assemble, solve, and reconstruct on the interior grid.  Past assembly
-    the solve holds the matrix, its LU copy and the O(N) curve samples that
-    assembly cached and the reconstruction reads again."""
-    system = assemble(domain, bc, rule)
+    """Assemble, solve, and reconstruct on the interior grid."""
+    return solve_assembled(assemble(domain, bc, rule), cond_threshold)
+
+
+def solve_assembled(system: FredholmSystem,
+                    cond_threshold: float = COND_THRESHOLD) -> SolveReport:
+    """Solve an assembled system and reconstruct on the interior grid.  The
+    solve factors system.matrix in place and drops it, so a reader of the
+    matrix as assembled (the probe's spectrum, the dump) runs first.  Past
+    assembly the solve holds the matrix, then its factors in the same
+    buffer, and O(N) arrays: the curve samples that assembly cached, which
+    the residual and the reconstruction read again."""
     report = solve_system(system, cond_threshold)
-    trace = trace_from_solution(rule, bc, report)
-    pts = default_interior_grid(domain)
-    vals = reconstruct_interior(domain, trace, pts)
+    pts = default_interior_grid(system.domain)
+    vals = reconstruct_interior(system.domain, report.trace, pts)
     report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
     return report
-

@@ -255,23 +255,66 @@ def test_condition_estimate_within_norm_equivalence(lens, solutions):
         assert 1.0 / (2 * n) <= estimate / cond2 <= 2 * n
 
 
-def test_lu_condition_allocates_only_the_lu_copy(lens, solutions):
-    # the 1-norm is summed row by row: no |A| temporary beside the LU copy,
-    # and the same estimate as from numpy's 1-norm, bit for bit
-    from scipy.linalg import get_lapack_funcs
+def test_lu_condition_factors_in_place(lens, solutions):
+    # the factors are written over the matrix: the factorization allocates
+    # no copy of it (and the 1-norm, summed row by row, no |A|), and gives
+    # lu_factor's factors and numpy's 1-norm estimate, bit for bit
+    from scipy.linalg import get_lapack_funcs, lu_factor
 
     rule = build_rule("gauss-legendre", 128, -1, 1)
     m = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule).matrix
-    factors, cond = lu_condition(m)  # warm-up: imports and LAPACK lookups
+    lu_condition(m.copy())  # warm-up: imports and LAPACK lookups
+    a = m.copy()
     tracemalloc.start()
     try:
-        lu_condition(m)
+        factors, cond = lu_condition(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * m.nbytes
-    gecon = get_lapack_funcs("gecon", (factors[0],))
-    assert cond == 1.0 / gecon(factors[0], np.linalg.norm(m, 1), norm="1")[0]
+    assert peak <= 0.1 * m.nbytes, peak / m.nbytes
+    assert np.shares_memory(factors[0], a)
+    lu, piv = lu_factor(m)
+    assert np.array_equal(factors[0], lu) and np.array_equal(factors[1], piv)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    assert cond == 1.0 / gecon(lu, np.linalg.norm(m, 1), norm="1")[0]
+
+
+@pytest.mark.parametrize("n", [1, 5, 128, 300])
+def test_lu_condition_transposes_any_size_in_place(n):
+    # the tile transpose covers partial edge tiles and a single tile
+    from scipy.linalg import lu_factor
+
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 4 * n * np.eye(n)
+    lu, piv = lu_factor(m)
+    factors, cond = lu_condition(m.copy())
+    assert np.array_equal(factors[0], lu) and np.array_equal(factors[1], piv)
+    assert 1.0 <= cond < np.inf
+
+
+def test_residual_is_the_matrix_residual(lens, solutions):
+    # the residual path gives matrix @ u - rhs without the matrix, for
+    # perturbed traces whose residuals are O(1): a Gauss lens, a cubic with
+    # complex alpha and a midpoint lens
+    cases = [(lens, "gauss-legendre", 512, (1.0, 2.0)),
+             (CLOSING_CUBIC, "gauss-legendre", 200, (0.7 + 0.2j, 1.5)),
+             (lens, "midpoint-uniform", 96, (1.0, 2.0))]
+    for domain, family, n, (a1, a2) in cases:
+        rule = build_rule(family, n, domain.a1, domain.b1)
+        spec = solutions["z2"]
+        bc = make_bc(spec, domain, a1, a2, rule)
+        system = assemble(domain, bc, rule)
+        exact = make_trace(spec, domain, rule)
+        rng = np.random.default_rng(n)
+        u = (np.concatenate([exact.u_lower, exact.u_upper])
+             + rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
+        phi1, phi2 = bc.sample(rule.nodes)
+        trace = BoundaryTrace(rule, u[:n], u[n:], du_from_bc(u[:n], a1, phi1),
+                              du_from_bc(u[n:], a2, phi2))
+        dense = system.matrix @ u - system.rhs
+        assert np.max(np.abs(dense)) >= 0.1
+        err = np.max(np.abs(system.residual(trace) - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense)), (family, n, err)
 
 
 def test_assemble_holds_one_kernel_block_beside_the_matrix(lens, solutions):

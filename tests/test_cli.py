@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbie import assembly, conditions, quadrature
-from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _domain, _solution, main
+from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _bc, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
 from cbie.manufactured import eval_solution
@@ -531,7 +531,7 @@ def test_memory_error_exits_3(tmp_path, outdir, capsys, monkeypatch):
     def no_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 1.00 GiB")
 
-    monkeypatch.setattr(cbie.cli, "solve_problem", no_memory)
+    monkeypatch.setattr(cbie.cli, "assemble", no_memory)
     status, err = _run("solve", _solve_cfg(), tmp_path, outdir, capsys)
     assert status == 3
     assert err.startswith("numeric failure:")
@@ -592,13 +592,35 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
     original = scipy.linalg.lu_factor
-    lu = counting("lu_factor", original)
+    in_place = []
+
+    def factor_in_place(a, **kwargs):
+        factors = original(a, **kwargs)
+        in_place.append(np.shares_memory(factors[0], a))
+        return factors
+
+    lu = counting("lu_factor", factor_in_place)
     for module in (scipy.linalg, cbie.assembly, cbie.solver):
         if getattr(module, "lu_factor", None) is original:
             monkeypatch.setattr(module, "lu_factor", lu)
     cfg = _write(tmp_path / "c.json", _solve_cfg())
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
     assert calls == {"svd": 0, "cond": 0, "lu_factor": 1}
+    assert in_place == [True]  # the factors are written over the matrix
+
+
+def test_dump_holds_the_unfactored_system(tmp_path, outdir):
+    # the solve factors the matrix in place: the dump must be written from
+    # the matrix as assembled, not from its factors
+    cfg = dict(_solve_cfg(n=64), dump_system=True)
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg),
+                 "--out", str(outdir)]) == 0
+    matrix, rhs = assembly.load_system(outdir / "system.bin")
+    domain = _domain(cfg)
+    rule = quadrature.build_rule("gauss-legendre", 64, domain.a1, domain.b1)
+    system = assembly.assemble(domain, _bc(cfg, domain)[0], rule)
+    assert np.array_equal(matrix, system.matrix)
+    assert np.array_equal(rhs, system.rhs)
 
 
 def _fresh_python(code: str) -> str:
