@@ -15,6 +15,7 @@ ordering: columns [0, N) are u on the lower curve at the rule nodes,
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -34,6 +35,7 @@ from .conditions import (
 )
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
+from .lcg import Lcg
 from .quadrature import QuadratureRule, _pv_rows, node_weight_matrices, pv_weight_matrix
 
 MAGIC = b"CBIE1"
@@ -217,7 +219,10 @@ def lu_condition(matrix: np.ndarray) -> tuple:
     ||A||_1 is read first; then the array is transposed in place, so that
     its buffer holds A column-major, and getrf factors that buffer: no copy
     of the matrix is made.  The factors are lu_factor(matrix)'s, bit for
-    bit.  On return the array holds them transposed: read it no more."""
+    bit.  On return the array holds them transposed: read it no more.
+
+    A non-finite entry makes its column sum non-finite: NumericError, raised
+    before the array is written."""
     from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
 
     # ||A||_1 adds |A| row by row, in the order np.linalg.norm(matrix, 1) adds
@@ -226,6 +231,8 @@ def lu_condition(matrix: np.ndarray) -> tuple:
     colsum, row = np.zeros(matrix.shape[1]), np.empty(matrix.shape[1])
     for r in matrix:
         colsum += np.abs(r, out=row)
+    if not np.all(np.isfinite(colsum)):
+        raise NumericError("system contains non-finite entries")
     _transpose_in_place(matrix)
     with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -243,39 +250,117 @@ class DecayReport:
 
 
 PROBE_K = 20
+PROBE_TOL = 1e-14  # each value's error bound, relative to sigma_1
 
 
 def probe_spectrum(matrix: np.ndarray) -> tuple:
-    """The PROBE_K largest singular values of K = matrix - identity,
-    descending, and their ratios {m: sigma_m / sigma_1} for m = 5, 10, 20
-    (0 past the spectrum); the numerical signature of the second-kind
-    structure.
-
-    The values come from Lanczos bidiagonalization (PROPACK) with K applied
-    as an operator.  Below 3 PROBE_K unknowns the Krylov space has no room
-    beyond k and PROPACK can fail to converge, so those small systems take
-    the dense spectrum."""
-    m = matrix
-    dim = m.shape[0]
-    if dim > 3 * PROBE_K:
-        from scipy.sparse.linalg import LinearOperator, svds
-
-        op = LinearOperator(m.shape, dtype=m.dtype,
-                            matvec=lambda v: m @ v - v,
-                            rmatvec=lambda v: (m.T @ v.conj()).conj() - v)
-        sv = svds(op, k=PROBE_K, solver="propack", rng=0,
-                  return_singular_vectors=False)[::-1]
-    else:
-        sv = np.linalg.svd(m - np.eye(dim), compute_uv=False)[:PROBE_K]
+    """The PROBE_K largest singular values of K = matrix - identity (all of
+    them below PROBE_K unknowns), descending, and their ratios
+    {m: sigma_m / sigma_1} for m = 5, 10, 20 (0 past the spectrum); the
+    numerical signature of the second-kind structure.  `_golub_kahan`
+    computes them at every size: a small system's Krylov space runs out,
+    which makes its values exact.  matrix is read, not written."""
+    sv = _golub_kahan(matrix, min(PROBE_K, matrix.shape[0]))
     ratios = {j: (float(sv[j - 1] / sv[0]) if len(sv) >= j and sv[0] > 0 else 0.0)
               for j in (5, 10, 20)}
     return sv, ratios
 
 
+def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
+    """The k largest singular values of K = m - I, descending, by
+    Golub-Kahan-Lanczos bidiagonalization (Golub and Kahan 1965).  K is
+    applied as v -> m v - v and u -> m^H u - u, one matrix-vector product
+    each, and never formed.
+
+    The recurrence builds K V = U B and K^H U = V B^T + beta v' e^T with B
+    bidiagonal.  It starts from v = K^H w, w a vector of `Lcg` draws, so
+    that V stays in the range of K^H.  Each new v is orthogonalized against
+    the stored V; U is neither stored nor reorthogonalized.  eigh of B B^T
+    gives the Ritz values sigma and the residuals r = beta |x_last| of its
+    eigenvectors x.  The run stops when each of the k largest has
+    min(r, r^2 / gap) <= PROBE_TOL sigma_1.  The first check comes at step
+    2k, and each next one as many steps later as the worst bound has
+    factors of 10 left to fall.
+
+    A new alpha or beta below dim eps (1 + |B|) is a breakdown: the space
+    so far is invariant and its values are exact.  The run goes on from a
+    fresh K^H w orthogonal to V, which also finds the further copies of a
+    repeated value.  When no part of K^H w is left outside V, the rest of
+    the spectrum is zero.  NumericError past 10 k steps."""
+    dim, cap = m.shape[0], 10 * k
+    tiny = dim * np.finfo(float).eps
+    rng = Lcg(0)
+    basis = np.empty((cap, dim), dtype=m.dtype)  # V: v_1, v_2, ... as rows
+    bidiag = np.zeros((cap, cap))  # B: entry (i, j) is u_i^H K v_j
+    rows = cols = 0  # the u and the v so far
+    u, v, beta, norm, check = None, None, 0.0, 0.0, 2 * k
+    while True:
+        if v is None:  # a fresh start
+            w = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)], dtype=m.dtype)
+            v = np.conj(w.conj() @ m) - w
+            size = np.linalg.norm(v)
+            for _ in range(2):
+                v -= np.conj(basis[:cols] @ v.conj()) @ basis[:cols]
+            left = np.linalg.norm(v)
+            if left <= tiny * size:
+                break  # the rest of K is zero
+            v /= left
+        if cols == cap:
+            raise NumericError(f"spectrum probe did not converge in {cap} Lanczos steps")
+        basis[cols] = v
+        p = m @ v - v
+        if beta:
+            p -= beta * u
+            bidiag[rows - 1, cols] = beta
+        cols += 1
+        alpha = math.sqrt(np.vdot(p, p).real)
+        norm = max(norm, alpha)
+        if alpha <= tiny * (1.0 + norm):  # K V lies in span U
+            v, beta = None, 0.0
+            continue
+        bidiag[rows, cols - 1] = alpha
+        u = p / alpha
+        rows += 1
+        r = np.conj(u.conj() @ m) - u - alpha * v
+        r -= np.conj(basis[:cols] @ r.conj()) @ basis[:cols]
+        beta = math.sqrt(np.vdot(r, r).real)
+        norm = max(norm, beta)
+        if cols == dim or beta <= tiny * (1.0 + norm):  # K^H U lies in span V
+            v, beta = None, 0.0
+        else:
+            v = r / beta
+        if rows == check:
+            sv, bound = _ritz(bidiag[:rows, :cols], beta, k)
+            worst = np.max(bound) / (PROBE_TOL * sv[0])
+            if worst <= 1.0:
+                return sv
+            check += max(1, math.ceil(math.log10(worst)))
+    return _ritz(bidiag[:rows, :cols], 0.0, k)[0]
+
+
+def _ritz(b: np.ndarray, beta: float, k: int) -> tuple:
+    """The k largest singular values of b (zeros past its rows) and their
+    bounds min(r, r^2 / gap): r = beta |x_last| for the left singular
+    vector x, gap the distance to the nearest other value."""
+    if not len(b):  # K = 0
+        return np.zeros(k), np.zeros(0)
+    w, x = np.linalg.eigh(b @ b.T)
+    s = np.sqrt(np.maximum(w[::-1], 0.0))
+    r = beta * np.abs(x[-1, ::-1])
+    d = s[:-1] - s[1:]
+    gap = np.minimum(np.append(np.inf, d), np.append(d, np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: a repeated value
+        bound = np.fmin(r, r * r / gap)
+    sv = np.zeros(k)
+    sv[:min(k, len(s))] = s[:k]
+    return sv, bound[:k]
+
+
 def compactness_probe(system: FredholmSystem) -> DecayReport:
-    """`probe_spectrum` of the system's matrix plus its condition estimate:
-    the one the solve recorded, or that of a fresh LU of a copy, which
-    leaves the matrix as it was."""
+    """`probe_spectrum` of the system's matrix (Lanczos values, read
+    without writing the matrix) plus its condition estimate: the one the
+    solve recorded, or that of a fresh LU of a copy, which leaves the
+    matrix as it was."""
     sv, ratios = probe_spectrum(system.matrix)
     cond = system.condition_estimate
     if cond is None:

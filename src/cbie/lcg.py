@@ -1,7 +1,8 @@
 """Deterministic 64-bit linear congruential generator.
 
-Used for every seeded probe-point stream so that independent implementations
-(and repeated runs) generate byte-identical sequences.  The recurrence is
+Used for every seeded probe-point stream, and for the start vectors of the
+spectrum probe, so that independent implementations (and repeated runs)
+generate byte-identical sequences.  The recurrence is
 
     state <- (6364136223846793005 * state + 1442695040888963407) mod 2^64
 

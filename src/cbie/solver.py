@@ -41,8 +41,10 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
     singular pivot estimates cond = inf and takes the fallback, which
     assembles the matrix again from the system's domain and bc.  The
     residual max|matrix @ x - rhs| is read from the conditions on the
-    solved trace (`FredholmSystem.residual`), not from the matrix."""
-    if not (np.all(np.isfinite(system.matrix)) and np.all(np.isfinite(system.rhs))):
+    solved trace (`FredholmSystem.residual`), not from the matrix.  A
+    non-finite rhs or matrix entry raises NumericError before the matrix
+    is written (`lu_condition` finds the matrix's in its column sums)."""
+    if not np.all(np.isfinite(system.rhs)):
         raise NumericError("system contains non-finite entries")
     factors, cond = lu_condition(system.matrix)
     system.matrix = None  # it holds the factors now

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cbie import assembly
 from cbie.assembly import (
     PROBE_K,
     BCSpec,
@@ -12,6 +13,7 @@ from cbie.assembly import (
     dump_system,
     load_system,
     lu_condition,
+    probe_spectrum,
 )
 from cbie.conditions import BoundaryTrace, build_operators, condition_residuals, eq8_residuals
 from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
@@ -221,7 +223,8 @@ def test_probe_identity_system(lens):
 
 
 def test_probe_identity_system_lanczos_path(lens):
-    # 2N = 128 > 3 PROBE_K: the PROPACK probe, not the dense spectrum
+    # 2N = 128 > 3 PROBE_K: the Golub-Kahan-Lanczos probe, not the dense
+    # spectrum; K = 0 breaks down at the first step
     rule = build_rule("gauss-legendre", 64, -1, 1)
     system = assemble(lens, _const_bc(1.0), rule)
     system.matrix = np.eye(2 * rule.n, dtype=complex)
@@ -241,6 +244,65 @@ def test_probe_matches_dense_svd(lens, solutions, n):
     for m, ratio in probe.ratios.items():
         dense = sv[m - 1] / sv[0] if 2 * n >= m else 0.0
         assert ratio == pytest.approx(dense, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("dim", [64, 300])
+def test_probe_of_a_rank_3_operator(dim):
+    # K = P Q^H: the Lanczos probe finds its 3 values, then breaks down, and
+    # the other PROBE_K - 3 are exact zeros
+    rng = np.random.default_rng(dim)
+    p, q = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+            for _ in range(2))
+    k = p @ q.conj().T
+    sv, ratios = probe_spectrum(np.eye(dim) + k)
+    dense = np.linalg.svd(k, compute_uv=False)[:3]
+    assert len(sv) == PROBE_K
+    assert np.allclose(sv[:3], dense, rtol=1e-12, atol=0)
+    assert np.all(sv[3:] == 0.0)
+    assert ratios == {5: 0.0, 10: 0.0, 20: 0.0}
+
+
+def test_probe_of_repeated_values():
+    # K = 2 W, W unitary: one Lanczos start finds one copy of the value 2,
+    # and each fresh start another
+    dim = 96
+    w = np.linalg.qr(np.random.default_rng(5).standard_normal((dim, dim)))[0]
+    sv, ratios = probe_spectrum(np.eye(dim) + 2.0 * w)
+    assert np.allclose(sv, 2.0, rtol=1e-13, atol=0)
+    assert ratios == pytest.approx({5: 1.0, 10: 1.0, 20: 1.0}, rel=1e-13)
+
+
+@pytest.mark.parametrize("case", ["midpoint-lens", "cubic-complex-alpha"])
+def test_probe_lanczos_path_matches_dense_svd(lens, solutions, case):
+    if case == "midpoint-lens":
+        domain, rule, alphas = lens, build_rule("midpoint-uniform", 96, -1, 1), (1.0, 2.0)
+    else:
+        domain = CLOSING_CUBIC
+        rule, alphas = build_rule("gauss-legendre", 64, -1, 1), (0.7 + 0.2j, 1.5)
+    matrix = assemble(domain, make_bc(solutions["z2"], domain, *alphas, rule), rule).matrix
+    assert matrix.shape[0] > 3 * PROBE_K  # not the dense path
+    dense = np.linalg.svd(matrix - np.eye(2 * rule.n), compute_uv=False)[:PROBE_K]
+    sv, ratios = probe_spectrum(matrix)
+    assert np.allclose(sv, dense, rtol=1e-12, atol=0)
+    for m, ratio in ratios.items():
+        assert ratio == pytest.approx(dense[m - 1] / dense[0], rel=1e-12, abs=0)
+
+
+def test_probe_is_deterministic_and_reads_only(lens, solutions):
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    matrix = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule).matrix
+    before = matrix.copy()
+    first, second = probe_spectrum(matrix)[0], probe_spectrum(matrix)[0]
+    assert first.tobytes() == second.tobytes()
+    assert np.array_equal(matrix, before)
+
+
+def test_probe_raises_at_its_krylov_cap():
+    # 100 values evenly spread over [1, 2]: the 2 largest do not converge
+    # to PROBE_TOL within the 10 k = 20 steps
+    matrix = np.eye(100) + np.diag(np.linspace(1.0, 2.0, 100)).astype(complex)
+    with pytest.raises(NumericError, match="20 Lanczos steps"):
+        assembly._golub_kahan(matrix, 2)
 
 
 def test_condition_estimate_within_norm_equivalence(lens, solutions):

@@ -661,6 +661,20 @@ def test_verify_tasks_load_no_scipy_and_solve_does(tmp_path):
     assert _fresh_python(code) == "[0, 0, 0] [] True"
 
 
+def test_solve_loads_no_scipy_sparse(tmp_path):
+    # the spectrum probe is numpy Lanczos: a solve needs scipy.linalg for its
+    # LU and nothing from scipy.sparse
+    cfg = _write(tmp_path / "solve.json", _solve_cfg(n=64))
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from cbie.cli import main\n"
+        f"status = main(['solve', '--config', {cfg!r}, '--out', {out!r}])\n"
+        "print(status, 'scipy.linalg' in sys.modules,\n"
+        "      sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+    assert _fresh_python(code) == "0 True []"
+
+
 # ---------------------------------------------------------------------------
 # tasks end to end
 # ---------------------------------------------------------------------------

@@ -67,6 +67,22 @@ def test_nonfinite_system_rejected(lens):
         solve_system(system)
 
 
+@pytest.mark.parametrize("bad", [np.inf, complex(0.0, np.nan), complex(-np.inf, 1.0)])
+def test_nonfinite_entry_rejected_before_the_matrix_is_written(lens, bad):
+    # the 1-norm's column sums find the entry: the matrix is not transposed
+    # or factored, and a non-finite rhs is rejected as before
+    system = _lens_system(lens, 4)
+    system.matrix[5, 1] = bad
+    before = system.matrix.copy()
+    with pytest.raises(NumericError, match="non-finite"):
+        solve_system(system)
+    assert np.array_equal(system.matrix, before, equal_nan=True)
+    system = _lens_system(lens, 4)
+    system.rhs[6] = bad
+    with pytest.raises(NumericError, match="non-finite"):
+        solve_system(system)
+
+
 def test_solve_drops_the_factored_matrix(lens):
     # the matrix buffer holds the factors after the solve: the system keeps
     # no reference to it, and the fallback assembles the matrix again
