@@ -15,10 +15,11 @@ ordering: columns [0, N) are u on the lower curve at the rule nodes,
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -211,20 +212,111 @@ def _transpose_in_place(a: np.ndarray) -> None:
             q[...] = t.T
 
 
+_OPENBLAS_SYMBOLS = ("scipy_zgetrf_64_", "scipy_zgecon_64_", "scipy_zgetrs_64_")
+
+
+def _numpy_openblas():
+    """numpy's own ILP64 OpenBLAS, which numpy.linalg has already loaded, as
+    a ctypes library: the one numpy.libs/libscipy_openblas64_* beside the
+    numpy package that exports zgetrf, zgecon and zgetrs (numpy's own
+    wheels ship it so); None for any other numpy build."""
+    import ctypes
+
+    found = list((Path(np.__file__).parent.parent / "numpy.libs")
+                 .glob("libscipy_openblas64_*"))
+    if len(found) != 1:
+        return None
+    try:
+        lib = ctypes.CDLL(str(found[0]))
+    except OSError:
+        return None
+    return lib if all(hasattr(lib, name) for name in _OPENBLAS_SYMBOLS) else None
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack() -> tuple:
+    """(getrf, gecon, getrs) for complex128, in scipy.linalg.lapack's
+    calling convention: getrf(a) -> (lu, piv, info) factors the Fortran-
+    ordered a in place, with 0-based pivots; gecon(lu, anorm) -> (rcond,
+    info) estimates in the 1-norm; getrs(lu, piv, b) -> (x, info) solves
+    A x = b for a vector b into a new array.  They are `_numpy_openblas`'s
+    routines, bound by ctypes, or scipy.linalg.lapack's on a numpy build
+    without that library: the same LAPACK calls either way."""
+    lib = _numpy_openblas()
+    if lib is None:
+        from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
+
+        return (lambda a: zgetrf(a, overwrite_a=True),
+                lambda lu, anorm: zgecon(lu, anorm, norm="1"),
+                zgetrs)
+
+    import ctypes
+    from numpy.ctypeslib import ndpointer
+
+    def i64(value):
+        return ctypes.byref(ctypes.c_int64(value))
+
+    # ILP64 integers; a Fortran character argument takes a hidden length
+    # after all the others
+    int_p, float_p = ctypes.POINTER(ctypes.c_int64), ctypes.POINTER(ctypes.c_double)
+    mat = ndpointer(np.complex128, ndim=2, flags=("F_CONTIGUOUS", "WRITEABLE"))
+    zvec = ndpointer(np.complex128, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    dvec = ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    ivec = ndpointer(np.int64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    zgetrf, zgecon, zgetrs = (getattr(lib, name) for name in _OPENBLAS_SYMBOLS)
+    zgetrf.argtypes = [int_p, int_p, mat, int_p, ivec, int_p]
+    zgecon.argtypes = [ctypes.c_char_p, int_p, mat, int_p, float_p, float_p, zvec, dvec,
+                       int_p, ctypes.c_size_t]
+    zgetrs.argtypes = [ctypes.c_char_p, int_p, int_p, mat, int_p, ivec, zvec, int_p,
+                       int_p, ctypes.c_size_t]
+    zgetrf.restype = zgecon.restype = zgetrs.restype = None
+
+    def getrf(a):
+        n = _order(a)
+        ipiv, info = np.empty(n, dtype=np.int64), ctypes.c_int64()
+        zgetrf(i64(n), i64(n), a, i64(max(1, n)), ipiv, ctypes.byref(info))
+        return a, (ipiv - 1).astype(np.int32), info.value
+
+    def gecon(lu, anorm):  # lu is getrf's
+        n = lu.shape[0]
+        rcond, info = ctypes.c_double(), ctypes.c_int64()
+        zgecon(b"1", i64(n), lu, i64(max(1, n)), ctypes.byref(ctypes.c_double(anorm)),
+               ctypes.byref(rcond), np.empty(2 * n, dtype=complex), np.empty(2 * n),
+               ctypes.byref(info), 1)
+        return rcond.value, info.value
+
+    def getrs(lu, piv, b):  # checked by lu_solve
+        n = lu.shape[0]
+        x, info = np.array(b, dtype=complex), ctypes.c_int64()
+        zgetrs(b"N", i64(n), i64(1), lu, i64(max(1, n)), piv.astype(np.int64) + 1, x,
+               i64(max(1, n)), ctypes.byref(info), 1)
+        return x, info.value
+
+    return getrf, gecon, getrs
+
+
+def _order(a: np.ndarray) -> int:
+    """The order of a square matrix; ShapeError for any other."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
+    return a.shape[0]
+
+
 def lu_condition(matrix: np.ndarray) -> tuple:
     """LU factors of a square matrix, written over it, and LAPACK's estimate
     of its 1-norm condition number (gecon on those factors, Hager-Higham);
-    an exactly zero pivot gives inf.
+    an exactly zero pivot gives inf.  getrf and gecon are `_lapack`'s:
+    numpy's own OpenBLAS, or scipy's LAPACK where numpy has none.
 
     ||A||_1 is read first; then the array is transposed in place, so that
     its buffer holds A column-major, and getrf factors that buffer: no copy
-    of the matrix is made.  The factors are lu_factor(matrix)'s, bit for
-    bit.  On return the array holds them transposed: read it no more.
+    of the matrix is made.  The factors are (lu, piv) in lu_factor's format
+    (piv 0-based) and lu_factor(matrix)'s values, bit for bit.  On return
+    the array holds lu transposed: read it no more.
 
     A non-finite entry makes its column sum non-finite: NumericError, raised
     before the array is written."""
-    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
-
+    getrf, gecon, _ = _lapack()
     # ||A||_1 adds |A| row by row, in the order np.linalg.norm(matrix, 1) adds
     # it (the same bits), without forming |A|; LAPACK's lange would too, but
     # its scalar complex modulus is several times slower
@@ -234,12 +326,30 @@ def lu_condition(matrix: np.ndarray) -> tuple:
     if not np.all(np.isfinite(colsum)):
         raise NumericError("system contains non-finite entries")
     _transpose_in_place(matrix)
-    with warnings.catch_warnings():  # a zero pivot is reported as cond = inf
-        warnings.simplefilter("ignore", LinAlgWarning)
-        factors = lu_factor(matrix.T, overwrite_a=True, check_finite=False)
-    gecon = get_lapack_funcs("gecon", (factors[0],))
-    rcond, _ = gecon(factors[0], colsum.max(), norm="1")
-    return factors, (1.0 / rcond if rcond > 0 else np.inf)
+    lu, piv, info = getrf(matrix.T)
+    if info == 0:
+        rcond, info = gecon(lu, colsum.max())
+    if info < 0:
+        raise NumericError(f"LAPACK rejected argument {-info} of the LU or its estimate")
+    if info > 0:  # U has an exactly zero pivot
+        rcond = 0.0
+    return (lu, piv), (1.0 / rcond if rcond > 0 else np.inf)
+
+
+def lu_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
+    """x with A x = b for a vector b, from `lu_condition`'s factors (lu, piv)
+    of A (getrs).  ShapeError unless lu is square, b and piv match its order
+    and every pivot is a row of it: LAPACK would read or swap rows outside
+    the buffers."""
+    lu, piv = factors
+    n = _order(lu)
+    if np.shape(piv) != (n,) or np.shape(b) != (n,) or np.any((piv < 0) | (piv >= n)):
+        raise ShapeError(f"LU solve: factors of order {n}, pivots of shape "
+                         f"{np.shape(piv)}, right-hand side of shape {np.shape(b)}")
+    x, info = _lapack()[2](lu, piv, b)
+    if info < 0:
+        raise NumericError(f"LAPACK rejected argument {-info} of the LU solve")
+    return x
 
 
 @dataclass
@@ -274,23 +384,28 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
 
     The recurrence builds K V = U B and K^H U = V B^T + beta v' e^T with B
     bidiagonal.  It starts from v = K^H w, w a vector of `Lcg` draws, so
-    that V stays in the range of K^H.  Each new v is orthogonalized against
-    the stored V; U is neither stored nor reorthogonalized.  eigh of B B^T
-    gives the Ritz values sigma and the residuals r = beta |x_last| of its
-    eigenvectors x.  The run stops when each of the k largest has
-    min(r, r^2 / gap) <= PROBE_TOL sigma_1.  The first check comes at step
-    2k, and each next one as many steps later as the worst bound has
-    factors of 10 left to fall.
+    that V stays in the range of K^H.  Each new u is orthogonalized against
+    the stored U and each new v against the stored V: with one side alone,
+    U loses orthogonality once K's values span many decades, and the Ritz
+    values then grow without bound (Simon and Zha 2000).  `_ritz` gives the
+    Ritz values and their bounds; the run stops when each of the k largest
+    has bound <= PROBE_TOL sigma_1.  The first check comes at step 2k, and
+    each next one 1.5 steps later for each factor of 10 the worst bound has
+    left to fall: the bounds stall for tens of steps and then fall about
+    tenfold a step, so one step a decade checks about twice as often as
+    needed, and each check is an eigh of twice B's order.
 
     A new alpha or beta below dim eps (1 + |B|) is a breakdown: the space
     so far is invariant and its values are exact.  The run goes on from a
     fresh K^H w orthogonal to V, which also finds the further copies of a
     repeated value.  When no part of K^H w is left outside V, the rest of
-    the spectrum is zero.  NumericError past 10 k steps."""
+    the spectrum is zero.  NumericError past 10 k steps, or on a non-finite
+    alpha, beta or bound."""
     dim, cap = m.shape[0], 10 * k
     tiny = dim * np.finfo(float).eps
     rng = Lcg(0)
-    basis = np.empty((cap, dim), dtype=m.dtype)  # V: v_1, v_2, ... as rows
+    # the bases, as rows: U (u_1, u_2, ...) and V (v_1, v_2, ...)
+    left, right = np.empty((cap, dim), dtype=m.dtype), np.empty((cap, dim), dtype=m.dtype)
     bidiag = np.zeros((cap, cap))  # B: entry (i, j) is u_i^H K v_j
     rows = cols = 0  # the u and the v so far
     u, v, beta, norm, check = None, None, 0.0, 0.0, 2 * k
@@ -298,32 +413,33 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
         if v is None:  # a fresh start
             w = np.array([rng.uniform(-1.0, 1.0) for _ in range(dim)], dtype=m.dtype)
             v = np.conj(w.conj() @ m) - w
-            size = np.linalg.norm(v)
+            size = _norm(v)
             for _ in range(2):
-                v -= np.conj(basis[:cols] @ v.conj()) @ basis[:cols]
-            left = np.linalg.norm(v)
-            if left <= tiny * size:
+                v -= _projection(right[:cols], v)
+            rest = _norm(v)
+            if rest <= tiny * size:
                 break  # the rest of K is zero
-            v /= left
+            v /= rest
         if cols == cap:
             raise NumericError(f"spectrum probe did not converge in {cap} Lanczos steps")
-        basis[cols] = v
+        right[cols] = v
         p = m @ v - v
         if beta:
             p -= beta * u
             bidiag[rows - 1, cols] = beta
         cols += 1
-        alpha = math.sqrt(np.vdot(p, p).real)
+        p -= _projection(left[:rows], p)
+        alpha = _norm(p)
         norm = max(norm, alpha)
         if alpha <= tiny * (1.0 + norm):  # K V lies in span U
             v, beta = None, 0.0
             continue
         bidiag[rows, cols - 1] = alpha
-        u = p / alpha
+        u = left[rows] = p / alpha
         rows += 1
         r = np.conj(u.conj() @ m) - u - alpha * v
-        r -= np.conj(basis[:cols] @ r.conj()) @ basis[:cols]
-        beta = math.sqrt(np.vdot(r, r).real)
+        r -= _projection(right[:cols], r)
+        beta = _norm(r)
         norm = max(norm, beta)
         if cols == dim or beta <= tiny * (1.0 + norm):  # K^H U lies in span V
             v, beta = None, 0.0
@@ -332,28 +448,52 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
         if rows == check:
             sv, bound = _ritz(bidiag[:rows, :cols], beta, k)
             worst = np.max(bound) / (PROBE_TOL * sv[0])
+            if not math.isfinite(worst):
+                raise NumericError(f"spectrum probe: non-finite error bound at step {rows}")
             if worst <= 1.0:
                 return sv
-            check += max(1, math.ceil(math.log10(worst)))
+            check += max(1, math.ceil(1.5 * math.log10(worst)))
     return _ritz(bidiag[:rows, :cols], 0.0, k)[0]
+
+
+def _projection(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The part of x in the span of basis's orthonormal rows."""
+    return np.conj(basis @ x.conj()) @ basis
+
+
+def _norm(x: np.ndarray) -> float:
+    """||x||_2, or NumericError if it is not finite."""
+    size = math.sqrt(np.vdot(x, x).real)
+    if not math.isfinite(size):
+        raise NumericError("spectrum probe: non-finite Lanczos coefficient")
+    return size
 
 
 def _ritz(b: np.ndarray, beta: float, k: int) -> tuple:
     """The k largest singular values of b (zeros past its rows) and their
-    bounds min(r, r^2 / gap): r = beta |x_last| for the left singular
-    vector x, gap the distance to the nearest other value."""
-    if not len(b):  # K = 0
+    bounds min(r, r^2 / gap), from eigh of the symmetric [[0, b], [b^T, 0]],
+    whose eigenvalues are +-sigma (and zeros): unlike eigh of b b^T it does
+    not square the spread of the values.  For the eigenvector (x; y) of
+    sigma, x / |x| = sqrt(2) x is b's left singular vector, r = beta
+    sqrt(2) |x_last| its residual and gap the distance from sigma to the
+    nearest other eigenvalue."""
+    rows, cols = b.shape
+    if not rows:  # K = 0
         return np.zeros(k), np.zeros(0)
-    w, x = np.linalg.eigh(b @ b.T)
-    s = np.sqrt(np.maximum(w[::-1], 0.0))
-    r = beta * np.abs(x[-1, ::-1])
-    d = s[:-1] - s[1:]
-    gap = np.minimum(np.append(np.inf, d), np.append(d, np.inf))
+    aug = np.zeros((rows + cols, rows + cols))
+    aug[:rows, rows:] = b
+    aug[rows:, :rows] = b.T
+    w, z = np.linalg.eigh(aug)
+    w, z = w[::-1], z[:, ::-1]
+    top = min(k, rows, cols)
+    d = w[:-1] - w[1:]
+    gap = np.minimum(np.append(np.inf, d), np.append(d, np.inf))[:top]
+    r = beta * math.sqrt(2.0) * np.abs(z[rows - 1, :top])
     with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: a repeated value
         bound = np.fmin(r, r * r / gap)
     sv = np.zeros(k)
-    sv[:min(k, len(s))] = s[:k]
-    return sv, bound[:k]
+    sv[:top] = np.maximum(w[:top], 0.0)
+    return sv, bound
 
 
 def compactness_probe(system: FredholmSystem) -> DecayReport:

@@ -6,6 +6,7 @@ import pytest
 from cbie import assembly
 from cbie.assembly import (
     PROBE_K,
+    PROBE_TOL,
     BCSpec,
     assemble,
     compactness_probe,
@@ -13,6 +14,7 @@ from cbie.assembly import (
     dump_system,
     load_system,
     lu_condition,
+    lu_solve,
     probe_spectrum,
 )
 from cbie.conditions import BoundaryTrace, build_operators, condition_residuals, eq8_residuals
@@ -288,6 +290,27 @@ def test_probe_lanczos_path_matches_dense_svd(lens, solutions, case):
         assert ratio == pytest.approx(dense[m - 1] / dense[0], rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("alphas", [(1e-8, 2.0), (1e-10, 2.0), (1.0, 1e-8)])
+def test_probe_of_values_spanning_many_decades(lens, solutions, alphas):
+    # a boundary constant far below 1 spreads K's values over many decades
+    # (sigma_20 / sigma_1 ~ 1e-6 at 1e-8): one-sided reorthogonalization
+    # lost U's orthogonality there, and eigh of B B^T, which squares the
+    # spread, is off by up to 8e-13 sigma_1 (PROBE_TOL = 1e-14)
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    matrix = assemble(lens, make_bc(solutions["z2"], lens, *alphas, rule), rule).matrix
+    dense = np.linalg.svd(matrix - np.eye(2 * rule.n), compute_uv=False)[:PROBE_K]
+    sv = probe_spectrum(matrix)[0]
+    assert dense[PROBE_K - 1] <= 1e-4 * dense[0]
+    assert np.max(np.abs(sv - dense)) <= 2 * PROBE_TOL * dense[0]
+
+
+def test_probe_raises_on_a_non_finite_coefficient():
+    matrix = np.eye(100, dtype=complex) + np.diag(np.linspace(1.0, 2.0, 100))
+    matrix[7, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        assembly._golub_kahan(matrix, 2)
+
+
 def test_probe_is_deterministic_and_reads_only(lens, solutions):
     rule = build_rule("gauss-legendre", 64, -1, 1)
     matrix = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule).matrix
@@ -352,6 +375,57 @@ def test_lu_condition_transposes_any_size_in_place(n):
     factors, cond = lu_condition(m.copy())
     assert np.array_equal(factors[0], lu) and np.array_equal(factors[1], piv)
     assert 1.0 <= cond < np.inf
+
+
+def test_lu_solve_is_lu_solve_bit_for_bit(lens, solutions):
+    # getrs on lu_condition's factors gives scipy's lu_solve on lu_factor's
+    from scipy.linalg import lu_factor
+    from scipy.linalg import lu_solve as scipy_lu_solve
+
+    for n, alphas in ((65, (1.0, 2.0)), (128, (0.7 + 0.2j, 1.5))):
+        rule = build_rule("gauss-legendre", n, -1, 1)
+        system = assemble(lens, make_bc(solutions["z2"], lens, *alphas, rule), rule)
+        factors = lu_condition(system.matrix.copy())[0]
+        x = lu_solve(factors, system.rhs)
+        assert np.array_equal(x, scipy_lu_solve(lu_factor(system.matrix), system.rhs))
+
+
+def test_lu_solve_rejects_what_lapack_would_read_out_of_bounds():
+    lu, piv = lu_condition(np.eye(4, dtype=complex))[0]
+    for factors, b in (((lu, piv), np.ones(5)), ((lu, piv[:3]), np.ones(4)),
+                       ((lu, piv + 1), np.ones(4)), ((lu[:3], piv), np.ones(4))):
+        with pytest.raises(ShapeError):
+            lu_solve(factors, b)
+
+
+def test_scipy_lapack_gives_the_same_factors_estimate_and_solution(lens, solutions,
+                                                                   monkeypatch):
+    # a numpy without numpy.libs/libscipy_openblas64_* takes scipy's zgetrf,
+    # zgecon and zgetrs: the same calls, the same bits, in place as well
+    from scipy.linalg.lapack import zgetrs
+
+    rule = build_rule("gauss-legendre", 64, -1, 1)
+    system = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule)
+    singular = np.eye(8, dtype=complex)
+    singular[3] = 0.0
+
+    def run():
+        a = system.matrix.copy()
+        (lu, piv), cond = lu_condition(a)
+        assert np.shares_memory(lu, a)
+        return lu, piv, cond, lu_solve((lu, piv), system.rhs), lu_condition(singular.copy())[1]
+
+    own = run()
+    monkeypatch.setattr(assembly, "_numpy_openblas", lambda: None)
+    assembly._lapack.cache_clear()
+    try:
+        assert assembly._lapack()[2] is zgetrs
+        fallback = run()
+    finally:
+        assembly._lapack.cache_clear()
+    for mine, theirs in zip(own, fallback):
+        assert np.array_equal(mine, theirs)
+    assert fallback[-1] == np.inf
 
 
 def test_residual_is_the_matrix_residual(lens, solutions):

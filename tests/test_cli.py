@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbie import assembly, conditions, quadrature
@@ -395,6 +396,80 @@ def test_mutated_leaf_exits_cleanly(tmp_path_factory, task, path, value):
         assert path[0] in err.getvalue()
 
 
+def _alpha_pairs(alpha1, factor):
+    """(alpha1, alpha2): an independent alpha2, or alpha2 = factor alpha1,
+    factor near 1 (resonance: equal constants make exp(-alpha z) a
+    homogeneous solution) or near -1 (1/alpha1 + 1/alpha2 near 0)."""
+    return st.one_of(st.builds(lambda a: (alpha1, a), ALPHAS),
+                     st.just((alpha1, _scale(alpha1, factor))))
+
+
+def _scale(alpha, factor):
+    if isinstance(alpha, list):
+        return [alpha[0] * factor, alpha[1] * factor]
+    return alpha * factor
+
+
+def _alpha(exponent, turn, is_complex):
+    # a real alpha takes the sign of cos(2 pi turn); a complex one is [re, im]
+    size = 10.0 ** exponent
+    if not is_complex:
+        return math.copysign(size, math.cos(2 * math.pi * turn))
+    return [size * math.cos(2 * math.pi * turn), size * math.sin(2 * math.pi * turn)]
+
+
+ALPHAS = st.builds(_alpha, st.floats(-12.0, 8.0), st.floats(0.0, 1.0), st.booleans())
+DOMAINS = st.one_of(
+    st.floats(0.3, 2.0).map(lambda h: {
+        "a1": -1.0, "b1": 1.0,
+        "lower": {"kind": "lens", "params": [-h]},
+        "upper": {"kind": "lens", "params": [h]}}),
+    # closes at x1 = -1 and 1: gamma_2 = (1 - x^2)(p0 + p1 x), gamma_1 = -(1 - x^2)(q0 + q1 x)
+    st.tuples(st.floats(0.5, 1.5), st.floats(-0.6, 0.6),
+              st.floats(0.5, 1.5), st.floats(-0.6, 0.6)).map(lambda c: {
+        "a1": -1.0, "b1": 1.0,
+        "lower": {"kind": "polynomial",
+                  "params": [-c[2], -c[2] * c[3], c[2], c[2] * c[3]]},
+        "upper": {"kind": "polynomial",
+                  "params": [c[0], c[0] * c[1], -c[0], -c[0] * c[1]]}}))
+
+
+@st.composite
+def solve_configs(draw):
+    factor = (draw(st.sampled_from([1.0, -1.0]))
+              * (1.0 + draw(st.sampled_from([0.0, 1e-12, -1e-9, 1e-6, -1e-3]))))
+    alpha1, alpha2 = draw(_alpha_pairs(draw(ALPHAS), factor))
+    return {
+        "schema_version": "1",
+        "domain": draw(DOMAINS),
+        "bc": {"alpha1": alpha1, "alpha2": alpha2,
+               "phi": {"solution": {"name": draw(st.sampled_from(["z", "z2", "exp_half"]))}}},
+        "rule": {"n": draw(st.integers(8, 64)),
+                 "family": draw(st.sampled_from(["gauss-legendre", "midpoint-uniform"]))},
+    }
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@example(cfg=dict(_solve_cfg(n=64), bc={"alpha1": 1e-9, "alpha2": 2.0,
+                                         "phi": {"solution": {"name": "z2"}}}))
+@given(cfg=solve_configs())
+def test_accepted_solve_config_exits_cleanly(tmp_path_factory, cfg):
+    # an accepted config converges (0), fails a gate (1) or a numeric check
+    # (3), or is rejected naming one of its keys (2): never a traceback
+    tmp = tmp_path_factory.mktemp("solve")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(["solve", "--config", _write(tmp / "c.json", cfg),
+                       "--out", str(tmp / "out")])
+    assert status in (0, 1, 2, 3)
+    if status == 2:
+        keys = {".".join(map(str, path[:i])) for path in _leaf_paths(cfg)
+                for i in range(1, len(path) + 1)}
+        assert any(re.search(rf"\b{re.escape(key)}\b", err.getvalue()) for key in keys)
+    if status == 0:
+        assert json.loads((tmp / "out" / "solve_report.json").read_text())["pass"] is True
+
+
 # Every numeric leaf that solve reads: the domain, the boundary constants,
 # rule.n, each tolerance and the seed.
 NUMERIC_CFG = dict(_solve_cfg(), seed=42,
@@ -576,12 +651,7 @@ def test_solve_assembles_once(tmp_path, outdir, monkeypatch):
 
 
 def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatch):
-    import scipy.linalg
-
-    import cbie.assembly
-    import cbie.solver
-
-    calls = {"svd": 0, "cond": 0, "lu_factor": 0}
+    calls = {"svd": 0, "cond": 0, "getrf": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -591,22 +661,33 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
 
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
-    original = scipy.linalg.lu_factor
+    getrf, gecon, getrs = assembly._lapack()
     in_place = []
 
-    def factor_in_place(a, **kwargs):
-        factors = original(a, **kwargs)
-        in_place.append(np.shares_memory(factors[0], a))
-        return factors
+    def factor_in_place(a):
+        lu, piv, info = getrf(a)
+        in_place.append(np.shares_memory(lu, a))
+        return lu, piv, info
 
-    lu = counting("lu_factor", factor_in_place)
-    for module in (scipy.linalg, cbie.assembly, cbie.solver):
-        if getattr(module, "lu_factor", None) is original:
-            monkeypatch.setattr(module, "lu_factor", lu)
+    lapack = (counting("getrf", factor_in_place), gecon, getrs)
+    monkeypatch.setattr(assembly, "_lapack", lambda: lapack)
     cfg = _write(tmp_path / "c.json", _solve_cfg())
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
-    assert calls == {"svd": 0, "cond": 0, "lu_factor": 1}
+    assert calls == {"svd": 0, "cond": 0, "getrf": 1}
     assert in_place == [True]  # the factors are written over the matrix
+
+
+@pytest.mark.parametrize("alphas", [(1e-8, 2.0), (1e-10, 2.0), (1.0, 1e-8)])
+def test_solve_with_values_spanning_many_decades_falls_back(tmp_path, outdir, alphas):
+    # the condition estimate passes cond_threshold: the least-squares
+    # fallback, exit 1 and a full report, after the probe has run
+    cfg = _solve_cfg(n=64)
+    cfg["bc"].update(alpha1=alphas[0], alpha2=alphas[1])
+    assert main(["solve", "--config", _write(tmp_path / "c.json", cfg),
+                 "--out", str(outdir)]) == 1
+    report = json.loads((outdir / "solve_report.json").read_text())
+    assert report["method"] == "least-squares-fallback" and report["pass"] is False
+    assert 0.0 < report["singular_value_ratios"]["20"] < report["singular_value_ratios"]["5"]
 
 
 def test_dump_holds_the_unfactored_system(tmp_path, outdir):
@@ -644,35 +725,49 @@ def test_cli_import_leaves_edge_case_scipy_modules_unloaded():
 
 
 def test_verify_tasks_load_no_scipy_and_solve_does(tmp_path):
-    # nc-verify and pv-check only build operators and take residuals; scipy
-    # comes in with the first dense factorization, which only solve runs
+    # nc-verify and pv-check only build operators and take residuals; solve
+    # and convergence do the dense factorization, with numpy's own LAPACK, so
+    # no task loads scipy (on a numpy build without that library the LU comes
+    # from scipy.linalg, which solve then loads)
     nc_cfg = _write(tmp_path / "nc.json", dict(_solve_cfg(), rule={"levels": [64, 128]}))
     pv_cfg = _write(tmp_path / "pv.json", {"schema_version": "1"})
     solve_cfg = _write(tmp_path / "solve.json", _solve_cfg(n=64))
+    conv_cfg = _write(tmp_path / "conv.json", dict(_solve_cfg(), rule={"levels": [32, 64]}))
     out = str(tmp_path / "out")
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from cbie.cli import main\n"
         f"status = [main(['nc-verify', '--config', {nc_cfg!r}, '--out', {out!r}]),\n"
         f"          main(['pv-check', '--config', {pv_cfg!r}, '--out', {out!r}])]\n"
         "before = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         f"status.append(main(['solve', '--config', {solve_cfg!r}, '--out', {out!r}]))\n"
-        "print(status, before, 'scipy.linalg' in sys.modules)\n")
-    assert _fresh_python(code) == "[0, 0, 0] [] True"
+        f"status.append(main(['convergence', '--config', {conv_cfg!r}, '--out', {out!r}]))\n"
+        "after = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(json.dumps([status, before, after]))\n")
+    status, before, after = json.loads(_fresh_python(code))
+    assert status == [0, 0, 0, 0]
+    assert before == []
+    if assembly._numpy_openblas() is not None:
+        assert after == []
+    else:
+        assert "scipy.linalg" in after
 
 
 def test_solve_loads_no_scipy_sparse(tmp_path):
-    # the spectrum probe is numpy Lanczos: a solve needs scipy.linalg for its
-    # LU and nothing from scipy.sparse
+    # the spectrum probe is numpy Lanczos: a solve needs nothing from
+    # scipy.sparse, and with numpy's own LAPACK nothing from scipy at all
     cfg = _write(tmp_path / "solve.json", _solve_cfg(n=64))
     out = str(tmp_path / "out")
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from cbie.cli import main\n"
         f"status = main(['solve', '--config', {cfg!r}, '--out', {out!r}])\n"
-        "print(status, 'scipy.linalg' in sys.modules,\n"
-        "      sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
-    assert _fresh_python(code) == "0 True []"
+        "print(json.dumps([status, sorted(m for m in sys.modules if m.startswith('scipy'))]))\n")
+    status, modules = json.loads(_fresh_python(code))
+    assert status == 0
+    assert not [m for m in modules if m.startswith("scipy.sparse")]
+    if assembly._numpy_openblas() is not None:
+        assert modules == []
 
 
 # ---------------------------------------------------------------------------
