@@ -30,14 +30,21 @@ from .conditions import (
     _fill,
     _kernel_blocks,
     _real_matvec,
-    _row_tiles,
     build_operators,
     condition_residuals,
 )
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
 from .lcg import Lcg
-from .quadrature import QuadratureRule, _pv_rows, node_weight_matrices, pv_weight_matrix
+from .quadrature import (
+    _TILE_ROWS,
+    QuadratureRule,
+    _diagonal,
+    _pv_rows,
+    _row_tiles,
+    node_weight_matrices,
+    pv_weight_matrix,
+)
 
 MAGIC = b"CBIE1"
 
@@ -141,13 +148,6 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2
     # (docs/method.md section 6 for eq8 and cauchy).
 
-    # One block of cauchy at a time, allocated first: freeing the N x N
-    # temporaries of pv and the weight matrices raises glibc's mmap threshold
-    # to their size, and a buffer allocated after them came from the heap and
-    # stayed resident under the LU copy (cold lens solve at N = 1024:
-    # 228.7 MB against 212.7 MB).
-    block = np.empty((n, n), dtype=complex)
-    pv = pv_weight_matrix(rule)
     corners = CornerRule(domain, ops)
     tiles = _kernel_blocks(ops, *node_weight_matrices(rule))
     phi = np.concatenate([phi1, phi2])
@@ -155,36 +155,46 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     ones, diag = np.ones(n), np.arange(n)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
-    # The eq8 tiles go straight into the top half.  Each block of cauchy is
-    # gathered in `block` and, once complete, subtracted from the bottom
-    # half, scaled by 1/alpha of its row block, after (i/pi) PV eq8: that
-    # product runs when block (1, 1) is complete, since its tiles come with
-    # the last of eq8's.
+    rows = np.zeros((min(n, _TILE_ROWS), n), dtype=complex)  # one cauchy tile
+    # The eq8 tiles go straight into the top half.  The first cauchy tile
+    # comes once eq8 is complete and its weight matrices are dropped:
+    # (i/pi) PV eq8 then fills the bottom half, and each cauchy tile is
+    # subtracted from it, with its corner correction, scaled by 1/alpha of
+    # its row block.
     for r, c, lo, parts, gp in tiles:
         hi = lo + parts.shape[1]
-        _fill(top[lo:hi, c * n:(c + 1) * n] if r == 0 else block[lo:hi],
-              parts[0], parts[1], gp)
-        if r == 0 or hi < n:
+        if r == 0:
+            _fill(top[lo:hi, c * n:(c + 1) * n], parts[0], parts[1], gp)
             continue
-        if (r, c) == (1, 1):
+        if (r, c, lo) == (1, 1, 0):
             corners.sums[0, 1] = top[:, n:] @ ones
             top[diag, diag] += corners.correction((0, 0))
-            # pv is real: one real GEMM on the interleaved (re, im) columns
+            # pv lives for one GEMM and one product, in a map of its own so
+            # that none of it stays resident under the probe and the LU; it
+            # is real: one real GEMM on the interleaved (re, im) columns
+            pv = pv_weight_matrix(rule, out=_mapped((n, n), float))
             np.matmul(pv, top.view(float), out=g.view(float))
             g *= 1j / np.pi
+            pv_phi = _real_matvec(pv, phi1 / a1c - phi2 / a2c)
+            del pv
+        t = rows[:hi - lo]
+        _fill(t, parts[0], parts[1], gp)
         if corners.reads((r, c)):
-            corners.sums[r, c] = block @ ones
+            # numpy takes a one-row product as a dot product, whose sum runs
+            # in another order than the gemv of every other row: that row is
+            # summed as the first of two
+            sums = corners.sums.setdefault((r, c), np.empty(n, dtype=complex))
+            sums[lo:hi] = (rows[:2] @ ones)[:1] if hi - lo == 1 else t @ ones
         fix = corners.correction((r, c))
         if fix is not None:
-            block[diag, diag] += fix
-        block *= 1.0 / (a1c if r == 1 else a2c)
-        g[:, c * n:(c + 1) * n] -= block
-    del block
+            t[_diagonal(lo, hi)] += fix[lo:hi]
+        t *= 1.0 / (a1c if r == 1 else a2c)
+        g[lo:hi, c * n:(c + 1) * n] -= t
     g[diag, diag] -= 1.0 / a1c
     g[diag, n + diag] -= 1.0 / a2c
 
     rhs = -(matrix @ phi)
-    rhs[n:] -= (1j / np.pi) * _real_matvec(pv, phi1 / a1c - phi2 / a2c)
+    rhs[n:] -= (1j / np.pi) * pv_phi
     matrix *= -alpha
     matrix[diag, diag] += 1.0
     matrix[diag, n + diag] -= 1.0
@@ -395,6 +405,11 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     tenfold a step, so one step a decade checks about twice as often as
     needed, and each check is an eigh of twice B's order.
 
+    The bases hold 10 k rows each, 3.3 MB each at N = 512, in anonymous
+    maps of their own (`_mapped`) that go back to the system when the probe
+    returns: as heap blocks they stayed resident under the LU that follows
+    and set a cold solve's peak.
+
     A new alpha or beta below dim eps (1 + |B|) is a breakdown: the space
     so far is invariant and its values are exact.  The run goes on from a
     fresh K^H w orthogonal to V, which also finds the further copies of a
@@ -405,7 +420,7 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     tiny = dim * np.finfo(float).eps
     rng = Lcg(0)
     # the bases, as rows: U (u_1, u_2, ...) and V (v_1, v_2, ...)
-    left, right = np.empty((cap, dim), dtype=m.dtype), np.empty((cap, dim), dtype=m.dtype)
+    left, right = _mapped((cap, dim), m.dtype), _mapped((cap, dim), m.dtype)
     bidiag = np.zeros((cap, cap))  # B: entry (i, j) is u_i^H K v_j
     rows = cols = 0  # the u and the v so far
     u, v, beta, norm, check = None, None, 0.0, 0.0, 2 * k
@@ -454,6 +469,18 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
                 return sv
             check += max(1, math.ceil(1.5 * math.log10(worst)))
     return _ritz(bidiag[:rows, :cols], 0.0, k)[0]
+
+
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous memory map of its own, which goes back
+    to the system as soon as the array and its views are gone.  A heap
+    block of the same size can stay resident after it is freed, below
+    whatever the allocator hands out next."""
+    import mmap
+
+    count = math.prod(shape)
+    size = max(1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype, count=count).reshape(shape)
 
 
 def _projection(basis: np.ndarray, x: np.ndarray) -> np.ndarray:

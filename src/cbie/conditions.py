@@ -26,7 +26,7 @@ remainder through the plain rule; the remainder's diagonal limit is
 Every N x N kernel block is built in row tiles of at most _TILE_ROWS rows,
 each entry with the arithmetic of the whole block, and no reader stores the
 blocks as one operator: `assemble` writes each tile into the system matrix
-(or, for the Cauchy blocks, one N x N block at a time), and the residual
+(the Cauchy tiles, scaled, subtracted from its bottom half), and the residual
 path (`trace_products`, `condition_residuals`) applies each tile, the PV
 rows and the upper representation's diagonal pair to the trace as they are
 built.  What the readers share is cached: the curve samples at the nodes
@@ -51,9 +51,11 @@ from .errors import (
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .quadrature import (
+    _TILE_ROWS,
     QuadratureRule,
     _diagonal,
     _pv_rows,
+    _row_tiles,
     node_weight_products,
 )
 
@@ -199,15 +201,6 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w, lo):
 # sums of the value, a cross block (`CornerRule`).
 _CORNERS = {(0, 0): (0, 1), (1, 0): (1, 1), (2, 1): (2, 0)}
 
-# Rows per kernel tile: 256 KB per real N-column array at N = 512, the
-# whole block up to N = 64.
-_TILE_ROWS = 64
-
-
-def _row_tiles(n: int) -> list:
-    """(lo, hi) of each row tile of an n-row block."""
-    return [(lo, min(lo + _TILE_ROWS, n)) for lo in range(0, n, _TILE_ROWS)]
-
 
 def _kernel_blocks(ops: Operators, wlog, partial):
     """Yield (r, c, lo, parts, gp) for each row tile of each N x N kernel
@@ -217,16 +210,19 @@ def _kernel_blocks(ops: Operators, wlog, partial):
     their factor).  parts is one contiguous (2, h, N) real array of at most
     _TILE_ROWS rows, overwritten by the next tile: a reader that keeps a
     tile copies it.  Every entry has the arithmetic of the untiled block.
-    The blocks come in the order (0, 0), (0, 1) and (1, 1) tile by tile,
-    (1, 0), (2, 0), (2, 1): each row block meets its column blocks in one
-    order, whatever the tile height, and each column block meets the eq10
-    rows before the eq12 rows, the order in which `assemble` subtracts
-    them.
+    The blocks come whole, in the order (0, 0), (0, 1), (1, 1), (1, 0),
+    (2, 0), (2, 1): eq8 is complete before the first cauchy tile, each row
+    block meets its column blocks in one order, whatever the tile height,
+    each column block meets the eq10 rows before the eq12 rows, the order
+    in which `assemble` subtracts them, and each cross block whose row sums
+    a corner correction reads (`CornerRule`) precedes that correction's
+    block.
 
     The weight matrices wlog and partial (`node_weight_matrices`) enter
-    blocks (0, 0) and (0, 1) only, and are dropped once those are built.
-    With both None those blocks leave out the (-2/2pi) wlog and i partial
-    terms, which a reader then applies itself (`trace_products`)."""
+    blocks (0, 0) and (0, 1) only, and are dropped before the first cauchy
+    tile is built.  With both None those blocks leave out the (-2/2pi) wlog
+    and i partial terms, which a reader then applies itself
+    (`trace_products`)."""
     rule = ops.rule
     x, w, n = rule.nodes, rule.weights, rule.n
     g1, g2, g1p, g2p = ops.g1, ops.g2, ops.g1p, ops.g2p
@@ -235,6 +231,12 @@ def _kernel_blocks(ops: Operators, wlog, partial):
 
     def tile(lo, hi):
         return buf[:2 * (hi - lo) * n].reshape(2, hi - lo, n)
+
+    def cross(gap, dx, scratch):  # (gap, dx, rho = gap^2 + dx^2) of a cross block
+        rho = np.multiply(gap, gap)
+        np.multiply(dx, dx, out=scratch)
+        rho += scratch
+        return gap, dx, rho
 
     # eq8 (targets on the lower curve) carries -2 x the diagonal-pair kernel
     # and 2 x the cross kernel.  Diagonal pair: symmetric-angle kernel splits
@@ -254,7 +256,6 @@ def _kernel_blocks(ops: Operators, wlog, partial):
         np.arctan(d, out=im)
         im *= (2.0 / TWO_PI) * w
         yield 0, 0, lo, parts, g1p
-    del wlog
 
     # Cross pair gamma_2(x_j) - gamma_1(x_i) > 0: continuous principal-log
     # part with plain weights; the -(i/4) sign(x_j - x_i) part integrated
@@ -262,26 +263,23 @@ def _kernel_blocks(ops: Operators, wlog, partial):
     # -(i/4)(w_j - 2 int_a^{x_i}).  [eq10; eq12] carries -+2 x the dU/dx2
     # cross kernels (smooth: the vertical gap never closes at nodes),
     # 1/(gap + i dx) = (gap - i dx)/(gap^2 + dx^2); the eq10 one reads the
-    # same gap, dx and rho as the eq8 one.
+    # same gap, dx and rho as the eq8 one, built again for its own tiles.
+    def cross21(lo, hi, scratch):
+        return cross(g2[None, :] - g1[lo:hi, None], x[None, :] - x[lo:hi, None], scratch)
+
     for lo, hi in tiles:
         parts = tile(lo, hi)
-        re, im = parts
-        dx = x[None, :] - x[lo:hi, None]
-        gap21 = g2[None, :] - g1[lo:hi, None]
-        rho = np.multiply(gap21, gap21)
-        np.multiply(dx, dx, out=re)
-        rho += re
-        np.log(rho, out=re)
-        re *= w / TWO_PI
-        np.arctan2(dx, gap21, out=im)
-        im *= (2.0 / TWO_PI) * w
+        _log_cross(parts, *cross21(lo, hi, parts[0]), w)
         if partial is not None:
-            im += partial[lo:hi]
-        im -= 0.5 * w
+            parts[1] += partial[lo:hi]
+        parts[1] -= 0.5 * w
         yield 0, 1, lo, parts, g2p
-        _cauchy_cross(parts, gap21, dx, rho, w)
+    del wlog, partial
+
+    for lo, hi in tiles:
+        parts = tile(lo, hi)
+        _cauchy_cross(parts, *cross21(lo, hi, parts[0]), w)
         yield 1, 1, lo, parts, g2p
-    del partial
 
     def remainder(r, c, g, gp, gpp, ws):  # a diagonal pair's bounded remainder, +-2 x
         for lo, hi in tiles:
@@ -295,14 +293,20 @@ def _kernel_blocks(ops: Operators, wlog, partial):
     # for this block's own rows.
     for lo, hi in tiles:
         parts = tile(lo, hi)
-        gap12 = g2[lo:hi, None] - g1[None, :]
-        dx = x[lo:hi, None] - x[None, :]
-        rho = np.multiply(gap12, gap12)
-        np.multiply(dx, dx, out=parts[0])
-        rho += parts[0]
-        _cauchy_cross(parts, gap12, dx, rho, w)
+        _cauchy_cross(parts, *cross(g2[lo:hi, None] - g1[None, :],
+                                    x[lo:hi, None] - x[None, :], parts[0]), w)
         yield 2, 0, lo, parts, g1p
     yield from remainder(2, 1, g2, g2p, ops.g2pp, -2.0 * w)
+
+
+def _log_cross(parts, gap, dx, rho, w):
+    """parts = (re, im) of (w_j/2pi) log rho + i (2/2pi) w_j arctan2(dx, gap),
+    rho = gap^2 + dx^2."""
+    re, im = parts
+    np.log(rho, out=re)
+    re *= w / TWO_PI
+    np.arctan2(dx, gap, out=im)
+    im *= (2.0 / TWO_PI) * w
 
 
 def _cauchy_cross(parts, gap, dx, rho, w):

@@ -198,6 +198,16 @@ def pv_integrate_excluded_node(f: Callable, xi: float, rule: QuadratureRule) -> 
     return complex(np.sum(rule.weights[keep] * vals / (x[keep] - xi)))
 
 
+# Rows per tile of an n x n kernel block or of the PV matrix: 256 KB per
+# real n-column array at n = 512, the whole block up to n = 64.
+_TILE_ROWS = 64
+
+
+def _row_tiles(n: int) -> list:
+    """(lo, hi) of each row tile of an n-row block."""
+    return [(lo, min(lo + _TILE_ROWS, n)) for lo in range(0, n, _TILE_ROWS)]
+
+
 def _diagonal(lo: int, hi: int) -> tuple:
     """Index of the diagonal entries (k, lo + k) of the rows lo:hi of a
     square matrix, held as a (hi - lo) x n tile."""
@@ -236,17 +246,22 @@ def _diff_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
     return d
 
 
-def pv_weight_matrix(rule: QuadratureRule) -> np.ndarray:
+def pv_weight_matrix(rule: QuadratureRule, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Discrete PV operator on node samples: row i approximates
     PV int_a^b g(x)/(x - x_i) dx from the samples g(x_j).
 
     Columnwise subtraction (w_j/(x_j - x_i) off the diagonal, the
     compensating sum and endpoint log on the diagonal) plus the w_i g'(x_i)
     term of the subtracted integrand, realized through the differentiation
-    matrix.  The matrix is the all-rows call of `_pv_rows`, which the
-    residual path calls one row tile at a time.
+    matrix.  The matrix is filled one row tile of `_pv_rows` at a time, the
+    tiles the residual path applies, so no n x n temporary forms beside it;
+    it is written into out (n x n) when that is given.
     """
-    return _pv_rows(rule, 0, rule.n)
+    if out is None:
+        out = np.empty((rule.n, rule.n))
+    for lo, hi in _row_tiles(rule.n):
+        out[lo:hi] = _pv_rows(rule, lo, hi)
+    return out
 
 
 def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
@@ -398,10 +413,9 @@ def node_weight_matrices(rule: QuadratureRule) -> tuple:
     call of the stream that `node_weight_products` runs in blocks: one
     recurrence over the nodes gives both, with the P_k rows shared by the
     running integral and the rule's Legendre transform and the Q_k rows by
-    the log moments.  The pair shares one (2, n, n) allocation, so that the
-    allocator can hand it back whole once the build drops both: two n x n
-    arrays can stay behind as heap holes (16 MB of a cold N = 1024 solve's
-    peak)."""
+    the log moments.  The pair shares one (2, n, n) allocation, which goes
+    back whole once a reader drops both (`_kernel_blocks` does so before
+    its first cauchy tile)."""
     if rule.family == "gauss-legendre":
         pair = np.empty((2, rule.n, rule.n))
         _node_weights(rule, rule.n, lambda lo, p: _transform(rule, p),

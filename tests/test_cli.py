@@ -770,6 +770,31 @@ def test_solve_loads_no_scipy_sparse(tmp_path):
         assert modules == []
 
 
+# the peak resident set of the interpreter that runs it, in KB
+_PRINT_PEAK_KB = ("print(next(int(line.split()[1]) for line in open('/proc/self/status')"
+                  " if line.startswith('VmHWM:')))\n")
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_cold_solve_holds_little_beside_the_matrix(tmp_path):
+    # beside the 2N x 2N matrix a cold solve holds tile-sized buffers, pv
+    # for one product and the probe's bases: its peak over an interpreter
+    # that only imports the CLI is 1.35 matrices at N = 1024, against 1.97
+    # while assembly held a block of cauchy, pv and the weight matrices at
+    # once.  Each child reads its own VmHWM: ru_maxrss would carry this
+    # process's peak across fork and exec.
+    n = 1024
+    cfg = _write(tmp_path / "solve.json", _solve_cfg(n=n))
+    out = str(tmp_path / "out")
+    base = int(_fresh_python("import cbie.cli\n" + _PRINT_PEAK_KB))
+    peak = int(_fresh_python(
+        "from cbie.cli import main\n"
+        f"assert main(['solve', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
+        + _PRINT_PEAK_KB))
+    matrix = 16 * (2 * n) ** 2
+    assert 1024 * (peak - base) <= 1.45 * matrix, 1024 * (peak - base) / matrix
+
+
 # ---------------------------------------------------------------------------
 # tasks end to end
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +30,7 @@ from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_bc, make_trace
 from cbie.quadrature import (
     _pv_rows,
+    _row_tiles,
     barycentric_weights,
     build_rule,
     node_weight_matrices,
@@ -589,6 +591,24 @@ def test_assembly_from_tiles_is_bit_identical(lens, solutions, domain_name, fami
     assert np.array_equal(system.rhs, rhs)
 
 
+def test_kernel_blocks_come_whole_and_drop_the_weights_before_cauchy():
+    # every tile of a block before the next block, eq8's two first; the
+    # weight matrices, which only eq8 reads, are gone by the first cauchy tile
+    n = 133
+    rule = build_rule("gauss-legendre", n, -1.0, 1.0)
+    wlog, partial = node_weight_matrices(rule)
+    refs = [weakref.ref(a) for a in (wlog, partial, wlog.base)]  # base: their one allocation
+    blocks = _kernel_blocks(build_operators(CLOSING_CUBIC, rule), wlog, partial)
+    del wlog, partial
+    seen = []
+    for r, c, lo, parts, gp in blocks:
+        if r and not any(rc[0] for rc in seen):
+            assert [ref() for ref in refs] == [None] * len(refs)
+        seen.append((r, c, lo))
+    order = [(0, 0), (0, 1), (1, 1), (1, 0), (2, 0), (2, 1)]
+    assert seen == [(r, c, lo) for r, c in order for lo, _ in _row_tiles(n)]
+
+
 def _residual_path_peak(solutions, n):
     """tracemalloc peak of a warm condition_residuals call, in n^2 doubles."""
     rule = build_rule("gauss-legendre", n, -1.0, 1.0)
@@ -605,7 +625,7 @@ def _residual_path_peak(solutions, n):
 
 def test_residual_path_forms_no_square_kernel_array(solutions):
     # the residual path's peak is the window of Legendre P and Q rows, one
-    # k-block of moments and the kernel tiles, about 1.3 n^2 doubles at
+    # k-block of moments and the kernel tiles, about 0.9 n^2 doubles at
     # n = 512; one more n x n array would exceed 1.5 n^2
     peak = _residual_path_peak(solutions, 512)
     assert peak <= 1.5, peak
@@ -613,7 +633,7 @@ def test_residual_path_forms_no_square_kernel_array(solutions):
 
 def test_residual_path_peak_scales_with_n(solutions):
     # the residual path holds O(n) memory: its peak in n^2 doubles halves
-    # as n doubles, about 0.63 n^2 at n = 1024
+    # as n doubles, about 0.44 n^2 at n = 1024
     peak = _residual_path_peak(solutions, 1024)
     assert peak <= 0.8, peak
 
