@@ -101,8 +101,6 @@ class FredholmSystem:
     domain: PlaneDomain
     bc: BCSpec
     warnings: list = field(default_factory=list)
-    # 1-norm condition estimate, recorded by the solve that factorized matrix
-    condition_estimate: Optional[float] = None
 
     @property
     def n(self) -> int:
@@ -525,14 +523,10 @@ def _ritz(b: np.ndarray, beta: float, k: int) -> tuple:
 
 def compactness_probe(system: FredholmSystem) -> DecayReport:
     """`probe_spectrum` of the system's matrix (Lanczos values, read
-    without writing the matrix) plus its condition estimate: the one the
-    solve recorded, or that of a fresh LU of a copy, which leaves the
-    matrix as it was."""
+    without writing the matrix) plus its condition estimate, from the LU
+    of a copy, which leaves the matrix as it was."""
     sv, ratios = probe_spectrum(system.matrix)
-    cond = system.condition_estimate
-    if cond is None:
-        cond = lu_condition(system.matrix.copy())[1]
-    return DecayReport(sv, ratios, float(cond))
+    return DecayReport(sv, ratios, float(lu_condition(system.matrix.copy())[1]))
 
 
 def dump_system(system: FredholmSystem, path) -> None:

@@ -488,18 +488,13 @@ def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
     return condition_residuals(trace, domain, ("eq8",))["eq8"]
 
 
-def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
-                            side: str) -> np.ndarray:
+def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np.ndarray:
     """Principal-value boundary evaluation of the representation formula.
 
     Returns the reconstruction values at every node of the chosen curve;
     for exact traces these equal the trace itself (the raw layer integrals
     carry the half-trace, the anchor term the other half).
     """
-    return _representation(trace, trace_products(trace, domain), side)
-
-
-def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np.ndarray:
     x, w = trace.rule.nodes, trace.rule.weights
     v1, v2 = prods.v.T  # densities [1 - i g'] du
     if side == "lower":

@@ -7,13 +7,13 @@ the open interval and equality permitted only at the endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GeometryError
 
-CURVE_KINDS = ("lens", "ellipse-graph", "polynomial", "tabulated")
+CURVE_KINDS = ("lens", "ellipse-graph", "polynomial")
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,10 @@ class CurveDescriptor:
       "ellipse-graph" [rx, ry]       gamma(x) = ry * sqrt(1 - (x/rx)^2)
                                      (ry < 0 gives a lower arc)
       "polynomial"    [c0, ..., cm]  gamma(x) = sum c_k x^k
-      "tabulated"     [x0..xn, y0..yn]  monotone cubic (PCHIP) through the
-                                     points; derivative taken analytically
-                                     from the interpolant
     """
 
     kind: str
     parameters: tuple
-    _pchip: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
@@ -45,16 +41,6 @@ class CurveDescriptor:
             raise GeometryError("ellipse-graph curve takes [rx, ry]")
         if self.kind == "polynomial" and not params:
             raise GeometryError("polynomial curve needs coefficients")
-        if self.kind == "tabulated":
-            if len(params) < 4 or len(params) % 2:
-                raise GeometryError("tabulated curve takes [x0..xn, y0..yn]")
-            n = len(params) // 2
-            xs = np.array(params[:n])
-            ys = np.array(params[n:])
-            if not np.all(np.diff(xs) > 0):
-                raise GeometryError("tabulated nodes must be strictly increasing")
-            from scipy.interpolate import PchipInterpolator
-            object.__setattr__(self, "_pchip", PchipInterpolator(xs, ys))
 
     def value(self, x1):
         x1 = np.asarray(x1, dtype=float)
@@ -65,9 +51,7 @@ class CurveDescriptor:
             rx, ry = self.parameters
             with np.errstate(invalid="ignore"):
                 return ry * np.sqrt(1.0 - (x1 / rx) ** 2)
-        if self.kind == "polynomial":
-            return np.polyval(self.parameters[::-1], x1)
-        return self._pchip(x1)
+        return np.polyval(self.parameters[::-1], x1)  # polynomial
 
     def slope(self, x1):
         x1 = np.asarray(x1, dtype=float)
@@ -78,11 +62,9 @@ class CurveDescriptor:
             rx, ry = self.parameters
             with np.errstate(divide="ignore", invalid="ignore"):
                 return -ry * x1 / (rx * rx * np.sqrt(1.0 - (x1 / rx) ** 2))
-        if self.kind == "polynomial":
-            c = self.parameters
-            d = [k * c[k] for k in range(1, len(c))] or [0.0]
-            return np.polyval(d[::-1], x1)
-        return self._pchip.derivative()(x1)
+        c = self.parameters  # polynomial
+        d = [k * c[k] for k in range(1, len(c))] or [0.0]
+        return np.polyval(d[::-1], x1)
 
     def curvature(self, x1):
         """Second derivative gamma''(x1); needed by the singular-kernel splits."""
@@ -94,11 +76,9 @@ class CurveDescriptor:
             rx, ry = self.parameters
             with np.errstate(divide="ignore", invalid="ignore"):
                 return -ry / (rx * rx * (1.0 - (x1 / rx) ** 2) ** 1.5)
-        if self.kind == "polynomial":
-            c = self.parameters
-            d2 = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
-            return np.polyval(d2[::-1], x1)
-        return self._pchip.derivative(2)(x1)
+        c = self.parameters  # polynomial
+        d2 = [k * (k - 1) * c[k] for k in range(2, len(c))] or [0.0]
+        return np.polyval(d2[::-1], x1)
 
 
 @dataclass(frozen=True)

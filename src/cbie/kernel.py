@@ -11,11 +11,13 @@ branch evaluates both logarithms consistently:
 
     U = (1/2pi) [ Log(x2 - xi2 + i d1) - Log(-xi2 + i d1) ].
 
-`boundary_log_kernel` is the trace normalization of the same family: the
-angle is measured symmetrically in d1 so that the kernel is continuous
-across d1 = 0 and only a log|.| singularity remains.  That is the form
-under which the trace-difference identity between the two curves closes
-(see docs/method.md for the defect of the other normalizations).
+The trace normalization of the same family measures the angle
+symmetrically in d1, so that the kernel is continuous across d1 = 0 and
+only a log|.| singularity remains.  That is the form under which the
+trace-difference identity between the two curves closes (see
+docs/method.md for the defect of the other normalizations).  The kernel
+tiles of `conditions._kernel_blocks` implement it; its pointwise form is
+the test reference `boundary_log_kernel` in tests/reference.py.
 """
 
 from __future__ import annotations
@@ -112,23 +114,3 @@ def dU_dx1(p: KernelPoint) -> complex:
     if w1 == 0 or w0 == 0:
         raise KernelSingularityError(f"singular kernel configuration {p}", point=p)
     return (1j / TWO_PI) * (1.0 / w1 - 1.0 / w0)
-
-
-def boundary_log_kernel(d1, d2):
-    """Symmetric-angle log kernel used on boundary-trace pairs.
-
-    value = (1/2pi) [ log|d2 + i d1| + i (Arg(d2 + i d1) - (pi/2) sign d1) ]
-
-    Continuous in (d1, d2) away from the origin (the angle part cancels the
-    principal-branch jump at d1 = 0), real-log singular at the origin.
-    Broadcasts over arrays; entries with d1 = d2 = 0 yield -inf real part,
-    callers handle the diagonal explicitly.
-    """
-    d1 = np.asarray(d1, dtype=float)
-    d2 = np.asarray(d2, dtype=float)
-    w = d2 + 1j * d1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ang = np.where(d1 == 0.0, 0.0, np.angle(w) - (np.pi / 2.0) * np.sign(d1))
-        out = (np.log(np.abs(w)) + 1j * ang) / TWO_PI
-    return complex(out) if out.ndim == 0 else out
-

@@ -15,12 +15,11 @@ oracle for every other module.  Closed forms:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .conditions import BoundaryTrace
-from .errors import ConfigurationError
 from .geometry import PlaneDomain
 from .quadrature import QuadratureRule
 
@@ -110,20 +109,3 @@ def make_bc(spec: SolutionSpec, domain: PlaneDomain, alpha1: complex,
         return phi
 
     return BCSpec(alpha1, alpha2, phi_on("lower", alpha1), phi_on("upper", alpha2))
-
-
-def pde_residual_check(spec: SolutionSpec, points: Sequence, h: float) -> float:
-    """Max |second-order central-difference approximation of the operator|
-    over the points; vanishes to O(h^2) for genuine solutions.  No solver
-    path calls it: the test suite uses it as an independent check that the
-    manufactured family solves the equation."""
-    if h <= 0:
-        raise ConfigurationError("step h must be positive")
-    worst = 0.0
-    for (x1, x2) in points:
-        u = lambda a, b: eval_solution(spec, a, b)[0]
-        d22 = (u(x1, x2 + h) - 2.0 * u(x1, x2) + u(x1, x2 - h)) / h**2
-        d12 = (u(x1 + h, x2 + h) - u(x1 + h, x2 - h)
-               - u(x1 - h, x2 + h) + u(x1 - h, x2 - h)) / (4.0 * h**2)
-        worst = max(worst, abs(d22 + 1j * d12))
-    return worst

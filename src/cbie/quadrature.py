@@ -39,8 +39,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, DomainError
 
 FAMILIES = ("gauss-legendre", "midpoint-uniform")
-# Smallest rule on which `diff_matrix` and the PV rows are defined: the
-# midpoint family's one-sided end stencils read three nodes.
+# Smallest rule on which the differentiation rows (`_diff_rows`) and the PV
+# rows are defined: the midpoint family's one-sided end stencils read three
+# nodes.
 DIFF_MIN_NODES = {"gauss-legendre": 2, "midpoint-uniform": 3}
 
 @dataclass(frozen=True)
@@ -180,24 +181,6 @@ def pv_integrate(f: Callable, xi: float, rule: QuadratureRule,
     return complex(np.sum(rule.weights * phi)) + fxi * np.log((b - xi) / (xi - a))
 
 
-def pv_integrate_excluded_node(f: Callable, xi: float, rule: QuadratureRule) -> complex:
-    """Cross-check oracle: midpoint rule with the singular node's cell dropped.
-
-    Converges (slowly) to the PV because the excluded cell is symmetric
-    about the rule's own node; only sensible for the midpoint family with
-    xi equal to one of the nodes.  No solver path calls it: the test suite
-    uses it as an independent reference for `pv_integrate`.
-    """
-    if rule.family != "midpoint-uniform":
-        raise ConfigurationError("node-excluded PV oracle needs the midpoint family")
-    x = rule.nodes
-    k = int(np.argmin(np.abs(x - xi)))
-    keep = np.ones(rule.n, dtype=bool)
-    keep[k] = False
-    vals = np.asarray([f(v) for v in x[keep]], dtype=complex)
-    return complex(np.sum(rule.weights[keep] * vals / (x[keep] - xi)))
-
-
 # Rows per tile of an n x n kernel block or of the PV matrix: 256 KB per
 # real n-column array at n = 512, the whole block up to n = 64.
 _TILE_ROWS = 64
@@ -215,18 +198,13 @@ def _diagonal(lo: int, hi: int) -> tuple:
     return k, lo + k
 
 
-def diff_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Differentiation matrix on the rule's nodes.
+def _diff_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the differentiation matrix on the rule's nodes, each
+    with the arithmetic of the whole matrix's row.
 
     Gauss: barycentric spectral differentiation (weights (-1)^j sqrt((1-t^2) w)).
     Midpoint: second-order finite differences (uniform grid).
     """
-    return _diff_rows(rule, 0, rule.n)
-
-
-def _diff_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of `diff_matrix`, each with the arithmetic of the whole
-    matrix's row."""
     n, diag = rule.n, _diagonal(lo, hi)
     if rule.family == "gauss-legendre":
         t = rule.reference_nodes()

@@ -36,22 +36,20 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
     guaranteed uniquely solvable at every boundary-constant pair).
 
     One LU factorization, written over system.matrix, gives both the 1-norm
-    condition estimate, recorded on the system for the compactness probe,
-    and the direct solution; the matrix is then dropped (None).  getrf,
-    gecon and getrs come from the OpenBLAS that numpy ships and has already
-    loaded, so the solve imports no scipy; a numpy build without one takes
-    scipy.linalg.lapack's (`assembly._lapack`).  An exactly singular pivot
-    estimates cond = inf and takes the fallback, which assembles the
-    matrix again from the system's domain and bc.  The residual
-    max|matrix @ x - rhs| is read from the conditions on the solved trace
-    (`FredholmSystem.residual`), not from the matrix.  A non-finite rhs or
-    matrix entry raises NumericError before the matrix is written
-    (`lu_condition` finds the matrix's in its column sums)."""
+    condition estimate and the direct solution; the matrix is then dropped
+    (None).  getrf, gecon and getrs come from the OpenBLAS that numpy ships
+    and has already loaded, so the solve imports no scipy; a numpy build
+    without one takes scipy.linalg.lapack's (`assembly._lapack`).  An
+    exactly singular pivot estimates cond = inf and takes the fallback,
+    which assembles the matrix again from the system's domain and bc.  The
+    residual max|matrix @ x - rhs| is read from the conditions on the
+    solved trace (`FredholmSystem.residual`), not from the matrix.  A
+    non-finite rhs or matrix entry raises NumericError before the matrix is
+    written (`lu_condition` finds the matrix's in its column sums)."""
     if not np.all(np.isfinite(system.rhs)):
         raise NumericError("system contains non-finite entries")
     factors, cond = lu_condition(system.matrix)
     system.matrix = None  # it holds the factors now
-    system.condition_estimate = cond
     if np.isfinite(cond) and cond <= cond_threshold:
         sol, method = lu_solve(factors, system.rhs), "direct"
         del factors

@@ -717,8 +717,8 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_edge_case_scipy_modules_unloaded():
-    # only tabulated curves and data need scipy.interpolate, and only the
-    # kernel oracle needs scipy.integrate; the CLI imports neither up front
+    # only bc.phi.tabulated data need scipy.interpolate, and only the kernel
+    # oracle needs scipy.integrate; the CLI imports neither up front
     code = ("import sys, cbie.cli; print([m for m in ('scipy.interpolate', "
             "'scipy.integrate') if m in sys.modules])")
     assert _fresh_python(code) == "[]"

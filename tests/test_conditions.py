@@ -20,7 +20,6 @@ from cbie.conditions import (
     condition_report,
     condition_residuals,
     eq8_residuals,
-    representation_boundary,
     trace_products,
     window_mask,
 )
@@ -36,6 +35,7 @@ from cbie.quadrature import (
     node_weight_matrices,
     pv_weight_matrix,
 )
+from reference import representation_boundary
 
 LEVELS = (64, 128, 256)
 ALL_CONDITIONS = ("eq8", "eq9", "eq10", "eq11", "eq12")

@@ -4,7 +4,6 @@ import pytest
 from cbie.errors import KernelSingularityError
 from cbie.kernel import (
     KernelPoint,
-    boundary_log_kernel,
     dU_dx1,
     dU_dx2,
     fund_solution,
@@ -13,6 +12,7 @@ from cbie.kernel import (
     is_singular_config,
 )
 from cbie.lcg import Lcg
+from reference import boundary_log_kernel
 
 TWO_PI = 2 * np.pi
 

@@ -10,16 +10,15 @@ from cbie.quadrature import (
     _recurrence_windows,
     _transform,
     build_rule,
-    diff_matrix,
     log_weight_matrix,
     node_weight_matrices,
     node_weight_products,
     partial_integral_matrix,
     pv_integrate,
-    pv_integrate_excluded_node,
     pv_weight_matrix,
     sample_interpolator,
 )
+from reference import diff_matrix, pv_integrate_excluded_node
 
 
 # ---------------------------------------------------------------------------
