@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import BCSpec, assemble, dump_system, probe_spectrum
+from .assembly import BCSpec, assemble, dump_system
 from .conditions import (
     CONDITION_IDS,
     WINDOW_FRACTION,
@@ -42,6 +42,7 @@ from .kernel import (
     heaviside_sym,
 )
 from .lcg import Lcg
+from .linalg import probe_spectrum
 from .manufactured import SolutionSpec, canonical_solutions, eval_solution, make_bc, make_trace
 from .quadrature import DIFF_MIN_NODES, FAMILIES, build_rule, pv_integrate
 from .solver import COND_THRESHOLD, solve_assembled, solve_problem
@@ -62,6 +63,21 @@ DEFAULT_TOLERANCES = {
     "sup_residual": 1e-3,
     "min_ratio": 2.0,
     "ratio_floor": 1e-10,
+}
+
+
+# the documented keys of each config block, by dotted path ("" is the root)
+CONFIG_KEYS = {
+    "": {"schema_version", "task", "seed", "domain", "bc", "rule", "tolerances",
+         "dump_system", "points", "conditions"},
+    "domain": {"a1", "b1", "lower", "upper"},
+    "domain.lower": {"kind", "params"},
+    "domain.upper": {"kind", "params"},
+    "bc": {"alpha1", "alpha2", "phi"},
+    "bc.phi": {"solution", "tabulated"},
+    "rule": {"family", "n", "levels"},
+    "tolerances": set(DEFAULT_TOLERANCES),
+    "bc.phi.solution": {f.name for f in fields(SolutionSpec)},
 }
 
 
@@ -143,6 +159,14 @@ def load_config(path: str) -> dict:
     if version != SCHEMA_VERSION:
         raise ConfigurationError(
             f"schema_version must be the string {SCHEMA_VERSION!r}, got {version!r}")
+    for path, known in CONFIG_KEYS.items():
+        block = cfg
+        for key in filter(None, path.split(".")):
+            block = block.get(key) if isinstance(block, dict) else None
+        for key in block if isinstance(block, dict) else ():
+            if key not in known:
+                raise ConfigurationError(f"{path}{'.' if path else ''}{key}: unknown key; "
+                                         f"known: {sorted(known)}")
     return cfg
 
 
@@ -208,8 +232,6 @@ def _ladder(tol: dict, domain, family: str, levels: list):
 def _tolerances(cfg: dict) -> dict:
     tol = dict(DEFAULT_TOLERANCES)
     for key, val in _object(cfg.get("tolerances", {}), "tolerances").items():
-        if key not in tol:
-            raise ConfigurationError(f"unknown tolerance key {key!r}")
         if not (key == "window_delta" and val is None):  # None: the default window
             val = _number(val, f"tolerances.{key}")
         tol[key] = val
@@ -293,10 +315,6 @@ def _alpha(block: dict, key: str) -> complex:
 def _solution(block: dict) -> SolutionSpec:
     """bc.phi.solution: a named solution alone, or coefficient lists with an
     optional exponential scale, every entry read by _complex."""
-    known = [f.name for f in fields(SolutionSpec)]
-    for key in block:
-        if key not in known:
-            raise ConfigurationError(f"bc.phi.solution.{key}: unknown key; known: {known}")
     name = block.get("name", "custom")
     if not isinstance(name, str):
         raise ConfigurationError(f"bc.phi.solution.name must be a string, got {name!r}")

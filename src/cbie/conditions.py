@@ -133,6 +133,15 @@ def _real_matvec(a, v):
     return p.view(complex).reshape(p.shape[:1] + v.shape[1:])
 
 
+def _pv_matvec(rule: QuadratureRule, v):
+    """The PV weight matrix of rule times a complex vector or matrix v,
+    applied one row tile at a time: no N x N array is formed."""
+    out = np.empty_like(v)
+    for lo, hi in _row_tiles(rule.n):
+        out[lo:hi] = _real_matvec(_pv_rows(rule, lo, hi), v)
+    return out
+
+
 @dataclass(frozen=True)
 class Operators:
     """The node samples of one (domain, rule) pair that every kernel tile
@@ -538,10 +547,7 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
     out = {"eq8": trace.u_lower - trace.u_upper + prods.eq8}
     if ids & {"eq9", "eq10", "eq11", "eq12"}:
         du1, du2 = trace.du_lower, trace.du_upper
-        du = np.stack([du1, du2], axis=1)
-        pv = np.empty_like(du)  # the PV of [du_1, du_2], one row tile at a time
-        for lo, hi in _row_tiles(trace.rule.n):
-            pv[lo:hi] = _real_matvec(_pv_rows(trace.rule, lo, hi), du)
+        pv = _pv_matvec(trace.rule, np.stack([du1, du2], axis=1))
         cauchy_pv = (1j / np.pi) * np.concatenate([-pv[:, 0], pv[:, 1]])
         eq10, eq12 = np.split(np.concatenate([du1, du2]) + cauchy_pv + prods.cauchy, 2)
         out.update(eq10=eq10, eq12=eq12)

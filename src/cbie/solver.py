@@ -7,11 +7,12 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc, lu_condition, lu_solve
+from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc
 from .conditions import BoundaryTrace, build_operators, log_parts
 from .errors import DomainError, NumericError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
+from .linalg import lu_condition, lu_solve
 from .quadrature import QuadratureRule, partial_integral_matrix, sample_interpolator
 
 COND_THRESHOLD = 1e8  # a larger 1-norm condition estimate takes least squares
@@ -37,13 +38,10 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
 
     One LU factorization, written over system.matrix, gives both the 1-norm
     condition estimate and the direct solution; the matrix is then dropped
-    (None).  getrf, gecon and getrs come from the OpenBLAS that numpy ships
-    and has already loaded, so the solve imports no scipy; a numpy build
-    without one takes scipy.linalg.lapack's (`assembly._lapack`).  An
-    exactly singular pivot estimates cond = inf and takes the fallback,
-    which assembles the matrix again from the system's domain and bc.  The
-    residual max|matrix @ x - rhs| is read from the conditions on the
-    solved trace (`FredholmSystem.residual`), not from the matrix.  A
+    (None).  An exactly singular pivot estimates cond = inf and takes the
+    fallback, which assembles the matrix again from the system's domain and
+    bc.  The residual max|matrix @ x - rhs| is read from the conditions on
+    the solved trace (`FredholmSystem.residual`), not from the matrix.  A
     non-finite rhs or matrix entry raises NumericError before the matrix is
     written (`lu_condition` finds the matrix's in its column sums)."""
     if not np.all(np.isfinite(system.rhs)):

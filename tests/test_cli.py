@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbie import assembly, conditions, quadrature
+from cbie import assembly, conditions, linalg, quadrature
 from cbie.cli import DEFAULT_TOLERANCES, MAX_NODES, TASKS, _bc, _domain, _solution, main
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
@@ -521,6 +521,21 @@ def test_dump_system_takes_only_booleans(tmp_path, outdir, capsys):
     assert not list(outdir.iterdir())
 
 
+@pytest.mark.parametrize("path", [("dump_sytem",), ("domain", "a2"), ("rule", "familly"),
+                                  ("bc", "alpha12"), ("domain", "lower", "kindd"),
+                                  ("bc", "phi", "tabulatd"), ("tolerances", "cond_treshold")],
+                         ids=".".join)
+def test_unknown_key_exits_2_naming_its_path(tmp_path, outdir, capsys, path):
+    # a misspelt key would otherwise be ignored: the run would exit 0 having
+    # run something other than what was written
+    cfg = dict(_solve_cfg(), tolerances={})
+    _set_leaf(cfg, path, 0.5)
+    status, err = _run("solve", cfg, tmp_path, outdir, capsys)
+    assert status == 2
+    assert err.startswith(f"configuration error: {'.'.join(path)}: unknown key")
+    assert not list(outdir.iterdir())
+
+
 @pytest.mark.parametrize("version", [None, 1], ids=["missing", "integer"])
 def test_schema_version_must_be_the_string_1(tmp_path, outdir, capsys, version):
     cfg = {"points": 3} if version is None else {"schema_version": version, "points": 3}
@@ -661,7 +676,7 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
 
     monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "cond", counting("cond", np.linalg.cond))
-    getrf, gecon, getrs = assembly._lapack()
+    getrf, gecon, getrs = linalg._lapack()
     in_place = []
 
     def factor_in_place(a):
@@ -670,7 +685,7 @@ def test_solve_factorizes_once_and_runs_no_full_svd(tmp_path, outdir, monkeypatc
         return lu, piv, info
 
     lapack = (counting("getrf", factor_in_place), gecon, getrs)
-    monkeypatch.setattr(assembly, "_lapack", lambda: lapack)
+    monkeypatch.setattr(linalg, "_lapack", lambda: lapack)
     cfg = _write(tmp_path / "c.json", _solve_cfg())
     assert main(["solve", "--config", cfg, "--out", str(outdir)]) == 0
     assert calls == {"svd": 0, "cond": 0, "getrf": 1}
@@ -747,7 +762,7 @@ def test_verify_tasks_load_no_scipy_and_solve_does(tmp_path):
     status, before, after = json.loads(_fresh_python(code))
     assert status == [0, 0, 0, 0]
     assert before == []
-    if assembly._numpy_openblas() is not None:
+    if linalg._numpy_openblas() is not None:
         assert after == []
     else:
         assert "scipy.linalg" in after
@@ -766,7 +781,7 @@ def test_solve_loads_no_scipy_sparse(tmp_path):
     status, modules = json.loads(_fresh_python(code))
     assert status == 0
     assert not [m for m in modules if m.startswith("scipy.sparse")]
-    if assembly._numpy_openblas() is not None:
+    if linalg._numpy_openblas() is not None:
         assert modules == []
 
 

@@ -3,7 +3,8 @@
 Every public top-level function or class of the package is read somewhere
 in the package outside its own definition, except the few names below that
 the package keeps for its readers.  A reference written only for tests
-belongs in `tests/reference.py`.
+belongs in `tests/reference.py`.  Only `linalg.py` imports ctypes or mmap:
+the LAPACK binding and the anonymous memory maps live in one module.
 """
 
 import ast
@@ -42,3 +43,19 @@ def _unreferenced() -> set:
 
 def test_every_public_definition_is_read_in_the_package():
     assert _unreferenced() == set(ALLOWED_UNREFERENCED)
+
+
+def _imported(path: Path) -> set:
+    """Every module that path imports, at any depth."""
+    return {name for node in ast.walk(ast.parse(path.read_text()))
+            for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                         else [])}
+
+
+def test_only_linalg_imports_ctypes_or_mmap():
+    low_level = {"ctypes", "mmap", "numpy.ctypeslib"}
+    importers = {path.name for path in PACKAGE.glob("*.py")
+                 if any(name in low_level or name.split(".")[0] in low_level
+                        for name in _imported(path))}
+    assert importers == {"linalg.py"}
