@@ -140,13 +140,22 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2
     # (docs/method.md section 6 for eq8 and cauchy).
 
+    matrix = np.empty((2 * n, 2 * n), dtype=complex)
+    top, g = matrix[:n], matrix[n:]
     corners = CornerRule(domain, ops)
-    tiles = _kernel_blocks(ops, *node_weight_matrices(rule))
+    # pv is real, for one real GEMM on the interleaved (re, im) columns of
+    # eq8 and one product.  It lives in a map of its own, so that none of it
+    # stays resident under the probe and the LU, and is built before any
+    # page of the matrix is touched, so that its build's row-tile
+    # temporaries never sit beside a whole matrix.  The weight matrices are
+    # then built in the matrix itself, not yet written: the pair in the last
+    # rows of the bottom half, which no tile writes before eq8 is complete,
+    # and the build's scratch before it.
+    pv = pv_weight_matrix(rule, out=_mapped((n, n), float))
+    tiles = _kernel_blocks(ops, *node_weight_matrices(rule, matrix.view(float).reshape(-1)))
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
     ones, diag = np.ones(n), np.arange(n)
-    matrix = np.empty((2 * n, 2 * n), dtype=complex)
-    top, g = matrix[:n], matrix[n:]
     rows = np.zeros((min(n, _TILE_ROWS), n), dtype=complex)  # one cauchy tile
     # The eq8 tiles go straight into the top half.  The first cauchy tile
     # comes once eq8 is complete and its weight matrices are dropped:
@@ -161,10 +170,6 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
         if (r, c, lo) == (1, 1, 0):
             corners.sums[0, 1] = top[:, n:] @ ones
             top[diag, diag] += corners.correction((0, 0))
-            # pv lives for one GEMM and one product, in a map of its own so
-            # that none of it stays resident under the probe and the LU; it
-            # is real: one real GEMM on the interleaved (re, im) columns
-            pv = pv_weight_matrix(rule, out=_mapped((n, n), float))
             np.matmul(pv, top.view(float), out=g.view(float))
             g *= 1j / np.pi
             pv_phi = _real_matvec(pv, phi1 / a1c - phi2 / a2c)

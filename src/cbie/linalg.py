@@ -205,7 +205,7 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     each next one 1.5 steps later for each factor of 10 the worst bound has
     left to fall: the bounds stall for tens of steps and then fall about
     tenfold a step, so one step a decade checks about twice as often as
-    needed, and each check is an eigh of twice B's order.
+    needed, and each check is an SVD of B.
 
     The bases hold 10 k rows each, 3.3 MB each at N = 512, in anonymous
     maps of their own (`_mapped`) that go back to the system when the probe
@@ -300,26 +300,21 @@ def _norm(x: np.ndarray) -> float:
 
 def _ritz(b: np.ndarray, beta: float, k: int) -> tuple:
     """The k largest singular values of b (zeros past its rows) and their
-    bounds min(r, r^2 / gap), from eigh of the symmetric [[0, b], [b^T, 0]],
-    whose eigenvalues are +-sigma (and zeros): unlike eigh of b b^T it does
-    not square the spread of the values.  For the eigenvector (x; y) of
-    sigma, x / |x| = sqrt(2) x is b's left singular vector, r = beta
-    sqrt(2) |x_last| its residual and gap the distance from sigma to the
-    nearest other eigenvalue."""
+    bounds min(r, r^2 / gap), from the SVD b = X diag(sigma) Y^T of b
+    itself: r = beta |X[last, i]| is the residual of sigma_i, and gap its
+    distance to the nearest other eigenvalue of [[0, b], [b^T, 0]], whose
+    eigenvalues are +-sigma and |rows - cols| zeros."""
     rows, cols = b.shape
     if not rows:  # K = 0
         return np.zeros(k), np.zeros(0)
-    aug = np.zeros((rows + cols, rows + cols))
-    aug[:rows, rows:] = b
-    aug[rows:, :rows] = b.T
-    w, z = np.linalg.eigh(aug)
-    w, z = w[::-1], z[:, ::-1]
+    x, s, _ = np.linalg.svd(b, full_matrices=False)
     top = min(k, rows, cols)
-    d = w[:-1] - w[1:]
-    gap = np.minimum(np.append(np.inf, d), np.append(d, np.inf))[:top]
-    r = beta * math.sqrt(2.0) * np.abs(z[rows - 1, :top])
+    # the eigenvalues descending after an inf: gap_i = min(d[i], d[i + 1])
+    d = -np.diff(np.concatenate([[np.inf], s, np.zeros(abs(rows - cols)), -s[::-1]]))
+    gap = np.minimum(d[:top], d[1:top + 1])
+    r = beta * np.abs(x[rows - 1, :top])
     with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: a repeated value
         bound = np.fmin(r, r * r / gap)
     sv = np.zeros(k)
-    sv[:top] = np.maximum(w[:top], 0.0)
+    sv[:top] = s[:top]
     return sv, bound

@@ -89,7 +89,7 @@ def build_rule(family: str, n: int, a: float, b: float) -> QuadratureRule:
 _STREAM_ROWS = 128
 
 
-def _recurrence_windows(t, y0, y1, kmax: int, block: int):
+def _recurrence_windows(t, y0, y1, kmax: int, block: int, out=None):
     """The rows y_0..y_kmax (kmax >= 1) of (k+1) y_{k+1} = (2k+1) t y_k -
     k y_{k-1}, started from y0 and y1, streamed in k-blocks: yields
     (lo, win) for lo = 0, block, 2 block, ... < kmax, win[j] = y_{lo-1+j}
@@ -104,9 +104,10 @@ def _recurrence_windows(t, y0, y1, kmax: int, block: int):
     window serves every block: each block resumes from the last two rows of
     the one before, and the next block overwrites it, so a reader that keeps
     rows copies them.  Every row has the bits of the all-rows call (block >=
-    kmax), whatever the block size."""
+    kmax), whatever the block size.  The window is out when that is given,
+    an array of its shape."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(y0), np.shape(y1))
-    win = np.empty((min(block, kmax) + 2,) + shape)
+    win = np.empty((min(block, kmax) + 2,) + shape) if out is None else out
     win[0], win[1], win[2] = 0.0, y0, y1
     rows = list(win)  # y_k in rows[k - lo + 1]
     ty = np.empty(shape)
@@ -255,29 +256,35 @@ def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
     return p + w[lo:hi, None] * _diff_rows(rule, lo, hi)
 
 
-def _transform(rule: QuadratureRule, p) -> np.ndarray:
+def _transform(rule: QuadratureRule, p, out=None) -> np.ndarray:
     """The Legendre transform from the rows P_0..P_{n-1} at the nodes: the
     map from node samples to Legendre coefficients (exact for degree < n),
-    c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j."""
-    return ((2 * np.arange(rule.n) + 1) / 2.0)[:, None] * p[:rule.n] * (rule.weights / rule.scale)
+    c_k = (2k+1)/2 sum_j w_j P_k(t_j) f_j, written into out (n x n) when
+    that is given."""
+    out = np.multiply(((2 * np.arange(rule.n) + 1) / 2.0)[:, None], p[:rule.n], out=out)
+    out *= rule.weights / rule.scale
+    return out
 
 
-def _node_windows(rule: QuadratureRule, block: int):
+def _node_windows(rule: QuadratureRule, block: int, out=None):
     """The stream of `_recurrence_windows` at a Gauss rule's reference
-    nodes, k <= n, in k-blocks of `block` rows: win[j] = (P, Q)_{lo-1+j}."""
+    nodes, k <= n, in k-blocks of `block` rows: win[j] = (P, Q)_{lo-1+j},
+    the window out when that is given."""
     t = rule.reference_nodes()
     q0 = np.arctanh(t)
     return _recurrence_windows(t, np.stack([np.ones_like(t), q0]),
-                               np.stack([t, t * q0 - 1.0]), rule.n, block)
+                               np.stack([t, t * q0 - 1.0]), rule.n, block, out)
 
 
-def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out) -> np.ndarray:
+def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out,
+                       moments=None) -> np.ndarray:
     """The terms k = lo..lo + h - 1 of global product integration of
     f(x) log|x - x_i| on Gauss nodes, on the reference interval: the window
     q = Q_{lo-1}..Q_{lo+h} at the nodes applied to the h rows `coeffs` of
     the samples' Legendre coefficients (`_transform` for the matrix).  The
     block at lo = 0 is written into out (None: a new array), the later ones
-    are added to it; `_node_weights` scales the sum to [a, b].
+    are added to it; `_node_weights` scales the sum to [a, b].  The block's
+    moments are written into moments, h x n (None: a new array).
 
     The Legendre expansion (exact for degree < n) is integrated mode by
     mode against the log kernel with the closed-form moments
@@ -287,7 +294,8 @@ def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out) -> np.ndar
     and the k = 0 moment (1-tau)log(1-tau) + (1+tau)log(1+tau) - 2.
     """
     h = len(coeffs)
-    moments = np.empty((h, rule.n))  # moments[k - lo, i] = int P_k log|t - t_i| dt
+    # moments[k - lo, i] = int P_k log|t - t_i| dt
+    moments = np.empty((h, rule.n)) if moments is None else moments
     np.subtract(q[2:], q[:-2], out=moments)
     moments *= 2.0
     moments /= (2 * np.arange(lo, lo + h) + 1)[:, None]
@@ -299,7 +307,8 @@ def _log_weights_gauss(rule: QuadratureRule, lo: int, q, coeffs, out) -> np.ndar
     return out
 
 
-def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out) -> np.ndarray:
+def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out,
+                            anti=None) -> np.ndarray:
     """The terms k = lo..lo + h - 1 of the running integral from -1 on the
     reference interval, at the points where the window p = P_{lo-1}..P_{lo+h}
     was taken, applied to the h rows `coeffs` of the Legendre coefficients
@@ -308,9 +317,11 @@ def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out) -> np
     int P_k = (P_{k+1} - P_{k-1})/(2k+1); the lower limit drops out of the
     latter because P_{k+1}(-1) = P_{k-1}(-1).  The block at lo = 0 is
     written into out (None: a new array), the later ones are added to it;
-    the caller scales the sum to [a, b]."""
+    the caller scales the sum to [a, b].  The block's antiderivatives are
+    written into anti, h rows of p's points (None: a new array)."""
     h = len(coeffs)
-    anti = np.empty((h,) + p.shape[1:])  # anti[k - lo, m] = int_-1^{t_m} P_k
+    # anti[k - lo, m] = int_-1^{t_m} P_k
+    anti = np.empty((h,) + p.shape[1:]) if anti is None else anti
     np.subtract(p[2:], p[:-2], out=anti)
     anti /= (2 * np.arange(lo, lo + h) + 1)[:, None]
     if lo == 0:
@@ -320,19 +331,23 @@ def _running_integral_gauss(rule: QuadratureRule, lo: int, p, coeffs, out) -> np
     return out
 
 
-def _node_weights(rule: QuadratureRule, block: int, coeffs, sums, out) -> tuple:
+def _node_weights(rule: QuadratureRule, block: int, coeffs, sums, out,
+                  scratch=(None, None, None)) -> tuple:
     """(W F, R F), (W, R) = node_weight_matrices(rule), for samples F given
     by their Legendre coefficients and plain rule sums, from one stream of
     the node recurrence in k-blocks of `block` rows: coeffs(lo, p) gives the
     coefficient rows lo..lo + h - 1 from the block's rows p = P_lo..P_{lo+h-1}
     at the nodes, sums is w @ F.  Each block's log moments and
     antiderivatives live while it does; s and log(s) sums are applied once
-    at the end.  Written into out = (log, partial) (None: new arrays)."""
+    at the end.  Written into out = (log, partial) (None: new arrays); the
+    stream's window, the moments and the antiderivatives go in scratch =
+    (window, moments, anti) (None: new arrays)."""
     log_f, partial_f = out
-    for lo, win in _node_windows(rule, block):
+    window, moments, anti = scratch
+    for lo, win in _node_windows(rule, block, window):
         c = coeffs(lo, win[1:-1, 0])
-        log_f = _log_weights_gauss(rule, lo, win[:, 1], c, log_f)
-        partial_f = _running_integral_gauss(rule, lo, win[:, 0], c, partial_f)
+        log_f = _log_weights_gauss(rule, lo, win[:, 1], c, log_f, moments)
+        partial_f = _running_integral_gauss(rule, lo, win[:, 0], c, partial_f, anti)
     s = rule.scale
     log_f *= s
     log_f += np.log(s) * sums
@@ -385,21 +400,35 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     return m
 
 
-def node_weight_matrices(rule: QuadratureRule) -> tuple:
+def node_weight_matrices(rule: QuadratureRule, work=None) -> tuple:
     """(log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)),
     the pair the operator build needs.  On Gauss rules it is the one-block
     call of the stream that `node_weight_products` runs in blocks: one
     recurrence over the nodes gives both, with the P_k rows shared by the
     running integral and the rule's Legendre transform and the Q_k rows by
-    the log moments.  The pair shares one (2, n, n) allocation, which goes
-    back whole once a reader drops both (`_kernel_blocks` does so before
-    its first cauchy tile)."""
-    if rule.family == "gauss-legendre":
-        pair = np.empty((2, rule.n, rule.n))
-        _node_weights(rule, rule.n, lambda lo, p: _transform(rule, p),
-                      rule.weights[None, :], pair)
-        return pair[0], pair[1]
-    return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
+    the log moments.
+
+    work, a flat float array of at least 7 n^2 + 4 n entries, takes the
+    whole build (`assemble` passes its matrix, not yet written): the pair
+    in its last 2 n^2 entries and, before them, the recurrence's window,
+    the transform, the moments and the antiderivatives, none of which is
+    read once this returns.  Without it (or on a smaller one, n < 4 in an
+    8 n^2 matrix) each is an allocation of its own, and the pair shares
+    one (2, n, n) block."""
+    n = rule.n
+    if rule.family != "gauss-legendre":
+        return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
+    win = 2 * n * n + 4 * n  # the (n + 2, 2, n) window
+    if work is None or work.size < win + 5 * n * n:
+        pair, transform, scratch = np.empty((2, n, n)), None, (None, None, None)
+    else:
+        flat = work[work.size - win - 5 * n * n:]
+        rest = flat[win:].reshape(5, n, n)  # transform, moments, anti, pair
+        pair, transform = rest[3:], rest[0]
+        scratch = (flat[:win].reshape(n + 2, 2, n), rest[1], rest[2])
+    _node_weights(rule, n, lambda lo, p: _transform(rule, p, transform),
+                  rule.weights[None, :], pair, scratch)
+    return pair[0], pair[1]
 
 
 def node_weight_products(rule: QuadratureRule, f) -> tuple:

@@ -83,3 +83,31 @@ def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
     """The representation formula on one curve (`conditions._representation`)
     from the trace's own products."""
     return _representation(trace, trace_products(trace, domain), side)
+
+
+def ritz_augmented_eigh(b: np.ndarray, beta: float, k: int) -> tuple:
+    """The k largest singular values of b (zeros past its rows) and their
+    bounds min(r, r^2 / gap), from eigh of the symmetric [[0, b], [b^T, 0]],
+    whose eigenvalues are +-sigma (and zeros): unlike eigh of b b^T it does
+    not square the spread of the values.  For the eigenvector (x; y) of
+    sigma, x / |x| = sqrt(2) x is b's left singular vector, r = beta
+    sqrt(2) |x_last| its residual and gap the distance from sigma to the
+    nearest other eigenvalue.  The probe's check (`linalg._ritz`) by the
+    eigensolver it used before it took the SVD of b."""
+    rows, cols = b.shape
+    if not rows:  # K = 0
+        return np.zeros(k), np.zeros(0)
+    aug = np.zeros((rows + cols, rows + cols))
+    aug[:rows, rows:] = b
+    aug[rows:, :rows] = b.T
+    w, z = np.linalg.eigh(aug)
+    w, z = w[::-1], z[:, ::-1]
+    top = min(k, rows, cols)
+    d = w[:-1] - w[1:]
+    gap = np.minimum(np.append(np.inf, d), np.append(d, np.inf))[:top]
+    r = beta * np.sqrt(2.0) * np.abs(z[rows - 1, :top])
+    with np.errstate(divide="ignore", invalid="ignore"):  # gap 0: a repeated value
+        bound = np.fmin(r, r * r / gap)
+    sv = np.zeros(k)
+    sv[:top] = np.maximum(w[:top], 0.0)
+    return sv, bound

@@ -282,10 +282,12 @@ def test_residual_is_the_matrix_residual(lens, solutions):
 
 def test_assemble_holds_only_tiles_beside_the_matrix(lens, solutions):
     # the tiles go straight into the system, the cauchy ones subtracted as
-    # they come; beside the matrix assembly holds tile-sized buffers, the
-    # node weight matrices until eq8 is complete and then pv: 1.39 matrices
-    # at this N, against 1.75 while it gathered each N x N block of cauchy
-    # and 2.7 while the tiles were copied into a dense operator bundle first
+    # they come, and the node weight matrices are built in the matrix's own
+    # buffer; beside the matrix assembly holds tile-sized buffers (pv, in a
+    # map of its own, is not traced): 1.14 matrices at this N, against 1.39
+    # while the weight matrices were built beside it, 1.75 while it
+    # gathered each N x N block of cauchy and 2.7 while the tiles were
+    # copied into a dense operator bundle first
     rule = build_rule("gauss-legendre", 512, -1, 1)
     bc = make_bc(solutions["z2"], lens, 1.0, 2.0, rule)
     assemble(lens, bc, rule)  # warm-up: imports and first-call costs
@@ -296,7 +298,7 @@ def test_assemble_holds_only_tiles_beside_the_matrix(lens, solutions):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.55 * m.nbytes, peak / m.nbytes
+    assert peak <= 1.28 * m.nbytes, peak / m.nbytes
 
 
 def test_probe_singular_value_decay_stable(lens, solutions):

@@ -13,6 +13,7 @@ from cbie.geometry import CurveDescriptor, PlaneDomain
 from cbie.linalg import PROBE_K, PROBE_TOL, lu_condition, lu_solve, probe_spectrum
 from cbie.manufactured import make_bc
 from cbie.quadrature import build_rule
+from reference import ritz_augmented_eigh
 
 # closes at x1 = -1 and 1: gamma_2 - gamma_1 = 2 (1 - x^2)(1 + 0.2 x)
 CLOSING_CUBIC = PlaneDomain(-1.0, 1.0,
@@ -103,6 +104,57 @@ def test_probe_raises_at_its_krylov_cap():
     matrix = np.eye(100) + np.diag(np.linspace(1.0, 2.0, 100)).astype(complex)
     with pytest.raises(NumericError, match="20 Lanczos steps"):
         linalg._golub_kahan(matrix, 2)
+
+
+def _probe_operator(case, lens, solutions):
+    """The matrix of one of the probe tests above, or the lens at N = 64."""
+    if case.startswith("rank-3"):
+        dim = int(case.split("-")[-1])
+        rng = np.random.default_rng(dim)
+        p, q = (rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+                for _ in range(2))
+        return np.eye(dim) + p @ q.conj().T
+    if case == "repeated":
+        w = np.linalg.qr(np.random.default_rng(5).standard_normal((96, 96)))[0]
+        return np.eye(96) + 2.0 * w
+    if case == "krylov-cap":
+        return np.eye(100) + np.diag(np.linspace(1.0, 2.0, 100)).astype(complex)
+    domain, family, n, alphas = {
+        "midpoint-lens": (lens, "midpoint-uniform", 96, (1.0, 2.0)),
+        "cubic-complex-alpha": (CLOSING_CUBIC, "gauss-legendre", 64, (0.7 + 0.2j, 1.5)),
+        "decades-1e-8": (lens, "gauss-legendre", 64, (1e-8, 2.0)),
+        "decades-1e-10": (lens, "gauss-legendre", 64, (1e-10, 2.0)),
+        "decades-alpha2": (lens, "gauss-legendre", 64, (1.0, 1e-8)),
+        "lens-64": (lens, "gauss-legendre", 64, (1.0, 2.0)),
+    }[case]
+    rule = build_rule(family, n, -1, 1)
+    return assemble(domain, make_bc(solutions["z2"], domain, *alphas, rule), rule).matrix
+
+
+@pytest.mark.parametrize("case", ["rank-3-64", "rank-3-300", "repeated", "krylov-cap",
+                                  "midpoint-lens", "cubic-complex-alpha", "decades-1e-8",
+                                  "decades-1e-10", "decades-alpha2", "lens-64"])
+def test_ritz_agrees_with_the_augmented_eigh(lens, solutions, monkeypatch, case):
+    # at every check of the probe the SVD of B gives the values of eigh of
+    # [[0, B], [B^T, 0]] within the probe's own accuracy, PROBE_TOL sigma_1,
+    # and its bounds meet PROBE_TOL at the same step
+    checks, ritz = [], linalg._ritz
+
+    def both(b, beta, k):
+        checks.append((ritz(b, beta, k), ritz_augmented_eigh(b, beta, k)))
+        return checks[-1][0]
+
+    monkeypatch.setattr(linalg, "_ritz", both)
+    matrix = _probe_operator(case, lens, solutions)
+    if case == "krylov-cap":
+        with pytest.raises(NumericError, match="20 Lanczos steps"):
+            linalg._golub_kahan(matrix, 2)
+    else:
+        probe_spectrum(matrix)
+    assert checks
+    for (sv, bound), (ref_sv, ref_bound) in checks:
+        assert np.max(np.abs(sv - ref_sv)) <= PROBE_TOL * ref_sv[0]
+        assert (np.max(bound) <= PROBE_TOL * sv[0]) == (np.max(ref_bound) <= PROBE_TOL * ref_sv[0])
 
 
 # ---------------------------------------------------------------------------

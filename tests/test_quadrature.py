@@ -246,6 +246,19 @@ def test_node_matrices_are_the_whole_table_code(n):
     assert np.array_equal(_stream_transform(rule), legendre)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 127, 512])
+def test_node_matrices_built_in_a_matrix_buffer(n):
+    # assemble hands over its 2n x 2n complex matrix, not yet written: the
+    # pair comes back in its last 2 n^2 doubles with the bits of the plain
+    # call; below n = 4 the build does not fit and allocates its own
+    rule = build_rule("gauss-legendre", n, -0.5, 2.0)
+    work = np.full(8 * n * n, np.nan)
+    got = node_weight_matrices(rule, work)
+    for a, b in zip(got, node_weight_matrices(rule)):
+        assert np.array_equal(a, b)
+    assert all(np.shares_memory(a, work[6 * n * n:]) for a in got) == (n >= 4)
+
+
 def test_rule_legendre_transform_exact_and_identity_free():
     rule = build_rule("gauss-legendre", 16, -1, 2)
     # equal rules stay equal and hash alike
