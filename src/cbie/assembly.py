@@ -22,8 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .conditions import (
+    _CORNERS,
     BoundaryTrace,
-    CornerRule,
+    _corner_moments,
     _fill,
     _kernel_blocks,
     _pv_matvec,
@@ -102,12 +103,6 @@ class FredholmSystem:
     def n(self) -> int:
         return self.rule.n
 
-    def split(self, vec) -> tuple:
-        """Split a length-2N vector into (lower, upper) traces."""
-        n = self.n
-        vec = np.asarray(vec)
-        return vec[:n], vec[n:]
-
     def residual(self, trace: BoundaryTrace) -> np.ndarray:
         """matrix @ [u_1; u_2] - rhs for the trace's u, whose du must be
         phi - alpha u, read from the conditions the rows combine rather than
@@ -142,7 +137,7 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
 
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
-    corners = CornerRule(domain, ops)
+    moments, sums = _corner_moments(domain, ops), {}  # the corner corrections' parts
     # pv is real, for one real GEMM on the interleaved (re, im) columns of
     # eq8 and one product.  It lives in a map of its own, so that none of it
     # stays resident under the probe and the LU, and is built before any
@@ -168,23 +163,22 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
             _fill(top[lo:hi, c * n:(c + 1) * n], parts[0], parts[1], gp)
             continue
         if (r, c, lo) == (1, 1, 0):
-            corners.sums[0, 1] = top[:, n:] @ ones
-            top[diag, diag] += corners.correction((0, 0))
+            sums[0, 1] = top[:, n:] @ ones
+            top[diag, diag] += moments[0, 0] - sums[0, 1]
             np.matmul(pv, top.view(float), out=g.view(float))
             g *= 1j / np.pi
             pv_phi = _real_matvec(pv, phi1 / a1c - phi2 / a2c)
             del pv
         t = rows[:hi - lo]
         _fill(t, parts[0], parts[1], gp)
-        if corners.reads((r, c)):
+        if (r, c) in _CORNERS.values():
             # numpy takes a one-row product as a dot product, whose sum runs
             # in another order than the gemv of every other row: that row is
             # summed as the first of two
-            sums = corners.sums.setdefault((r, c), np.empty(n, dtype=complex))
-            sums[lo:hi] = (rows[:2] @ ones)[:1] if hi - lo == 1 else t @ ones
-        fix = corners.correction((r, c))
-        if fix is not None:
-            t[_diagonal(lo, hi)] += fix[lo:hi]
+            s = sums.setdefault((r, c), np.empty(n, dtype=complex))
+            s[lo:hi] = (rows[:2] @ ones)[:1] if hi - lo == 1 else t @ ones
+        if (r, c) in _CORNERS:
+            t[_diagonal(lo, hi)] += moments[r, c][lo:hi] - sums[_CORNERS[r, c]][lo:hi]
         t *= 1.0 / (a1c if r == 1 else a2c)
         g[lo:hi, c * n:(c + 1) * n] -= t
     g[diag, diag] -= 1.0 / a1c

@@ -345,13 +345,14 @@ def _bc(cfg: dict, domain):
     block = _object(_require(cfg, "bc"), "bc")
     alpha1, alpha2 = _alpha(block, "bc.alpha1"), _alpha(block, "bc.alpha2")
     phi_block = _object(_require(block, "bc.phi"), "bc.phi")
+    if ("solution" in phi_block) == ("tabulated" in phi_block):
+        raise ConfigurationError("bc.phi must give exactly one of a 'solution' block "
+                                 "and a 'tabulated' file")
     if "solution" in phi_block:
         spec = _solution(_object(phi_block["solution"], "bc.phi.solution"))
         return make_bc(spec, domain, alpha1, alpha2, None), spec
-    if "tabulated" in phi_block:
-        phi1, phi2 = _phi_from_tabulated(phi_block["tabulated"])
-        return BCSpec(alpha1, alpha2, phi1, phi2), None
-    raise ConfigurationError("bc.phi must give a 'solution' block or a 'tabulated' file")
+    phi1, phi2 = _phi_from_tabulated(phi_block["tabulated"])
+    return BCSpec(alpha1, alpha2, phi1, phi2), None
 
 
 def _exact_problem(cfg: dict, task: str) -> tuple:

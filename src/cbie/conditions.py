@@ -207,7 +207,8 @@ def _bounded_remainder(parts, x, gv, gp, gpp, w, lo):
 # row block 0 is eq8 (targets on curve 1), 1 and 2 the eq10 and eq12 rows;
 # column block c acts on du of curve c + 1.  The corner correction on the
 # diagonal of each key block is its moment (`_corner_moments`) minus the row
-# sums of the value, a cross block (`CornerRule`).
+# sums of the value, a cross block; `assemble` and `trace_products` both
+# record those row sums as they meet the cross block.
 _CORNERS = {(0, 0): (0, 1), (1, 0): (1, 1), (2, 1): (2, 0)}
 
 
@@ -224,7 +225,7 @@ def _kernel_blocks(ops: Operators, wlog, partial):
     block meets its column blocks in one order, whatever the tile height,
     each column block meets the eq10 rows before the eq12 rows, the order
     in which `assemble` subtracts them, and each cross block whose row sums
-    a corner correction reads (`CornerRule`) precedes that correction's
+    a corner correction reads (`_CORNERS`) precedes that correction's
     block.
 
     The weight matrices wlog and partial (`node_weight_matrices`) enter
@@ -367,30 +368,6 @@ def _corner_moments(domain: PlaneDomain, ops: Operators) -> dict:
     return {(0, 0): 2.0 * m21, (1, 0): -2.0 * l21, (2, 1): 2.0 * l12}
 
 
-class CornerRule:
-    """The corner corrections of one (domain, rule) pair: on the diagonal of
-    each key block of _CORNERS, its moment (`_corner_moments`) minus the row
-    sums of its cross block.  A reader records each cross block's row sums in
-    `sums` as it meets them (`reads`) and takes a block's correction once
-    they are in; `assemble` and `trace_products` both go through it."""
-
-    def __init__(self, domain: PlaneDomain, ops: Operators):
-        self.moments = _corner_moments(domain, ops)
-        self.sums = {}
-
-    @staticmethod
-    def reads(rc) -> bool:
-        """Whether a correction reads the row sums of block rc."""
-        return rc in _CORNERS.values()
-
-    def correction(self, rc):
-        """The correction on the diagonal of block rc, None for a block
-        that has none."""
-        if rc not in _CORNERS:
-            return None
-        return self.moments[rc] - self.sums[_CORNERS[rc]]
-
-
 @lru_cache(maxsize=1)  # a solve's assembly and interior reconstruction share it
 def build_operators(domain: PlaneDomain, rule: QuadratureRule) -> Operators:
     """The node samples that every kernel tile of one (domain, rule) pair
@@ -467,9 +444,7 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
                                        axis=1).view(float)
                 for c in (0, 1) for carried in (False, True)}
     out = np.zeros((3, n), dtype=complex)
-    corner = CornerRule(domain, ops)
-    sums = corner.sums
-    sums.update({rc: np.empty(n, dtype=complex) for rc in _CORNERS.values()})
+    sums = {rc: np.empty(n, dtype=complex) for rc in _CORNERS.values()}
     cross = np.zeros((2, 2, n))  # part k of block (0, 1), transposed, @ part m of u_1
     for r, c, lo, parts, gp in _kernel_blocks(ops, None, None):
         h = parts.shape[1]
@@ -482,7 +457,8 @@ def trace_products(trace: BoundaryTrace, domain: PlaneDomain) -> TraceProducts:
             cross += u1r[lo:lo + h].T @ parts
     out[0] += (-2.0 / TWO_PI) * wlog[:, 0] + 1j * partial[:, 1]
     sums[0, 1] += 1j * partial[:, 2]
-    corners = {rc: corner.correction(rc) for rc in _CORNERS}
+    moments = _corner_moments(domain, ops)
+    corners = {rc: moments[rc] - sums[block] for rc, block in _CORNERS.items()}
     for (r, c), v in corners.items():
         out[r] += v * du[c]
     cross = ((np.pi / w) * ((cross[0, 0] - cross[1, 1]) + 1j * (cross[0, 1] + cross[1, 0]))

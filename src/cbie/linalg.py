@@ -207,11 +207,6 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     tenfold a step, so one step a decade checks about twice as often as
     needed, and each check is an SVD of B.
 
-    The bases hold 10 k rows each, 3.3 MB each at N = 512, in anonymous
-    maps of their own (`_mapped`) that go back to the system when the probe
-    returns: as heap blocks they stayed resident under the LU that follows
-    and set a cold solve's peak.
-
     A new alpha or beta below dim eps (1 + |B|) is a breakdown: the space
     so far is invariant and its values are exact.  The run goes on from a
     fresh K^H w orthogonal to V, which also finds the further copies of a
@@ -222,7 +217,7 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     tiny = dim * np.finfo(float).eps
     rng = Lcg(0)
     # the bases, as rows: U (u_1, u_2, ...) and V (v_1, v_2, ...)
-    left, right = _mapped((cap, dim), m.dtype), _mapped((cap, dim), m.dtype)
+    left, right = np.empty((cap, dim), m.dtype), np.empty((cap, dim), m.dtype)
     bidiag = np.zeros((cap, cap))  # B: entry (i, j) is u_i^H K v_j
     rows = cols = 0  # the u and the v so far
     u, v, beta, norm, check = None, None, 0.0, 0.0, 2 * k
@@ -275,9 +270,11 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
 
 def _mapped(shape: tuple, dtype) -> np.ndarray:
     """A zeroed array in an anonymous memory map of its own, which goes back
-    to the system as soon as the array and its views are gone.  A heap
-    block of the same size can stay resident after it is freed, below
-    whatever the allocator hands out next."""
+    to the system as soon as the array and its views are gone.  `assemble`
+    keeps pv in one: on the heap, pv raised a cold lens solve's peak by
+    0.4-0.8 MB at N = 512 and 1024.  Freeing a heap block that size lifts
+    glibc's mmap threshold, so the cauchy tiles' temporaries that follow
+    stay on the heap."""
     import mmap
 
     count = math.prod(shape)

@@ -367,13 +367,6 @@ def _log_weight_matrix_midpoint(rule: QuadratureRule) -> np.ndarray:
     return sliding_window_view(np.diff(anti), n)[::-1].copy()
 
 
-def log_weight_matrix(rule: QuadratureRule) -> np.ndarray:
-    """Row i gives sample weights approximating int_a^b f(x) log|x - x_i| dx."""
-    if rule.family == "gauss-legendre":
-        return node_weight_matrices(rule)[0]
-    return _log_weight_matrix_midpoint(rule)
-
-
 def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
     """Row m approximates int_a^{x_m} f dx from the samples f(x_j), for any
     points x in [a, b]; the rows at x = rule.nodes are the running integral
@@ -401,8 +394,9 @@ def partial_integral_matrix(rule: QuadratureRule, x) -> np.ndarray:
 
 
 def node_weight_matrices(rule: QuadratureRule, work=None) -> tuple:
-    """(log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)),
-    the pair the operator build needs.  On Gauss rules it is the one-block
+    """(W, partial_integral_matrix(rule, rule.nodes)), the pair the operator
+    build needs: row i of W gives sample weights approximating
+    int_a^b f(x) log|x - x_i| dx.  On Gauss rules it is the one-block
     call of the stream that `node_weight_products` runs in blocks: one
     recurrence over the nodes gives both, with the P_k rows shared by the
     running integral and the rule's Legendre transform and the Q_k rows by
@@ -417,7 +411,7 @@ def node_weight_matrices(rule: QuadratureRule, work=None) -> tuple:
     one (2, n, n) block."""
     n = rule.n
     if rule.family != "gauss-legendre":
-        return log_weight_matrix(rule), partial_integral_matrix(rule, rule.nodes)
+        return _log_weight_matrix_midpoint(rule), partial_integral_matrix(rule, rule.nodes)
     win = 2 * n * n + 4 * n  # the (n + 2, 2, n) window
     if work is None or work.size < win + 5 * n * n:
         pair, transform, scratch = np.empty((2, n, n)), None, (None, None, None)

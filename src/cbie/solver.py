@@ -55,16 +55,16 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
         del factors  # free the LU before assembly builds the matrix again
         m = assemble(system.domain, system.bc, system.rule).matrix
         sol, method = np.linalg.lstsq(m, system.rhs, rcond=None)[0], "least-squares-fallback"
-    u1, u2 = system.split(sol)
+    n = system.n
+    u1, u2 = sol[:n], sol[n:]
+    trace = trace_from_solution(system.rule, system.bc, u1, u2)
     warnings = list(system.warnings)
     if method != "direct":
         warnings.append(f"least-squares fallback: condition estimate {cond:.3g} exceeds "
                         f"cond_threshold {cond_threshold:.3g}; the traces may be wrong "
                         "although the residual is small")
-    report = SolveReport(u1, u2, np.nan, cond, method, [], warnings)
-    report.trace = trace_from_solution(system.rule, system.bc, report)
-    report.residual_norm = float(np.max(np.abs(system.residual(report.trace))))
-    return report
+    residual = float(np.max(np.abs(system.residual(trace))))
+    return SolveReport(u1, u2, residual, cond, method, warnings=warnings, trace=trace)
 
 
 def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
@@ -122,13 +122,13 @@ def default_interior_grid(domain: PlaneDomain) -> list:
 
 
 def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
-                        report: SolveReport) -> BoundaryTrace:
+                        u_lower, u_upper) -> BoundaryTrace:
     """Boundary trace of a solved system: solved u plus du eliminated
     through the boundary data."""
     phi1, phi2 = bc.sample(system_rule.nodes)
-    du1 = du_from_bc(report.u_lower, bc.alpha1, phi1)
-    du2 = du_from_bc(report.u_upper, bc.alpha2, phi2)
-    return BoundaryTrace(system_rule, report.u_lower, report.u_upper, du1, du2)
+    du1 = du_from_bc(u_lower, bc.alpha1, phi1)
+    du2 = du_from_bc(u_upper, bc.alpha2, phi2)
+    return BoundaryTrace(system_rule, u_lower, u_upper, du1, du2)
 
 
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,

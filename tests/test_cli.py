@@ -153,6 +153,12 @@ def _constant_phi(tmp):
     pytest.param("solve", "bc.phi.tabulated",
                  lambda cfg, tmp: cfg["bc"].update(phi={"tabulated": 0}),
                  id="tabulated-not-a-path"),
+    # with both keys, solve exited 0 on the solution and never read the file
+    pytest.param("solve", "bc.phi", lambda cfg, tmp: cfg["bc"].update(
+        phi={"solution": {"name": "z2"}, "tabulated": str(tmp / "no_such_phi.json")}),
+        id="solution-and-tabulated"),
+    pytest.param("solve", "bc.phi", lambda cfg, tmp: cfg["bc"].update(phi={}),
+                 id="neither-solution-nor-tabulated"),
     pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="x"),
                  id="alpha1-text"),
     pytest.param("solve", "bc.alpha1", lambda cfg, tmp: cfg["bc"].update(alpha1="1+0j"),
@@ -353,11 +359,11 @@ def test_exit_status_is_the_report_gate(tmp_path, outdir, task, spoil, passing, 
 
 
 def _leaf_paths(node, path=()):
-    if isinstance(node, dict):
+    if isinstance(node, dict) and node:
         items = node.items()
-    elif isinstance(node, list):
+    elif isinstance(node, list) and node:
         items = enumerate(node)
-    else:
+    else:  # a scalar, or an empty block or list
         return [path]
     return [leaf for key, child in items for leaf in _leaf_paths(child, path + (key,))]
 
@@ -498,6 +504,45 @@ def ladder_configs(draw):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(task=st.sampled_from(["nc-verify", "convergence"]), cfg=ladder_configs())
 def test_accepted_ladder_config_exits_cleanly(tmp_path_factory, task, cfg):
+    _assert_exits_cleanly(tmp_path_factory, task, cfg)
+
+
+# numbers of either sign from 1e-300 to 1e300, and values of no number type
+MAGNITUDES = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(-300.0, 300.0),
+                       st.sampled_from([1.0, -1.0]))
+CONFUSED = st.one_of(MAGNITUDES, st.sampled_from(
+    [None, True, False, float("nan"), float("inf"), "x", "1", "1e-3", [], [1, 2], {}]))
+
+
+@st.composite
+def check_configs(draw):
+    """kernel-check and pv-check configs: 1 to 5 points (the kernel oracle
+    runs one adaptive quadrature per point), a seed anywhere in and beyond
+    64 bits, a ladder of one to four levels of at most 64 nodes of either
+    family, three in four reaching the gated 64 and one in five starting
+    below pv-check's smallest level, tolerances from 1e-300 to 1e300, and
+    in one draw of three a leaf of the wrong type or size."""
+    levels = draw(st.sets(st.integers(2, 64), min_size=1, max_size=4))
+    if draw(st.sampled_from([True, True, True, False])):
+        levels.add(64)
+    if draw(st.integers(0, 4)) == 4:
+        levels.add(1)
+    cfg = {"schema_version": "1",
+           "seed": draw(st.integers(-2 ** 70, 2 ** 70)),
+           "points": draw(st.integers(1, 5)),
+           "rule": {"family": draw(st.sampled_from(["gauss-legendre", "midpoint-uniform"])),
+                    "levels": sorted(levels)}}
+    if draw(st.booleans()):
+        cfg["tolerances"] = draw(st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)),
+                                                 MAGNITUDES, min_size=1, max_size=3))
+    if draw(st.integers(0, 2)) == 2:
+        _set_leaf(cfg, draw(st.sampled_from(_leaf_paths(cfg))), draw(CONFUSED))
+    return cfg
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(task=st.sampled_from(["kernel-check", "pv-check"]), cfg=check_configs())
+def test_accepted_check_config_exits_cleanly(tmp_path_factory, task, cfg):
     _assert_exits_cleanly(tmp_path_factory, task, cfg)
 
 

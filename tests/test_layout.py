@@ -4,7 +4,7 @@ Every public top-level function or class of the package is read somewhere
 in the package outside its own definition, except the few names below that
 the package keeps for its readers.  A reference written only for tests
 belongs in `tests/reference.py`.  Only `linalg.py` imports ctypes or mmap:
-the LAPACK binding and the anonymous memory maps live in one module.
+the LAPACK binding and `_mapped`, pv's memory map, live in one module.
 """
 
 import ast

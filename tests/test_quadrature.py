@@ -6,11 +6,11 @@ from cbie.errors import ConfigurationError, DomainError
 from cbie.quadrature import (
     _STREAM_ROWS,
     _gauss_legendre,
+    _log_weight_matrix_midpoint,
     _node_windows,
     _recurrence_windows,
     _transform,
     build_rule,
-    log_weight_matrix,
     node_weight_matrices,
     node_weight_products,
     partial_integral_matrix,
@@ -304,14 +304,14 @@ def test_node_matrices_share_rows_bit_for_bit(n, first):
     if first == "legendre":
         assert np.array_equal(_stream_transform(rule), legendre)
     if first == "log":
-        assert np.array_equal(log_weight_matrix(rule), log_w)
+        assert np.array_equal(node_weight_matrices(rule)[0], log_w)
     if first == "partial":
         assert np.array_equal(partial_integral_matrix(rule, rule.nodes), partial)
     if first == "both":
         got_log, got_partial = node_weight_matrices(rule)
         assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
     assert np.array_equal(_stream_transform(rule), legendre)
-    assert np.array_equal(log_weight_matrix(rule), log_w)
+    assert np.array_equal(node_weight_matrices(rule)[0], log_w)
     assert np.array_equal(partial_integral_matrix(rule, rule.nodes), partial)
     got_log, got_partial = node_weight_matrices(rule)
     assert np.array_equal(got_log, log_w) and np.array_equal(got_partial, partial)
@@ -320,7 +320,7 @@ def test_node_matrices_share_rows_bit_for_bit(n, first):
 def test_node_weight_matrices_midpoint():
     rule = build_rule("midpoint-uniform", 40, -1, 1)
     got_log, got_partial = node_weight_matrices(rule)
-    assert np.array_equal(got_log, log_weight_matrix(rule))
+    assert np.array_equal(got_log, _log_weight_matrix_midpoint(rule))
     assert np.array_equal(got_partial, partial_integral_matrix(rule, rule.nodes))
 
 
@@ -474,7 +474,7 @@ def test_pv_weight_matrix_matches_pv_integrate():
 @pytest.mark.parametrize("n,i", [(16, 5), (32, 0), (32, 31), (64, 20)])
 def test_log_weights_gauss(n, i):
     rule = build_rule("gauss-legendre", n, -1, 1)
-    wl = log_weight_matrix(rule)
+    wl = node_weight_matrices(rule)[0]
     xi = float(rule.nodes[i])
     f = lambda x: np.exp(x)
     exact = quad(lambda x: f(x) * np.log(abs(x - xi)), -1, 1, points=[xi], limit=400)[0]
@@ -483,7 +483,7 @@ def test_log_weights_gauss(n, i):
 
 def test_log_weights_gauss_mapped_interval():
     rule = build_rule("gauss-legendre", 32, 0.5, 2.5)
-    wl = log_weight_matrix(rule)
+    wl = node_weight_matrices(rule)[0]
     xi = float(rule.nodes[10])
     exact = quad(lambda x: np.exp(x) * np.log(abs(x - xi)), 0.5, 2.5,
                  points=[xi], limit=400)[0]
@@ -492,7 +492,7 @@ def test_log_weights_gauss_mapped_interval():
 
 def test_log_weights_polynomial_exact():
     rule = build_rule("gauss-legendre", 12, -1, 1)
-    wl = log_weight_matrix(rule)
+    wl = node_weight_matrices(rule)[0]
     i = 4
     xi = float(rule.nodes[i])
     f = lambda x: x**3 - 2 * x + 1
@@ -512,7 +512,7 @@ def test_log_weights_midpoint_window():
     errs = []
     for n in (96, 192, 384, 768):
         rule = build_rule("midpoint-uniform", n, -1, 1)
-        wl = log_weight_matrix(rule)
+        wl = node_weight_matrices(rule)[0]
         x = rule.nodes
         const = (1 - x) * (np.log(1 - x) - 1) + (1 + x) * (np.log(1 + x) - 1)
         assert np.max(np.abs(wl.sum(axis=1) - const)) <= 1e-13
@@ -528,14 +528,14 @@ def test_log_weights_families_agree():
     f = lambda x: np.cos(2 * x)
     xi = None
     g_rule = build_rule("gauss-legendre", 96, -1, 1)
-    g_wl = log_weight_matrix(g_rule)
+    g_wl = node_weight_matrices(g_rule)[0]
     ig = None
     for i, x in enumerate(g_rule.nodes):
         if abs(x - 0.3) < 0.02:
             ig, xi = i, float(x)
             break
     m_rule = build_rule("midpoint-uniform", 4000, -1, 1)
-    m_wl = log_weight_matrix(m_rule)
+    m_wl = node_weight_matrices(m_rule)[0]
     im = int(np.argmin(np.abs(m_rule.nodes - xi)))
     exact = quad(lambda x: f(x) * np.log(abs(x - xi)), -1, 1, points=[xi], limit=400)[0]
     assert abs(g_wl[ig] @ f(g_rule.nodes) - exact) <= 1e-11

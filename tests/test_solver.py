@@ -289,7 +289,7 @@ def test_trace_from_solution_eliminates_du(lens, solutions):
     rule = build_rule("gauss-legendre", 64, -1, 1)
     bc = make_bc(spec, lens, 1.0, 2.0, rule)
     report = solve_problem(lens, bc, rule)
-    tr = trace_from_solution(rule, bc, report)
+    tr = trace_from_solution(rule, bc, report.u_lower, report.u_upper)
     exact = make_trace(spec, lens, rule)
     assert np.max(np.abs(tr.du_lower - exact.du_lower)) <= 1e-6
 
