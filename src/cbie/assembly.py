@@ -28,19 +28,19 @@ from .conditions import (
     _fill,
     _kernel_blocks,
     _pv_matvec,
-    _real_matvec,
     build_operators,
     condition_residuals,
 )
 from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
 from .geometry import PlaneDomain
-from .linalg import _mapped, lu_condition, probe_spectrum
+from .linalg import lu_condition, probe_spectrum
 from .quadrature import (
     _TILE_ROWS,
     QuadratureRule,
     _diagonal,
+    _pv_rows,
+    _row_tiles,
     node_weight_matrices,
-    pv_weight_matrix,
 )
 
 MAGIC = b"CBIE1"
@@ -117,6 +117,11 @@ class FredholmSystem:
 
 
 def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmSystem:
+    """The second-kind system of the problem on the rule's nodes, written
+    into its 2N x 2N matrix as it is built.  Beside the matrix it holds no
+    N x N array: the node weight matrices are built in the matrix's own
+    buffer, every kernel block and the PV matrix come one row tile of at
+    most _TILE_ROWS rows at a time, and the rest is vectors of length N."""
     ops = build_operators(domain, rule)  # raises AssemblyError on touching curves
     n = rule.n
     phi1, phi2 = bc.sample(rule.nodes)
@@ -135,18 +140,13 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     # G = (i/pi) PV eq8 - (I + cauchy)[:N]/alpha1 - (I + cauchy)[N:]/alpha2
     # (docs/method.md section 6 for eq8 and cauchy).
 
+    pv_phi = _pv_matvec(rule, phi1 / a1c - phi2 / a2c)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
     moments, sums = _corner_moments(domain, ops), {}  # the corner corrections' parts
-    # pv is real, for one real GEMM on the interleaved (re, im) columns of
-    # eq8 and one product.  It lives in a map of its own, so that none of it
-    # stays resident under the probe and the LU, and is built before any
-    # page of the matrix is touched, so that its build's row-tile
-    # temporaries never sit beside a whole matrix.  The weight matrices are
-    # then built in the matrix itself, not yet written: the pair in the last
-    # rows of the bottom half, which no tile writes before eq8 is complete,
-    # and the build's scratch before it.
-    pv = pv_weight_matrix(rule, out=_mapped((n, n), float))
+    # The weight matrices are built in the matrix itself, not yet written:
+    # the pair in the last rows of the bottom half, which no tile writes
+    # before eq8 is complete, and the build's scratch before it.
     tiles = _kernel_blocks(ops, *node_weight_matrices(rule, matrix.view(float).reshape(-1)))
     phi = np.concatenate([phi1, phi2])
     alpha = np.repeat([a1c, a2c], n)
@@ -154,9 +154,10 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
     rows = np.zeros((min(n, _TILE_ROWS), n), dtype=complex)  # one cauchy tile
     # The eq8 tiles go straight into the top half.  The first cauchy tile
     # comes once eq8 is complete and its weight matrices are dropped:
-    # (i/pi) PV eq8 then fills the bottom half, and each cauchy tile is
-    # subtracted from it, with its corner correction, scaled by 1/alpha of
-    # its row block.
+    # (i/pi) PV eq8 then fills the bottom half, one real GEMM on the
+    # interleaved (re, im) columns of eq8 per PV row tile, and each cauchy
+    # tile is subtracted from it, with its corner correction, scaled by
+    # 1/alpha of its row block.
     for r, c, lo, parts, gp in tiles:
         hi = lo + parts.shape[1]
         if r == 0:
@@ -165,10 +166,9 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
         if (r, c, lo) == (1, 1, 0):
             sums[0, 1] = top[:, n:] @ ones
             top[diag, diag] += moments[0, 0] - sums[0, 1]
-            np.matmul(pv, top.view(float), out=g.view(float))
+            for i, j in _row_tiles(n):
+                np.matmul(_pv_rows(rule, i, j), top.view(float), out=g[i:j].view(float))
             g *= 1j / np.pi
-            pv_phi = _real_matvec(pv, phi1 / a1c - phi2 / a2c)
-            del pv
         t = rows[:hi - lo]
         _fill(t, parts[0], parts[1], gp)
         if (r, c) in _CORNERS.values():

@@ -268,20 +268,6 @@ def _golub_kahan(m: np.ndarray, k: int) -> np.ndarray:
     return _ritz(bidiag[:rows, :cols], 0.0, k)[0]
 
 
-def _mapped(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed array in an anonymous memory map of its own, which goes back
-    to the system as soon as the array and its views are gone.  `assemble`
-    keeps pv in one: on the heap, pv raised a cold lens solve's peak by
-    0.4-0.8 MB at N = 512 and 1024.  Freeing a heap block that size lifts
-    glibc's mmap threshold, so the cauchy tiles' temporaries that follow
-    stay on the heap."""
-    import mmap
-
-    count = math.prod(shape)
-    size = max(1, count * np.dtype(dtype).itemsize)
-    return np.frombuffer(mmap.mmap(-1, size), dtype=dtype, count=count).reshape(shape)
-
-
 def _projection(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The part of x in the span of basis's orthonormal rows."""
     return np.conj(basis @ x.conj()) @ basis

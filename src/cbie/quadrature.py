@@ -23,9 +23,9 @@ Two families:
                    cell log moments); serves as the cross-check oracle
                    for the Gauss paths
 
-On both families each row of the PV matrix depends on that row alone: the
-matrix is the all-rows call of `_pv_rows`, and the residual path applies it
-one row tile at a time, with the matrix's bits and no n x n array.
+On both families each row of the PV matrix depends on that row alone:
+`_pv_rows` gives any rows of it, and both the assembly and the residual path
+apply it one row tile at a time, with no n x n array.
 """
 
 from __future__ import annotations
@@ -225,27 +225,15 @@ def _diff_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
     return d
 
 
-def pv_weight_matrix(rule: QuadratureRule, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Discrete PV operator on node samples: row i approximates
-    PV int_a^b g(x)/(x - x_i) dx from the samples g(x_j).
+def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of the discrete PV operator on node samples: row i
+    approximates PV int_a^b g(x)/(x - x_i) dx from the samples g(x_j).
 
     Columnwise subtraction (w_j/(x_j - x_i) off the diagonal, the
     compensating sum and endpoint log on the diagonal) plus the w_i g'(x_i)
     term of the subtracted integrand, realized through the differentiation
-    matrix.  The matrix is filled one row tile of `_pv_rows` at a time, the
-    tiles the residual path applies, so no n x n temporary forms beside it;
-    it is written into out (n x n) when that is given.
-    """
-    if out is None:
-        out = np.empty((rule.n, rule.n))
-    for lo, hi in _row_tiles(rule.n):
-        out[lo:hi] = _pv_rows(rule, lo, hi)
-    return out
-
-
-def _pv_rows(rule: QuadratureRule, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of `pv_weight_matrix`, bit for bit: every entry, the
-    diagonal's row sum included, depends on its own row only."""
+    rows.  Every entry, the diagonal's row sum included, depends on its own
+    row only, so any tiling of the rows gives the same bits."""
     x, w = rule.nodes, rule.weights
     diag = _diagonal(lo, hi)
     dx = x[None, :] - x[lo:hi, None]

@@ -15,7 +15,7 @@ from cbie.errors import ConfigurationError
 from cbie.geometry import PlaneDomain
 from cbie.kernel import TWO_PI
 from cbie.manufactured import SolutionSpec, eval_solution
-from cbie.quadrature import QuadratureRule, _diff_rows
+from cbie.quadrature import QuadratureRule, _diff_rows, barycentric_weights
 
 
 def pv_integrate_excluded_node(f: Callable, xi: float, rule: QuadratureRule) -> complex:
@@ -40,6 +40,35 @@ def diff_matrix(rule: QuadratureRule) -> np.ndarray:
     """The whole differentiation matrix on the rule's nodes: all rows of
     `_diff_rows`, which the PV rows read."""
     return _diff_rows(rule, 0, rule.n)
+
+
+def pv_weight_matrix(rule: QuadratureRule) -> np.ndarray:
+    """The discrete PV operator on node samples as one n x n matrix, built
+    with whole-matrix arithmetic: row i approximates
+    PV int_a^b g(x)/(x - x_i) dx from the samples g(x_j).  The reference
+    for the row tiles of `quadrature._pv_rows`, which the package applies
+    one tile at a time and never gathers."""
+    x, w, n = rule.nodes, rule.weights, rule.n
+    if rule.family == "gauss-legendre":
+        t, beta = rule.reference_nodes(), barycentric_weights(rule)
+        dt = t[:, None] - t[None, :]
+        np.fill_diagonal(dt, 1.0)
+        dmat = (beta[None, :] / beta[:, None]) / dt
+        np.fill_diagonal(dmat, 0.0)
+        np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
+        dmat = dmat / rule.scale
+    else:
+        h = w[0]
+        dmat = (np.eye(n, k=1) - np.eye(n, k=-1)) * (0.5 / h)
+        dmat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
+        dmat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
+    dx = x[None, :] - x[:, None]
+    np.fill_diagonal(dx, 1.0)
+    p = w[None, :] / dx
+    np.fill_diagonal(p, 0.0)
+    diag = np.log((rule.b - x) / (x - rule.a)) - np.sum(p, axis=1)
+    p[np.arange(n), np.arange(n)] += diag
+    return p + w[:, None] * dmat
 
 
 def pde_residual_check(spec: SolutionSpec, points: Sequence, h: float) -> float:

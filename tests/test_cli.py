@@ -877,13 +877,14 @@ _PRINT_PEAK_KB = ("print(next(int(line.split()[1]) for line in open('/proc/self/
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_cold_solve_holds_little_beside_the_matrix(tmp_path):
-    # beside the 2N x 2N matrix a cold solve holds tile-sized buffers, pv
-    # for one product and the probe's bases: its peak over an interpreter
-    # that only imports the CLI is 1.26 matrices at N = 1024, against 1.34
-    # while the weight matrices were built outside the matrix and left their
-    # heap behind, and 1.97 while assembly held a block of cauchy, pv and
-    # the weight matrices at once.  Each child reads its own VmHWM:
-    # ru_maxrss would carry this process's peak across fork and exec.
+    # beside the 2N x 2N matrix a cold solve holds tile-sized buffers and
+    # the probe's bases: its peak over an interpreter that only imports the
+    # CLI is 1.19 matrices at N = 1024, against 1.26 while assembly held the
+    # whole N x N PV matrix, 1.34 while the weight matrices were built
+    # outside the matrix and left their heap behind, and 1.97 while assembly
+    # held a block of cauchy, pv and the weight matrices at once.  Each
+    # child reads its own VmHWM: ru_maxrss would carry this process's peak
+    # across fork and exec.
     n = 1024
     cfg = _write(tmp_path / "solve.json", _solve_cfg(n=n))
     out = str(tmp_path / "out")
@@ -893,7 +894,7 @@ def test_cold_solve_holds_little_beside_the_matrix(tmp_path):
         f"assert main(['solve', '--config', {cfg!r}, '--out', {out!r}]) == 0\n"
         + _PRINT_PEAK_KB))
     matrix = 16 * (2 * n) ** 2
-    assert 1024 * (peak - base) <= 1.31 * matrix, 1024 * (peak - base) / matrix
+    assert 1024 * (peak - base) <= 1.23 * matrix, 1024 * (peak - base) / matrix
 
 
 # ---------------------------------------------------------------------------
@@ -908,6 +909,14 @@ def test_kernel_check_runs_green(tmp_path, outdir):
     assert summary["max_fund_rel_err"] <= 1e-10
     lines = (outdir / "kernel_check.csv").read_text().splitlines()
     assert len(lines) == 26  # header + 25 points
+
+
+def test_kernel_check_stays_green_near_the_exclusion(tmp_path, outdir):
+    # 2000 seeded points come near the 0.1 exclusion, where one second
+    # difference of step 1e-4 read 1.3e-6 on the exact kernel, above
+    # annih_tol 1e-6; extrapolated from two steps it reads 9.3e-8
+    cfg = _write(tmp_path / "c.json", {"schema_version": "1", "points": 2000})
+    assert main(["kernel-check", "--config", cfg, "--out", str(outdir)]) == 0
 
 
 def test_pv_check_runs_green(tmp_path, outdir):

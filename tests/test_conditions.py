@@ -30,12 +30,10 @@ from cbie.manufactured import make_bc, make_trace
 from cbie.quadrature import (
     _pv_rows,
     _row_tiles,
-    barycentric_weights,
     build_rule,
     node_weight_matrices,
-    pv_weight_matrix,
 )
-from reference import representation_boundary
+from reference import pv_weight_matrix, representation_boundary
 
 LEVELS = (64, 128, 256)
 ALL_CONDITIONS = ("eq8", "eq9", "eq10", "eq11", "eq12")
@@ -477,30 +475,6 @@ def _untiled_kernel_blocks(domain, rule, curves, wlog, partial):
     yield 2, 1, parts, None
 
 
-def _untiled_pv_weight_matrix(rule):
-    x, w, n = rule.nodes, rule.weights, rule.n
-    if rule.family == "gauss-legendre":
-        t, beta = rule.reference_nodes(), barycentric_weights(rule)
-        dt = t[:, None] - t[None, :]
-        np.fill_diagonal(dt, 1.0)
-        dmat = (beta[None, :] / beta[:, None]) / dt
-        np.fill_diagonal(dmat, 0.0)
-        np.fill_diagonal(dmat, -np.sum(dmat, axis=1))
-        dmat = dmat / rule.scale
-    else:
-        h = w[0]
-        dmat = (np.eye(n, k=1) - np.eye(n, k=-1)) * (0.5 / h)
-        dmat[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
-        dmat[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
-    dx = x[None, :] - x[:, None]
-    np.fill_diagonal(dx, 1.0)
-    p = w[None, :] / dx
-    np.fill_diagonal(p, 0.0)
-    diag = np.log((rule.b - x) / (x - rule.a)) - np.sum(p, axis=1)
-    p[np.arange(n), np.arange(n)] += diag
-    return p + w[:, None] * dmat
-
-
 def _filled_bundle(domain, rule, blocks, pv_matrix):
     """(eq8, cauchy, pv, dku21) written from the (r, c, lo, parts, gp) row
     tiles of `blocks` into one dense [eq8; cauchy] stack, the corner
@@ -530,7 +504,7 @@ def _dense_bundle(domain, rule):
         for r, c, parts, gp in _untiled_kernel_blocks(domain, rule, curves, wlog, partial):
             yield r, c, 0, parts, gp
 
-    return _filled_bundle(domain, rule, blocks, _untiled_pv_weight_matrix)
+    return _filled_bundle(domain, rule, blocks, pv_weight_matrix)
 
 
 def _dense_assembly(domain, bc, rule):
@@ -546,7 +520,9 @@ def _dense_assembly(domain, bc, rule):
     diag = np.arange(n)
     matrix = np.empty((2 * n, 2 * n), dtype=complex)
     top, g = matrix[:n], matrix[n:]
-    np.matmul(pv, eq8.view(float), out=g.view(float))
+    tiles = _row_tiles(n)  # the GEMMs of assemble, whose bits depend on their row count
+    for lo, hi in tiles:
+        np.matmul(pv[lo:hi], eq8.view(float), out=g[lo:hi].view(float))
     g *= 1j / np.pi
     for rows, a in ((cauchy[:n], a1c), (cauchy[n:], a2c)):
         np.multiply(rows, 1.0 / a, out=top)
@@ -555,7 +531,8 @@ def _dense_assembly(domain, bc, rule):
     g[diag, n + diag] -= 1.0 / a2c
     top[...] = eq8
     rhs = -(matrix @ phi)
-    rhs[n:] -= (1j / np.pi) * _real_matvec(pv, phi1 / a1c - phi2 / a2c)
+    v = phi1 / a1c - phi2 / a2c
+    rhs[n:] -= (1j / np.pi) * np.concatenate([_real_matvec(pv[lo:hi], v) for lo, hi in tiles])
     matrix *= -alpha
     matrix[diag, diag] += 1.0
     matrix[diag, n + diag] -= 1.0
@@ -568,14 +545,16 @@ def _dense_assembly(domain, bc, rule):
                          + [("midpoint-uniform", n) for n in (3, 63, 64, 65, 133, 512)])
 def test_tiled_bundle_is_bit_identical(family, n):
     rule = build_rule(family, n, -1.0, 1.0)
-    for got, ref in zip(_filled_bundle(CLOSING_CUBIC, rule, _kernel_blocks, pv_weight_matrix),
+    pv_rows = lambda rule: _pv_rows(rule, 0, rule.n)
+    for got, ref in zip(_filled_bundle(CLOSING_CUBIC, rule, _kernel_blocks, pv_rows),
                         _dense_bundle(CLOSING_CUBIC, rule)):
         assert np.array_equal(got, ref)
 
 
 # 65 = 64 + 1: a one-row last tile, whose row sums numpy would take as a dot
-# product rather than the gemv of the other rows
-@pytest.mark.parametrize("n", [8, 63, 64, 65, 133, 512])
+# product rather than the gemv of the other rows; 129 and 133: a short last
+# PV tile, whose GEMM rows take other bits than in one whole-matrix GEMM
+@pytest.mark.parametrize("n", [8, 63, 64, 65, 129, 133, 512])
 @pytest.mark.parametrize("family", ["gauss-legendre", "midpoint-uniform"])
 @pytest.mark.parametrize("domain_name", ["lens", "cubic"])
 def test_assembly_from_tiles_is_bit_identical(lens, solutions, domain_name, family, n):

@@ -3,8 +3,9 @@
 Every public top-level function or class of the package is read somewhere
 in the package outside its own definition, except the few names below that
 the package keeps for its readers.  A reference written only for tests
-belongs in `tests/reference.py`.  Only `linalg.py` imports ctypes or mmap:
-the LAPACK binding and `_mapped`, pv's memory map, live in one module.
+belongs in `tests/reference.py`.  Only `linalg.py` imports ctypes, for the
+LAPACK binding, and no module imports mmap: assembly holds no N x N array
+but the system matrix, so none needs a memory map of its own.
 """
 
 import ast
@@ -53,9 +54,13 @@ def _imported(path: Path) -> set:
                          else [])}
 
 
+def _importers(modules: set) -> set:
+    """The package's files that import any of modules or a submodule of one."""
+    return {path.name for path in PACKAGE.glob("*.py")
+            if any(name in modules or name.split(".")[0] in modules
+                   for name in _imported(path))}
+
+
 def test_only_linalg_imports_ctypes_or_mmap():
-    low_level = {"ctypes", "mmap", "numpy.ctypeslib"}
-    importers = {path.name for path in PACKAGE.glob("*.py")
-                 if any(name in low_level or name.split(".")[0] in low_level
-                        for name in _imported(path))}
-    assert importers == {"linalg.py"}
+    assert _importers({"ctypes", "numpy.ctypeslib"}) == {"linalg.py"}
+    assert _importers({"mmap"}) == set()

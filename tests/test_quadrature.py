@@ -15,10 +15,9 @@ from cbie.quadrature import (
     node_weight_products,
     partial_integral_matrix,
     pv_integrate,
-    pv_weight_matrix,
     sample_interpolator,
 )
-from reference import diff_matrix, pv_integrate_excluded_node
+from reference import diff_matrix, pv_integrate_excluded_node, pv_weight_matrix
 
 
 # ---------------------------------------------------------------------------
