@@ -31,7 +31,7 @@ from .conditions import (
     build_operators,
     condition_residuals,
 )
-from .errors import AssemblyError, ConfigurationError, NumericError, ShapeError
+from .errors import AssemblyError, ConfigurationError, NumericError
 from .geometry import PlaneDomain
 from .linalg import lu_condition, probe_spectrum
 from .quadrature import (
@@ -77,19 +77,11 @@ class BCSpec:
         }
 
 
-def du_from_bc(u_trace, alpha: complex, phi_at_nodes) -> np.ndarray:
-    """Eliminated normal-type derivative: du/dx2 = phi - alpha u, elementwise."""
-    u = np.asarray(u_trace, dtype=complex)
-    phi = np.asarray(phi_at_nodes, dtype=complex)
-    if u.shape != phi.shape:
-        raise ShapeError(f"u has shape {u.shape}, phi has shape {phi.shape}")
-    return phi - alpha * u
-
-
 @dataclass
 class FredholmSystem:
-    """The assembled system and the problem it was assembled from.  The
-    solve factors matrix in its own buffer and then drops it (None), so
+    """The assembled system and the problem it was assembled from, with
+    the boundary data (phi_1, phi_2) as assembly sampled it at the nodes.
+    The solve factors matrix in its own buffer and then drops it (None), so
     whatever reads the matrix as assembled runs first."""
 
     matrix: Optional[np.ndarray]
@@ -97,11 +89,8 @@ class FredholmSystem:
     rule: QuadratureRule
     domain: PlaneDomain
     bc: BCSpec
+    phi: tuple
     warnings: list = field(default_factory=list)
-
-    @property
-    def n(self) -> int:
-        return self.rule.n
 
     def residual(self, trace: BoundaryTrace) -> np.ndarray:
         """matrix @ [u_1; u_2] - rhs for the trace's u, whose du must be
@@ -195,7 +184,7 @@ def assemble(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule) -> FredholmS
                             f"(nodes {rule.nodes[i % n]}, {rule.nodes[j % n]})")
     if not np.all(np.isfinite(rhs)):
         raise NumericError("non-finite right-hand side")
-    return FredholmSystem(matrix, rhs, rule, domain, bc, warnings)
+    return FredholmSystem(matrix, rhs, rule, domain, bc, (phi1, phi2), warnings)
 
 
 @dataclass
@@ -218,7 +207,7 @@ def dump_system(system: FredholmSystem, path) -> None:
     with interleaved re/im little-endian doubles, then the length-2N rhs."""
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<Q", system.n))
+        fh.write(struct.pack("<Q", system.rule.n))
         # a little-endian complex128 is the (re, im) pair of "<f8" doubles
         fh.write(np.ascontiguousarray(system.matrix, dtype="<c16").data)
         fh.write(np.ascontiguousarray(system.rhs, dtype="<c16").data)

@@ -45,12 +45,13 @@ from .lcg import Lcg
 from .linalg import probe_spectrum
 from .manufactured import SolutionSpec, canonical_solutions, eval_solution, make_bc, make_trace
 from .quadrature import DIFF_MIN_NODES, FAMILIES, build_rule, pv_integrate
-from .solver import COND_THRESHOLD, solve_assembled, solve_problem
+from .solver import COND_THRESHOLD, solve_problem, solve_system
 
 SCHEMA_VERSION = "1"
 MIN_SOLVE_NODES = 8  # smallest rule a solve accepts, at rule.n and in rule.levels
 MAX_NODES = 4096  # largest rule, at rule.n and in rule.levels: 2N x 2N complex is 1 GiB here
 PV_GATED_NODES = 64  # pv-check gates the levels from here up
+MAX_POINTS = 10_000  # largest kernel-check sample; each point holds a CSV row
 
 DEFAULT_TOLERANCES = {
     "window_delta": None,        # None -> WINDOW_FRACTION (b1 - a1)
@@ -373,8 +374,8 @@ def _exact_problem(cfg: dict, task: str) -> tuple:
 def run_kernel_check(cfg: dict, tol: dict, outdir: Path, seed: int) -> tuple:
     rng = Lcg(seed)
     n_points = _integer(cfg.get("points", 100), "points")
-    if n_points < 1:
-        raise ConfigurationError(f"points must be >= 1, got {n_points}")
+    if not 1 <= n_points <= MAX_POINTS:
+        raise ConfigurationError(f"points must be from 1 to {MAX_POINTS}, got {n_points}")
     rows = []
     worst = dict.fromkeys(["max_fund_rel_err", "max_du2_fd_err", "max_du1_fd_err",
                            "max_annihilation_fd"], 0.0)
@@ -504,7 +505,7 @@ def run_solve(cfg: dict, tol: dict, outdir: Path, seed: int) -> tuple:
     ratios = probe_spectrum(system.matrix)[1]
     if dump:
         dump_system(system, outdir / "system.bin")
-    report = solve_assembled(system, tol["cond_threshold"])
+    report = solve_system(system, tol["cond_threshold"])
 
     write_csv(outdir / "traces.csv",
               ["x1", "re_u1", "im_u1", "re_u2", "im_u2"],

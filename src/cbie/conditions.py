@@ -41,13 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    AssemblyError,
-    DataError,
-    DomainError,
-    NumericError,
-    ShapeError,
-)
+from .errors import AssemblyError, DataError, NumericError, ShapeError
 from .geometry import PlaneDomain
 from .kernel import TWO_PI
 from .quadrature import (
@@ -473,38 +467,37 @@ def eq8_residuals(trace: BoundaryTrace, domain: PlaneDomain) -> np.ndarray:
     return condition_residuals(trace, domain, ("eq8",))["eq8"]
 
 
-def _representation(trace: BoundaryTrace, prods: TraceProducts, side: str) -> np.ndarray:
-    """Principal-value boundary evaluation of the representation formula.
-
-    Returns the reconstruction values at every node of the chosen curve;
-    for exact traces these equal the trace itself (the raw layer integrals
-    carry the half-trace, the anchor term the other half).
-    """
-    x, w = trace.rule.nodes, trace.rule.weights
+def _representation_lower(trace: BoundaryTrace, prods: TraceProducts) -> np.ndarray:
+    """Principal-value boundary evaluation of the representation formula at
+    every node of the lower curve; for exact traces it equals the trace
+    itself (the raw layer integrals carry the half-trace, the anchor term
+    the other half)."""
+    # The eq7 kernels on this curve are half the eq8 kernels, without their
+    # corner correction and their -(i/4) sign(x - xi) term (see
+    # docs/method.md section 6), applied as -(i/4)(int f - 2 int_a^{xi} f).
     v1, v2 = prods.v.T  # densities [1 - i g'] du
-    if side == "lower":
-        # The eq7 kernels on this curve are half the eq8 kernels, without
-        # their corner correction and their -(i/4) sign(x - xi) term (see
-        # docs/method.md section 6), applied as -(i/4)(int f - 2 int_a^{xi} f).
-        sign = -0.25j * (w @ (v2 - v1) - 2.0 * (prods.partial[:, 1] - prods.partial[:, 0]))
-        flux = 0.5 * prods.eq8 - prods.dku21 * trace.du_lower - sign
-    elif side == "upper":
-        # Curve 2: diagonal log split as on curve 1, with the half-weighted
-        # jump -(i/2) int_a^{xi}, applied one row tile at a time to the
-        # weighted density u_2 = w v_2; curve 1: smooth in the (0, 2pi)
-        # branch (`TraceProducts.cross`) plus the full jump correction
-        # -i int_a^{xi}.
-        u2, ops = w * v2, prods.ops
-        flux = np.empty(trace.rule.n, dtype=complex)
-        for lo, hi in _row_tiles(trace.rule.n):
-            d = _diffq(ops.g2, ops.g2p, x, lo, hi)  # m = d + i, Arg m = pi/2 - arctan d
-            flux[lo:hi] = (0.5 * _real_matvec(np.log1p(d * d), u2)
-                           - 1j * _real_matvec(np.arctan(d, out=d), u2))
-        flux += 0.5j * np.pi * np.sum(u2) - prods.cross
-        flux = ((flux + prods.wlog[:, 1]) / TWO_PI
-                - 1j * (0.5 * prods.partial[:, 1] - prods.partial[:, 0]))
-    else:
-        raise DomainError(f"side must be 'lower' or 'upper', got {side!r}")
+    sign = -0.25j * (trace.rule.weights @ (v2 - v1)
+                     - 2.0 * (prods.partial[:, 1] - prods.partial[:, 0]))
+    flux = 0.5 * prods.eq8 - prods.dku21 * trace.du_lower - sign
+    return trace.u_lower - flux
+
+
+def _representation_upper(trace: BoundaryTrace, prods: TraceProducts) -> np.ndarray:
+    """`_representation_lower` on the upper curve.  Curve 2: diagonal log
+    split as on curve 1, with the half-weighted jump -(i/2) int_a^{xi},
+    applied one row tile at a time to the weighted density u_2 = w v_2;
+    curve 1: smooth in the (0, 2pi) branch (`TraceProducts.cross`) plus the
+    full jump correction -i int_a^{xi}."""
+    x, w = trace.rule.nodes, trace.rule.weights
+    u2, ops = w * prods.v[:, 1], prods.ops
+    flux = np.empty(trace.rule.n, dtype=complex)
+    for lo, hi in _row_tiles(trace.rule.n):
+        d = _diffq(ops.g2, ops.g2p, x, lo, hi)  # m = d + i, Arg m = pi/2 - arctan d
+        flux[lo:hi] = (0.5 * _real_matvec(np.log1p(d * d), u2)
+                       - 1j * _real_matvec(np.arctan(d, out=d), u2))
+    flux += 0.5j * np.pi * np.sum(u2) - prods.cross
+    flux = ((flux + prods.wlog[:, 1]) / TWO_PI
+            - 1j * (0.5 * prods.partial[:, 1] - prods.partial[:, 0]))
     return trace.u_lower - flux
 
 
@@ -533,8 +526,8 @@ def condition_residuals(trace: BoundaryTrace, domain: PlaneDomain,
             jump = trace.ux1_lower - trace.ux1_upper + 1j * (du2 - du1)
             out.update(eq9=jump + 1j * eq10, eq11=1j * eq12 - jump)
     if "eq7-boundary" in ids:
-        lo = _representation(trace, prods, "lower") - trace.u_lower
-        up = _representation(trace, prods, "upper") - trace.u_upper
+        lo = _representation_lower(trace, prods) - trace.u_lower
+        up = _representation_upper(trace, prods) - trace.u_upper
         out["eq7-boundary"] = np.where(np.abs(lo) >= np.abs(up), lo, up)
     return {c: out[c] for c in condition_ids}
 

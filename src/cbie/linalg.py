@@ -20,21 +20,6 @@ from .errors import NumericError, ShapeError
 from .lcg import Lcg
 
 
-def _transpose_in_place(a: np.ndarray) -> None:
-    """a = a.T for a square array, one pair of 64 x 64 blocks at a time
-    through one block-sized buffer (64 KB complex)."""
-    n, tile = a.shape[0], 64
-    buf = np.empty((tile, tile), dtype=a.dtype)
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            p, q = a[i:i + tile, j:j + tile], a[j:j + tile, i:i + tile]
-            t = buf[:p.shape[0], :p.shape[1]]
-            t[...] = p
-            if i != j:
-                p[...] = q.T
-            q[...] = t.T
-
-
 _OPENBLAS_SYMBOLS = ("scipy_zgetrf_64_", "scipy_zgecon_64_", "scipy_zgetrs_64_")
 
 
@@ -61,15 +46,15 @@ def _lapack() -> tuple:
     """(getrf, gecon, getrs) for complex128, in scipy.linalg.lapack's
     calling convention: getrf(a) -> (lu, piv, info) factors the Fortran-
     ordered a in place, with 0-based pivots; gecon(lu, anorm) -> (rcond,
-    info) estimates in the 1-norm; getrs(lu, piv, b) -> (x, info) solves
-    A x = b for a vector b into a new array."""
+    info) estimates in the infinity-norm; getrs(lu, piv, b) -> (x, info)
+    solves a^T x = b for a vector b into a new array."""
     lib = _numpy_openblas()
     if lib is None:
         from scipy.linalg.lapack import zgecon, zgetrf, zgetrs
 
         return (lambda a: zgetrf(a, overwrite_a=True),
-                lambda lu, anorm: zgecon(lu, anorm, norm="1"),
-                zgetrs)
+                lambda lu, anorm: zgecon(lu, anorm, norm="I"),
+                lambda lu, piv, b: zgetrs(lu, piv, b, trans=1))
 
     import ctypes
     from numpy.ctypeslib import ndpointer
@@ -101,7 +86,7 @@ def _lapack() -> tuple:
     def gecon(lu, anorm):  # lu is getrf's
         n = lu.shape[0]
         rcond, info = ctypes.c_double(), ctypes.c_int64()
-        zgecon(b"1", i64(n), lu, i64(max(1, n)), ctypes.byref(ctypes.c_double(anorm)),
+        zgecon(b"I", i64(n), lu, i64(max(1, n)), ctypes.byref(ctypes.c_double(anorm)),
                ctypes.byref(rcond), np.empty(2 * n, dtype=complex), np.empty(2 * n),
                ctypes.byref(info), 1)
         return rcond.value, info.value
@@ -109,7 +94,7 @@ def _lapack() -> tuple:
     def getrs(lu, piv, b):  # checked by lu_solve
         n = lu.shape[0]
         x, info = np.array(b, dtype=complex), ctypes.c_int64()
-        zgetrs(b"N", i64(n), i64(1), lu, i64(max(1, n)), piv.astype(np.int64) + 1, x,
+        zgetrs(b"T", i64(n), i64(1), lu, i64(max(1, n)), piv.astype(np.int64) + 1, x,
                i64(max(1, n)), ctypes.byref(info), 1)
         return x, info.value
 
@@ -124,14 +109,15 @@ def _order(a: np.ndarray) -> int:
 
 
 def lu_condition(matrix: np.ndarray) -> tuple:
-    """LU factors of a square matrix, written over it, and LAPACK's estimate
-    of its 1-norm condition number (gecon on those factors, Hager-Higham);
-    an exactly zero pivot gives inf.
+    """LU factors of a square matrix A, written over it, and LAPACK's
+    estimate of its 1-norm condition number (gecon on those factors,
+    Hager-Higham); an exactly zero pivot gives inf.
 
-    ||A||_1 is read first; then the array is transposed in place, so that
-    its buffer holds A column-major, and getrf factors that buffer: no copy
-    of the matrix is made.  The factors (lu, piv) are lu_factor(matrix)'s,
-    bit for bit.  On return the array holds lu transposed: read it no more.
+    The row-major buffer of A is A^T in column-major order, and getrf
+    factors it as it lies: the factors (lu, piv) are lu_factor(matrix.T)'s,
+    bit for bit, and no copy of the matrix is made.  gecon then estimates
+    in the infinity-norm, since ||A^T||_inf = ||A||_1, which is read first.
+    On return the array holds lu transposed: read it no more.
 
     A non-finite entry makes its column sum non-finite: NumericError, raised
     before the array is written."""
@@ -144,7 +130,6 @@ def lu_condition(matrix: np.ndarray) -> tuple:
         colsum += np.abs(r, out=row)
     if not np.all(np.isfinite(colsum)):
         raise NumericError("system contains non-finite entries")
-    _transpose_in_place(matrix)
     lu, piv, info = getrf(matrix.T)
     if info == 0:
         rcond, info = gecon(lu, colsum.max())
@@ -157,9 +142,9 @@ def lu_condition(matrix: np.ndarray) -> tuple:
 
 def lu_solve(factors: tuple, b: np.ndarray) -> np.ndarray:
     """x with A x = b for a vector b, from `lu_condition`'s factors (lu, piv)
-    of A (getrs).  ShapeError unless lu is square, b and piv match its order
-    and every pivot is a row of it: LAPACK would read or swap rows outside
-    the buffers."""
+    of A^T (getrs, trans = 'T').  ShapeError unless lu is square, b and piv
+    match its order and every pivot is a row of it: LAPACK would read or
+    swap rows outside the buffers."""
     lu, piv = factors
     n = _order(lu)
     if np.shape(piv) != (n,) or np.shape(b) != (n,) or np.any((piv < 0) | (piv >= n)):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import BCSpec, FredholmSystem, assemble, du_from_bc
+from .assembly import BCSpec, FredholmSystem, assemble
 from .conditions import BoundaryTrace, build_operators, log_parts
 from .errors import DomainError, NumericError
 from .geometry import PlaneDomain
@@ -20,28 +19,36 @@ COND_THRESHOLD = 1e8  # a larger 1-norm condition estimate takes least squares
 
 @dataclass
 class SolveReport:
-    u_lower: np.ndarray
-    u_upper: np.ndarray
+    trace: BoundaryTrace  # the solved u, du eliminated through the boundary data
     residual_norm: float
     condition_estimate: float
     method: str  # "direct" or "least-squares-fallback"
-    interior_samples: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    # the solved trace, du eliminated through the boundary data
-    trace: Optional[BoundaryTrace] = field(default=None, repr=False)
+    interior_samples: list
+    warnings: list
+
+    @property
+    def u_lower(self) -> np.ndarray:
+        return self.trace.u_lower
+
+    @property
+    def u_upper(self) -> np.ndarray:
+        return self.trace.u_upper
 
 
 def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD) -> SolveReport:
-    """Direct dense solve below the condition threshold, otherwise a
+    """Solve an assembled system, then reconstruct u on the interior grid.
+
+    Direct dense solve below the condition threshold, otherwise a
     minimum-norm least-squares fallback (the problem is Fredholm but not
     guaranteed uniquely solvable at every boundary-constant pair).
 
     One LU factorization, written over system.matrix, gives both the 1-norm
     condition estimate and the direct solution; the matrix is then dropped
-    (None).  An exactly singular pivot estimates cond = inf and takes the
-    fallback, which assembles the matrix again from the system's domain and
-    bc.  The residual max|matrix @ x - rhs| is read from the conditions on
-    the solved trace (`FredholmSystem.residual`), not from the matrix.  A
+    (None), so whatever reads it as assembled runs first.  An exactly
+    singular pivot estimates cond = inf and takes the fallback, which
+    assembles the matrix again.  du_k = phi_k - alpha_k u_k reads the phi
+    samples of assembly.  The residual max|matrix @ x - rhs| is read from
+    the conditions on the solved trace (`FredholmSystem.residual`).  A
     non-finite rhs or matrix entry raises NumericError before the matrix is
     written (`lu_condition` finds the matrix's in its column sums)."""
     if not np.all(np.isfinite(system.rhs)):
@@ -55,16 +62,19 @@ def solve_system(system: FredholmSystem, cond_threshold: float = COND_THRESHOLD)
         del factors  # free the LU before assembly builds the matrix again
         m = assemble(system.domain, system.bc, system.rule).matrix
         sol, method = np.linalg.lstsq(m, system.rhs, rcond=None)[0], "least-squares-fallback"
-    n = system.n
+    n, (phi1, phi2), bc = system.rule.n, system.phi, system.bc
     u1, u2 = sol[:n], sol[n:]
-    trace = trace_from_solution(system.rule, system.bc, u1, u2)
+    trace = BoundaryTrace(system.rule, u1, u2, phi1 - bc.alpha1 * u1, phi2 - bc.alpha2 * u2)
     warnings = list(system.warnings)
     if method != "direct":
         warnings.append(f"least-squares fallback: condition estimate {cond:.3g} exceeds "
                         f"cond_threshold {cond_threshold:.3g}; the traces may be wrong "
                         "although the residual is small")
     residual = float(np.max(np.abs(system.residual(trace))))
-    return SolveReport(u1, u2, residual, cond, method, warnings=warnings, trace=trace)
+    pts = default_interior_grid(system.domain)
+    vals = reconstruct_interior(system.domain, trace, pts)
+    samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
+    return SolveReport(trace, residual, cond, method, samples, warnings)
 
 
 def reconstruct_interior(domain: PlaneDomain, trace: BoundaryTrace, xi):
@@ -121,32 +131,7 @@ def default_interior_grid(domain: PlaneDomain) -> list:
     return pts
 
 
-def trace_from_solution(system_rule: QuadratureRule, bc: BCSpec,
-                        u_lower, u_upper) -> BoundaryTrace:
-    """Boundary trace of a solved system: solved u plus du eliminated
-    through the boundary data."""
-    phi1, phi2 = bc.sample(system_rule.nodes)
-    du1 = du_from_bc(u_lower, bc.alpha1, phi1)
-    du2 = du_from_bc(u_upper, bc.alpha2, phi2)
-    return BoundaryTrace(system_rule, u_lower, u_upper, du1, du2)
-
-
 def solve_problem(domain: PlaneDomain, bc: BCSpec, rule: QuadratureRule,
                   cond_threshold: float = COND_THRESHOLD) -> SolveReport:
     """Assemble, solve, and reconstruct on the interior grid."""
-    return solve_assembled(assemble(domain, bc, rule), cond_threshold)
-
-
-def solve_assembled(system: FredholmSystem,
-                    cond_threshold: float = COND_THRESHOLD) -> SolveReport:
-    """Solve an assembled system and reconstruct on the interior grid.  The
-    solve factors system.matrix in place and drops it, so a reader of the
-    matrix as assembled (the probe's spectrum, the dump) runs first.  Past
-    assembly the solve holds the matrix, then its factors in the same
-    buffer, and O(N) arrays: the curve samples that assembly cached, which
-    the residual and the reconstruction read again."""
-    report = solve_system(system, cond_threshold)
-    pts = default_interior_grid(system.domain)
-    vals = reconstruct_interior(system.domain, report.trace, pts)
-    report.interior_samples = [((x1, x2), complex(v)) for (x1, x2), v in zip(pts, vals)]
-    return report
+    return solve_system(assemble(domain, bc, rule), cond_threshold)

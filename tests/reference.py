@@ -10,7 +10,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cbie.conditions import BoundaryTrace, _representation, trace_products
+from cbie.conditions import (
+    BoundaryTrace,
+    _representation_lower,
+    _representation_upper,
+    trace_products,
+)
 from cbie.errors import ConfigurationError
 from cbie.geometry import PlaneDomain
 from cbie.kernel import TWO_PI
@@ -109,9 +114,11 @@ def boundary_log_kernel(d1, d2):
 
 def representation_boundary(trace: BoundaryTrace, domain: PlaneDomain,
                             side: str) -> np.ndarray:
-    """The representation formula on one curve (`conditions._representation`)
-    from the trace's own products."""
-    return _representation(trace, trace_products(trace, domain), side)
+    """The representation formula on the "lower" or "upper" curve
+    (`conditions._representation_lower` or `_representation_upper`) from the
+    trace's own products."""
+    form = {"lower": _representation_lower, "upper": _representation_upper}[side]
+    return form(trace, trace_products(trace, domain))
 
 
 def ritz_augmented_eigh(b: np.ndarray, beta: float, k: int) -> tuple:

@@ -7,15 +7,14 @@ from cbie.assembly import (
     BCSpec,
     assemble,
     compactness_probe,
-    du_from_bc,
     dump_system,
     load_system,
 )
 from cbie.conditions import BoundaryTrace, build_operators, condition_residuals, eq8_residuals
-from cbie.errors import AssemblyError, ConfigurationError, NumericError, ShapeError
+from cbie.errors import AssemblyError, ConfigurationError, NumericError
 from cbie.geometry import CurveDescriptor, PlaneDomain
 from cbie.linalg import PROBE_K
-from cbie.manufactured import canonical_solutions, make_bc, make_trace
+from cbie.manufactured import make_bc, make_trace
 from cbie.quadrature import build_rule
 from reference import pv_weight_matrix
 
@@ -29,38 +28,6 @@ def _const_bc(c, alpha1=1.0, alpha2=1.0):
 def _exact_vector(spec, domain, rule):
     tr = make_trace(spec, domain, rule)
     return np.concatenate([tr.u_lower, tr.u_upper])
-
-
-# ---------------------------------------------------------------------------
-# boundary-data elimination
-# ---------------------------------------------------------------------------
-
-def test_du_from_bc_zero_trace():
-    phi = np.array([1.0, 2.0, 3.0], dtype=complex)
-    assert np.array_equal(du_from_bc(np.zeros(3), 1.5, phi), phi)
-
-
-def test_du_from_bc_unit_trace():
-    out = du_from_bc(np.ones(4), 1.0, np.zeros(4))
-    assert np.all(out == -1.0)
-
-
-def test_du_from_bc_manufactured(lens):
-    spec = canonical_solutions()["z2"]
-    rule = build_rule("gauss-legendre", 16, -1, 1)
-    tr = make_trace(spec, lens, rule)
-    bc = make_bc(spec, lens, 1.0, 2.0, rule)
-    phi1 = np.asarray([complex(bc.phi1(v)) for v in rule.nodes])
-    du1 = du_from_bc(tr.u_lower, 1.0, phi1)
-    # closed form: du/dx2 on the lower curve is 2(gamma_1 + i x1)
-    x = rule.nodes
-    expected = 2 * (-(1 - x * x) + 1j * x)
-    assert np.allclose(du1, expected, atol=1e-13)
-
-
-def test_du_from_bc_shape_error():
-    with pytest.raises(ShapeError):
-        du_from_bc(np.zeros(3), 1.0, np.zeros(4))
 
 
 def test_bcspec_rejects_zero_alpha():
@@ -149,8 +116,7 @@ def test_system_rows_are_the_conditions(lens, solutions, domain_name, family, n)
     rng = np.random.default_rng(7)
     u = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
     phi1, phi2 = bc.sample(rule.nodes)
-    trace = BoundaryTrace(rule, u[:n], u[n:], du_from_bc(u[:n], a1, phi1),
-                          du_from_bc(u[n:], a2, phi2))
+    trace = BoundaryTrace(rule, u[:n], u[n:], phi1 - a1 * u[:n], phi2 - a2 * u[n:])
     eq8 = eq8_residuals(trace, domain)
     cauchy = condition_residuals(trace, domain, ["eq10", "eq12"])
     block_b = ((1j / np.pi) * (pv_weight_matrix(rule) @ eq8)
@@ -273,8 +239,7 @@ def test_residual_is_the_matrix_residual(lens, solutions):
         u = (np.concatenate([exact.u_lower, exact.u_upper])
              + rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n))
         phi1, phi2 = bc.sample(rule.nodes)
-        trace = BoundaryTrace(rule, u[:n], u[n:], du_from_bc(u[:n], a1, phi1),
-                              du_from_bc(u[n:], a2, phi2))
+        trace = BoundaryTrace(rule, u[:n], u[n:], phi1 - a1 * u[:n], phi2 - a2 * u[n:])
         dense = system.matrix @ u - system.rhs
         assert np.max(np.abs(dense)) >= 0.1
         err = np.max(np.abs(system.residual(trace) - dense))

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbie import assembly, conditions, linalg, quadrature
-from cbie.cli import (DEFAULT_TOLERANCES, MAX_NODES, MIN_SOLVE_NODES, TASKS, _bc, _domain,
-                      _solution, main)
+from cbie.cli import (DEFAULT_TOLERANCES, MAX_NODES, MAX_POINTS, MIN_SOLVE_NODES, TASKS, _bc,
+                      _domain, _solution, main)
 from cbie.errors import ConfigurationError
 from cbie.lcg import Lcg
 from cbie.manufactured import eval_solution
@@ -231,6 +231,9 @@ def _constant_phi(tmp):
                  id="points-fraction"),
     pytest.param("kernel-check", "points", lambda cfg, tmp: cfg.update(points=True),
                  id="points-boolean"),
+    # an unbounded sample grows until the process is killed
+    pytest.param("kernel-check", "points",
+                 lambda cfg, tmp: cfg.update(points=MAX_POINTS + 1), id="points-above-cap"),
     pytest.param("solve", "rule.n", lambda cfg, tmp: cfg["rule"].update(n=16.5),
                  id="n-fraction"),
     pytest.param("solve", "seed", lambda cfg, tmp: cfg.update(seed=1.5), id="seed-fraction"),
@@ -916,6 +919,12 @@ def test_kernel_check_stays_green_near_the_exclusion(tmp_path, outdir):
     # difference of step 1e-4 read 1.3e-6 on the exact kernel, above
     # annih_tol 1e-6; extrapolated from two steps it reads 9.3e-8
     cfg = _write(tmp_path / "c.json", {"schema_version": "1", "points": 2000})
+    assert main(["kernel-check", "--config", cfg, "--out", str(outdir)]) == 0
+
+
+def test_kernel_check_passes_at_its_largest_sample(tmp_path, outdir):
+    # every accepted points value runs the gate on a correct kernel
+    cfg = _write(tmp_path / "c.json", {"schema_version": "1", "points": MAX_POINTS})
     assert main(["kernel-check", "--config", cfg, "--out", str(outdir)]) == 0
 
 

@@ -23,7 +23,7 @@ from cbie.conditions import (
     trace_products,
     window_mask,
 )
-from cbie.errors import DataError, DomainError, NumericError, ShapeError
+from cbie.errors import DataError, NumericError, ShapeError
 from cbie.geometry import CurveDescriptor, PlaneDomain, lens_domain
 from cbie.kernel import TWO_PI, dU_dx2
 from cbie.manufactured import make_bc, make_trace

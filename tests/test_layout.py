@@ -5,13 +5,15 @@ in the package outside its own definition, except the few names below that
 the package keeps for its readers.  A reference written only for tests
 belongs in `tests/reference.py`.  Only `linalg.py` imports ctypes, for the
 LAPACK binding, and no module imports mmap: assembly holds no N x N array
-but the system matrix, so none needs a memory map of its own.
+but the system matrix, so none needs a memory map of its own.  No module
+of the package or the tests imports a name it never reads.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cbie"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cbie"
 
 ALLOWED_UNREFERENCED = {
     "compactness_probe": "imported by the acceptance suite",
@@ -64,3 +66,25 @@ def _importers(modules: set) -> set:
 def test_only_linalg_imports_ctypes_or_mmap():
     assert _importers({"ctypes", "numpy.ctypeslib"}) == {"linalg.py"}
     assert _importers({"mmap"}) == set()
+
+
+def _unread_imports(path: Path) -> set:
+    """The names path imports, at any depth, that it never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    return bound - _names(tree)
+
+
+# the acceptance suite is kept as it was written
+UNREAD_IMPORTS = {"tests/test_acceptance.py": ["pytest"]}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = {f"{path.parent.name}/{path.name}": sorted(_unread_imports(path))
+              for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == UNREAD_IMPORTS

@@ -161,10 +161,22 @@ def test_ritz_agrees_with_the_augmented_eigh(lens, solutions, monkeypatch, case)
 # LU, condition estimate and solve
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(params=["openblas", "scipy"])
+def backend(request, monkeypatch):
+    """The LAPACK binding under test: numpy's own OpenBLAS through ctypes,
+    or scipy.linalg.lapack's, which a numpy build without it takes."""
+    if request.param == "scipy":
+        monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
+    linalg._lapack.cache_clear()
+    yield request.param
+    linalg._lapack.cache_clear()
+
+
 def test_lu_condition_factors_in_place(lens, solutions):
     # the factors are written over the matrix: the factorization allocates
     # no copy of it (and the 1-norm, summed row by row, no |A|), and gives
-    # lu_factor's factors and numpy's 1-norm estimate, bit for bit
+    # the factors of lu_factor(m.T) and the estimate of gecon on them in the
+    # infinity-norm with numpy's 1-norm of m, bit for bit
     from scipy.linalg import get_lapack_funcs, lu_factor
 
     rule = build_rule("gauss-legendre", 128, -1, 1)
@@ -179,27 +191,37 @@ def test_lu_condition_factors_in_place(lens, solutions):
         tracemalloc.stop()
     assert peak <= 0.1 * m.nbytes, peak / m.nbytes
     assert np.shares_memory(factors[0], a)
-    lu, piv = lu_factor(m)
+    lu, piv = lu_factor(m.T)
     assert np.array_equal(factors[0], lu) and np.array_equal(factors[1], piv)
     gecon = get_lapack_funcs("gecon", (lu,))
-    assert cond == 1.0 / gecon(lu, np.linalg.norm(m, 1), norm="1")[0]
+    assert cond == 1.0 / gecon(lu, np.linalg.norm(m, 1), norm="I")[0]
 
 
 @pytest.mark.parametrize("n", [1, 5, 128, 300])
-def test_lu_condition_transposes_any_size_in_place(n):
-    # the tile transpose covers partial edge tiles and a single tile
-    from scipy.linalg import lu_factor
+def test_lu_condition_is_lu_factor_of_the_transpose(backend, n):
+    # the row-major buffer is A^T column-major: getrf factors it as it lies,
+    # and the factors, the estimate and the solution are scipy's on A^T, bit
+    # for bit, on either binding
+    from scipy.linalg import get_lapack_funcs, lu_factor
+    from scipy.linalg import lu_solve as scipy_lu_solve
 
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) + 4 * n * np.eye(n)
-    lu, piv = lu_factor(m)
-    factors, cond = lu_condition(m.copy())
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    a = m.copy()
+    factors, cond = lu_condition(a)
+    assert np.shares_memory(factors[0], a)
+    lu, piv = lu_factor(m.T)
     assert np.array_equal(factors[0], lu) and np.array_equal(factors[1], piv)
+    gecon = get_lapack_funcs("gecon", (lu,))
+    assert cond == 1.0 / gecon(lu, np.linalg.norm(m, 1), norm="I")[0]
     assert 1.0 <= cond < np.inf
+    assert np.array_equal(lu_solve(factors, b), scipy_lu_solve((lu, piv), b, trans=1))
 
 
 def test_lu_solve_is_lu_solve_bit_for_bit(lens, solutions):
-    # getrs on lu_condition's factors gives scipy's lu_solve on lu_factor's
+    # getrs on lu_condition's factors gives scipy's lu_solve, trans = 1, on
+    # the factors of lu_factor(A^T)
     from scipy.linalg import lu_factor
     from scipy.linalg import lu_solve as scipy_lu_solve
 
@@ -208,7 +230,8 @@ def test_lu_solve_is_lu_solve_bit_for_bit(lens, solutions):
         system = assemble(lens, make_bc(solutions["z2"], lens, *alphas, rule), rule)
         factors = lu_condition(system.matrix.copy())[0]
         x = lu_solve(factors, system.rhs)
-        assert np.array_equal(x, scipy_lu_solve(lu_factor(system.matrix), system.rhs))
+        expected = scipy_lu_solve(lu_factor(system.matrix.T), system.rhs, trans=1)
+        assert np.array_equal(x, expected)
 
 
 def test_lu_solve_rejects_what_lapack_would_read_out_of_bounds():
@@ -223,7 +246,7 @@ def test_scipy_lapack_gives_the_same_factors_estimate_and_solution(lens, solutio
                                                                    monkeypatch):
     # a numpy without numpy.libs/libscipy_openblas64_* takes scipy's zgetrf,
     # zgecon and zgetrs: the same calls, the same bits, in place as well
-    from scipy.linalg.lapack import zgetrs
+    import scipy.linalg.lapack
 
     rule = build_rule("gauss-legendre", 64, -1, 1)
     system = assemble(lens, make_bc(solutions["z2"], lens, 1.0, 2.0, rule), rule)
@@ -237,13 +260,20 @@ def test_scipy_lapack_gives_the_same_factors_estimate_and_solution(lens, solutio
         return lu, piv, cond, lu_solve((lu, piv), system.rhs), lu_condition(singular.copy())[1]
 
     own = run()
+    calls = []
+    for name in ("zgetrf", "zgecon", "zgetrs"):
+        def counted(*args, _routine=getattr(scipy.linalg.lapack, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _routine(*args, **kwargs)
+        monkeypatch.setattr(scipy.linalg.lapack, name, counted)
     monkeypatch.setattr(linalg, "_numpy_openblas", lambda: None)
     linalg._lapack.cache_clear()
     try:
-        assert linalg._lapack()[2] is zgetrs
         fallback = run()
     finally:
         linalg._lapack.cache_clear()
+    # the LU, its estimate and the solve, then the singular LU (no estimate)
+    assert calls == ["zgetrf", "zgecon", "zgetrs", "zgetrf"]
     for mine, theirs in zip(own, fallback):
         assert np.array_equal(mine, theirs)
     assert fallback[-1] == np.inf

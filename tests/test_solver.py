@@ -16,7 +16,6 @@ from cbie.solver import (
     reconstruct_interior,
     solve_problem,
     solve_system,
-    trace_from_solution,
 )
 
 
@@ -284,14 +283,37 @@ def test_solve_problem_quadratic(lens, solutions):
     assert worst <= 1e-2
 
 
-def test_trace_from_solution_eliminates_du(lens, solutions):
+def test_solve_system_eliminates_du(lens, solutions):
     spec = solutions["z2"]
     rule = build_rule("gauss-legendre", 64, -1, 1)
     bc = make_bc(spec, lens, 1.0, 2.0, rule)
-    report = solve_problem(lens, bc, rule)
-    tr = trace_from_solution(rule, bc, report.u_lower, report.u_upper)
+    report = solve_system(assemble(lens, bc, rule))
+    tr = report.trace
+    phi1, phi2 = bc.sample(rule.nodes)
+    assert report.u_lower is tr.u_lower and report.u_upper is tr.u_upper
+    assert np.array_equal(tr.du_lower, phi1 - 1.0 * tr.u_lower)
+    assert np.array_equal(tr.du_upper, phi2 - 2.0 * tr.u_upper)
     exact = make_trace(spec, lens, rule)
     assert np.max(np.abs(tr.du_lower - exact.du_lower)) <= 1e-6
+
+
+def test_direct_solve_samples_each_phi_once(lens, solutions):
+    # assembly samples phi_1 and phi_2 at the nodes, and the solve
+    # eliminates du from those samples: one call of each per direct solve
+    rule = build_rule("gauss-legendre", 32, -1, 1)
+    bc = make_bc(solutions["z2"], lens, 1.0, 2.0, rule)
+    calls = []
+
+    def counted(k, phi):
+        def sample(x):
+            calls.append(k)
+            return phi(x)
+        return sample
+
+    counting = BCSpec(bc.alpha1, bc.alpha2, counted(1, bc.phi1), counted(2, bc.phi2))
+    report = solve_system(assemble(lens, counting, rule))
+    assert report.method == "direct"
+    assert sorted(calls) == [1, 2]
 
 
 def test_midpoint_solve_interior_samples(solutions):
